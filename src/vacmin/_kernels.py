@@ -1,10 +1,5 @@
-"""Hot numeric kernels: stencil sweeps and energy/gradient evaluation.
-
-Every kernel exists twice: a vectorized pure-numpy implementation
-(``*_numpy``) and, when numba imports, an ``@njit`` twin (``*_numba``).
-The public names dispatch to the numba path unless the environment
-variable ``VACMIN_NO_NUMBA`` is set to 1/true/yes, in which case the
-numpy path is used. ``benchmarks/bench_kernels.py`` times both.
+"""Hot numeric kernels: the full-cube edge-sum oracle and the interior-only
+operator the solver iterates with.
 
 Grid arrays are channels-first: field values have shape (m, *grid.shape),
 masks are int8 with 0=exterior, 1=interior, 2=boundary. The discrete
@@ -14,30 +9,20 @@ energy is the forward-difference edge sum
 
 over edges with at least one interior endpoint; its exact gradient with
 respect to interior values is h^n * (-lap_h(u) + gradW(u)), which is what
-``energy_and_grad`` returns.
+``energy_and_grad`` returns. These full-cube functions are the reference
+oracle; ``InteriorOperator`` evaluates the same energy on interior values
+only. Every inner product is a single-threaded ``np.einsum`` reduction, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("VACMIN_NO_NUMBA", "0").strip().lower()
-NUMBA_REQUESTED = _flag not in ("1", "true", "yes")
+# there is no compiled path; the benchmark's environment record reads this name
 NUMBA_ENABLED = False
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
 
 INTERIOR = 1
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
 
 
 def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
@@ -55,7 +40,7 @@ def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def laplacian_numpy(vals: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
+def laplacian(vals: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
     n = vals.ndim - 1
     acc = -2.0 * n * vals
     for ax in range(n):
@@ -77,7 +62,7 @@ def _edge_terms(vals: np.ndarray, mask: np.ndarray, ax: int):
     return d, inc, lo, hi
 
 
-def energy_only_numpy(vals, mask, h, pot) -> float:
+def energy_only(vals, mask, h, pot) -> float:
     n = vals.ndim - 1
     cell = h ** n
     interior = mask == INTERIOR
@@ -91,7 +76,7 @@ def energy_only_numpy(vals, mask, h, pot) -> float:
     return e * cell
 
 
-def energy_and_grad_numpy(vals, mask, h, pot):
+def energy_and_grad(vals, mask, h, pot):
     n = vals.ndim - 1
     cell = h ** n
     interior = mask == INTERIOR
@@ -112,7 +97,7 @@ def energy_and_grad_numpy(vals, mask, h, pot):
     return e * cell, grad
 
 
-def energy_density_numpy(vals, h, pot) -> np.ndarray:
+def energy_density(vals, h, pot) -> np.ndarray:
     """1/2 |grad u|^2 + W(u) on every node; centered differences with
     one-sided stencils at the cube faces."""
     gsq = np.zeros(vals.shape[1:])
@@ -124,452 +109,93 @@ def energy_density_numpy(vals, h, pot) -> np.ndarray:
     return 0.5 * gsq + pot.value_field(vals)
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-#
-# Loop structure matters more than arithmetic here: component-outer edge
-# sweeps without inner bounds checks, scalar-only temporaries (array out
-# parameters defeat LLVM's aliasing analysis), and single-exit inline
-# helpers are what beat the vectorized numpy path.
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> over all entries, without BLAS."""
+    return float(np.einsum("ij,ij->", a, b))
 
-if NUMBA_ENABLED:
 
-    @njit(inline="always")
-    def _w_at2(code, zero, q, cfs, pws, vals, i, j):
-        m = vals.shape[0]
-        w = 0.0
-        if code == 2:  # anisotropic
-            for k in range(m):
-                d = abs(vals[k, i, j] - zero[k])
-                p = pws[k]
-                if p == 2.0:
-                    w += cfs[k] * d * d
-                elif p == 4.0:
-                    w += cfs[k] * d * d * d * d
-                else:
-                    w += cfs[k] * d ** p
-        else:
-            s = 0.0
-            for k in range(m):
-                d = vals[k, i, j] - zero[k]
-                s += d * d
-            if code == 0:  # quadratic
-                w = 0.5 * s
-            elif code == 1:  # power
-                e = 0.5 * q
-                if e == 1.0:
-                    w = s
-                elif e == 2.0:
-                    w = s * s
-                else:
-                    w = s ** e
-            else:  # product-perturbed
-                sn = np.sin(vals[0, i, j])
-                w = s * (1.0 + 0.5 * sn * sn)
-        return w
+class InteriorOperator:
+    """The discrete energy as a function of the interior values x, shape
+    (m, N), with the boundary values of ``vals`` pinned.
 
-    @njit(inline="always")
-    def _w_at3(code, zero, q, cfs, pws, vals, i, j, k3):
-        m = vals.shape[0]
-        w = 0.0
-        if code == 2:
-            for k in range(m):
-                d = abs(vals[k, i, j, k3] - zero[k])
-                p = pws[k]
-                if p == 2.0:
-                    w += cfs[k] * d * d
-                elif p == 4.0:
-                    w += cfs[k] * d * d * d * d
-                else:
-                    w += cfs[k] * d ** p
-        else:
-            s = 0.0
-            for k in range(m):
-                d = vals[k, i, j, k3] - zero[k]
-                s += d * d
-            if code == 0:
-                w = 0.5 * s
-            elif code == 1:
-                e = 0.5 * q
-                if e == 1.0:
-                    w = s
-                elif e == 2.0:
-                    w = s * s
-                else:
-                    w = s ** e
-            else:
-                sn = np.sin(vals[0, i, j, k3])
-                w = s * (1.0 + 0.5 * sn * sn)
-        return w
+    Neighbours are read with ``np.take`` from one buffer holding the
+    interior values first and the pinned ring values after them, through
+    the grid's ``stencil``; one code path serves n=2 and n=3. The Dirichlet
+    part is exactly quadratic, with Hessian A = -h^n lap_0, lap_0 the
+    Laplacian with zero boundary data, so the energy change along a
+    direction g is known in closed form up to the W-sum (``line``).
+    """
 
-    @njit(cache=True)
-    def _lap2_nb(vals, mask, h):
-        m, nx, ny = vals.shape
-        out = np.zeros_like(vals)
-        ih2 = 1.0 / (h * h)
-        for c in range(m):
-            vc = vals[c]
-            oc = out[c]
-            for i in range(1, nx - 1):
-                for j in range(1, ny - 1):
-                    if mask[i, j] == 1:
-                        oc[i, j] = (vc[i + 1, j] + vc[i - 1, j] + vc[i, j + 1]
-                                    + vc[i, j - 1] - 4.0 * vc[i, j]) * ih2
+    def __init__(self, grid, vals: np.ndarray, pot):
+        self.interior, ring, self.nbr = grid.stencil
+        self.pot = pot
+        self.h2 = grid.h * grid.h
+        self.cell = grid.cell
+        m, N = vals.shape[0], self.interior.size
+        self.n_int = N
+        self._pinned = np.empty((m, N + ring.size))
+        self._pinned[:, N:] = vals.reshape(m, -1)[:, ring]
+        self._zero = np.zeros((m, N + ring.size))
+        self._tmp = np.empty((m, N))
+
+    def gather(self, vals: np.ndarray) -> np.ndarray:
+        """Interior values of a full-cube array, shape (m, N)."""
+        return vals.reshape(vals.shape[0], -1)[:, self.interior]
+
+    def scatter(self, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A copy of the full-cube ``vals`` with its interior set to x."""
+        out = vals.copy()
+        out.reshape(out.shape[0], -1)[:, self.interior] = x
         return out
 
-    @njit(cache=True)
-    def _lap3_nb(vals, mask, h):
-        m, nx, ny, nz = vals.shape
-        out = np.zeros_like(vals)
-        ih2 = 1.0 / (h * h)
-        for c in range(m):
-            vc = vals[c]
-            oc = out[c]
-            for i in range(1, nx - 1):
-                for j in range(1, ny - 1):
-                    for k in range(1, nz - 1):
-                        if mask[i, j, k] == 1:
-                            oc[i, j, k] = (
-                                vc[i + 1, j, k] + vc[i - 1, j, k]
-                                + vc[i, j + 1, k] + vc[i, j - 1, k]
-                                + vc[i, j, k + 1] + vc[i, j, k - 1]
-                                - 6.0 * vc[i, j, k]) * ih2
+    def _apply(self, buf: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """-h^n lap(x), the neighbours of x read from buf."""
+        buf[:, :self.n_int] = x
+        # every index is in range; "clip" skips the bounds check of "raise"
+        out = np.take(buf, self.nbr[0], axis=1, mode="clip")
+        for idx in self.nbr[1:]:
+            out += np.take(buf, idx, axis=1, out=self._tmp, mode="clip")
+        out -= len(self.nbr) * x
+        out *= -self.cell / self.h2
         return out
 
-    @njit(cache=True)
-    def _edge_sq2_nb(vals, mask):
-        m, nx, ny = vals.shape
-        eg = 0.0
-        for c in range(m):
-            vc = vals[c]
-            for i in range(nx - 1):
-                for j in range(ny):
-                    if mask[i, j] == 1 or mask[i + 1, j] == 1:
-                        d = vc[i + 1, j] - vc[i, j]
-                        eg += d * d
-            for i in range(nx):
-                for j in range(ny - 1):
-                    if mask[i, j] == 1 or mask[i, j + 1] == 1:
-                        d = vc[i, j + 1] - vc[i, j]
-                        eg += d * d
-        return eg
+    def gradient(self, x: np.ndarray):
+        """(gradient of E, its Dirichlet part -h^n lap(x)), both evaluated
+        directly with the pinned data."""
+        grad_d = self._apply(self._pinned, x)
+        return grad_d + self.cell * self.pot.grad_field(x), grad_d
 
-    @njit(cache=True)
-    def _edge_sq3_nb(vals, mask):
-        m, nx, ny, nz = vals.shape
-        eg = 0.0
-        for c in range(m):
-            vc = vals[c]
-            for i in range(nx - 1):
-                for j in range(ny):
-                    for k in range(nz):
-                        if mask[i, j, k] == 1 or mask[i + 1, j, k] == 1:
-                            d = vc[i + 1, j, k] - vc[i, j, k]
-                            eg += d * d
-            for i in range(nx):
-                for j in range(ny - 1):
-                    for k in range(nz):
-                        if mask[i, j, k] == 1 or mask[i, j + 1, k] == 1:
-                            d = vc[i, j + 1, k] - vc[i, j, k]
-                            eg += d * d
-            for i in range(nx):
-                for j in range(ny):
-                    for k in range(nz - 1):
-                        if mask[i, j, k] == 1 or mask[i, j, k + 1] == 1:
-                            d = vc[i, j, k + 1] - vc[i, j, k]
-                            eg += d * d
-        return eg
+    def energy_and_grad(self, x: np.ndarray):
+        """E(x) as the edge sum over edges with an interior endpoint, and
+        its gradient; the interior-only twin of the oracle."""
+        self._pinned[:, :self.n_int] = x
+        edges = 0.0
+        for idx in self.nbr:
+            diff = np.take(self._pinned, idx, axis=1) - x
+            sq = np.einsum("ij,ij->j", diff, diff)
+            # an interior-interior edge is seen from both ends, a ring edge
+            # once
+            ring_edges = float(sq[idx >= self.n_int].sum())
+            edges += 0.5 * (float(sq.sum()) + ring_edges)
+        with np.errstate(over="ignore"):
+            e = self.cell * (0.5 * edges / self.h2
+                             + float(self.pot.value_field(x).sum()))
+        return e, self.gradient(x)[0]
 
-    @njit(cache=True)
-    def _w_sum2_nb(vals, mask, code, zero, q, cfs, pws):
-        _, nx, ny = vals.shape
-        ew = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                if mask[i, j] == 1:
-                    ew += _w_at2(code, zero, q, cfs, pws, vals, i, j)
-        return ew
+    def line(self, x: np.ndarray, g: np.ndarray, grad_d: np.ndarray,
+             w: np.ndarray):
+        """t -> (E(x - t g) - E(x), x - t g, W(x - t g)), given the Dirichlet
+        gradient and W at x. The Dirichlet change is the exact quadratic
+        -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is re-evaluated."""
+        lin = dot(grad_d, g)
+        quad = dot(g, self._apply(self._zero, g))  # A g = -h^n lap_0(g)
+        cell, value_field = self.cell, self.pot.value_field
 
-    @njit(cache=True)
-    def _w_sum3_nb(vals, mask, code, zero, q, cfs, pws):
-        _, nx, ny, nz = vals.shape
-        ew = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    if mask[i, j, k] == 1:
-                        ew += _w_at3(code, zero, q, cfs, pws, vals, i, j, k)
-        return ew
+        def decrement(t: float):
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = x - t * g
+                w_t = value_field(trial)
+                dw = float(np.sum(w_t - w))
+            return t * (0.5 * t * quad - lin) + cell * dw, trial, w_t
 
-    @njit(cache=True)
-    def _energy_grad2_nb(vals, mask, h, code, zero, q, cfs, pws):
-        m, nx, ny = vals.shape
-        grad = np.zeros_like(vals)
-        cell = h * h
-        ih2 = 1.0 / (h * h)
-        for c in range(m):
-            vc = vals[c]
-            gc = grad[c]
-            for i in range(1, nx - 1):
-                for j in range(1, ny - 1):
-                    if mask[i, j] == 1:
-                        lap = (vc[i + 1, j] + vc[i - 1, j] + vc[i, j + 1]
-                               + vc[i, j - 1] - 4.0 * vc[i, j]) * ih2
-                        gc[i, j] = -cell * lap
-        ew = 0.0
-        e1 = 0.5 * q - 1.0
-        for i in range(nx):
-            for j in range(ny):
-                if mask[i, j] == 1:
-                    if code == 0:
-                        s = 0.0
-                        for c in range(m):
-                            d = vals[c, i, j] - zero[c]
-                            s += d * d
-                            grad[c, i, j] += cell * d
-                        ew += 0.5 * s
-                    elif code == 1:
-                        s = 0.0
-                        for c in range(m):
-                            d = vals[c, i, j] - zero[c]
-                            s += d * d
-                        if s <= 0.0:
-                            fac = 0.0
-                        elif e1 == 0.0:
-                            fac = q
-                        elif e1 == 1.0:
-                            fac = q * s
-                        else:
-                            fac = q * s ** e1
-                        for c in range(m):
-                            grad[c, i, j] += cell * fac * (vals[c, i, j] - zero[c])
-                        if e1 == 0.0:
-                            ew += s
-                        elif e1 == 1.0:
-                            ew += s * s
-                        else:
-                            ew += s ** (0.5 * q)
-                    elif code == 2:
-                        for c in range(m):
-                            d = vals[c, i, j] - zero[c]
-                            p = pws[c]
-                            ad = abs(d)
-                            if p == 2.0:
-                                gw = cfs[c] * 2.0 * d
-                                ew += cfs[c] * d * d
-                            elif p == 4.0:
-                                gw = cfs[c] * 4.0 * d * d * d
-                                ew += cfs[c] * ad * ad * ad * ad
-                            else:
-                                gw = cfs[c] * p * d * ad ** (p - 2.0)
-                                ew += cfs[c] * ad ** p
-                            grad[c, i, j] += cell * gw
-                    else:
-                        s = 0.0
-                        for c in range(m):
-                            d = vals[c, i, j] - zero[c]
-                            s += d * d
-                        sn = np.sin(vals[0, i, j])
-                        gq = 1.0 + 0.5 * sn * sn
-                        ew += s * gq
-                        for c in range(m):
-                            grad[c, i, j] += cell * 2.0 * (vals[c, i, j] - zero[c]) * gq
-                        grad[0, i, j] += cell * s * 0.5 * np.sin(2.0 * vals[0, i, j])
-        eg = _edge_sq2_nb(vals, mask)
-        return (0.5 * eg * ih2 + ew) * cell, grad
-
-    @njit(cache=True)
-    def _energy_grad3_nb(vals, mask, h, code, zero, q, cfs, pws):
-        m, nx, ny, nz = vals.shape
-        grad = np.zeros_like(vals)
-        cell = h * h * h
-        ih2 = 1.0 / (h * h)
-        for c in range(m):
-            vc = vals[c]
-            gc = grad[c]
-            for i in range(1, nx - 1):
-                for j in range(1, ny - 1):
-                    for k in range(1, nz - 1):
-                        if mask[i, j, k] == 1:
-                            lap = (vc[i + 1, j, k] + vc[i - 1, j, k]
-                                   + vc[i, j + 1, k] + vc[i, j - 1, k]
-                                   + vc[i, j, k + 1] + vc[i, j, k - 1]
-                                   - 6.0 * vc[i, j, k]) * ih2
-                            gc[i, j, k] = -cell * lap
-        ew = 0.0
-        e1 = 0.5 * q - 1.0
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    if mask[i, j, k] == 1:
-                        if code == 0:
-                            s = 0.0
-                            for c in range(m):
-                                d = vals[c, i, j, k] - zero[c]
-                                s += d * d
-                                grad[c, i, j, k] += cell * d
-                            ew += 0.5 * s
-                        elif code == 1:
-                            s = 0.0
-                            for c in range(m):
-                                d = vals[c, i, j, k] - zero[c]
-                                s += d * d
-                            if s <= 0.0:
-                                fac = 0.0
-                            elif e1 == 0.0:
-                                fac = q
-                            elif e1 == 1.0:
-                                fac = q * s
-                            else:
-                                fac = q * s ** e1
-                            for c in range(m):
-                                grad[c, i, j, k] += cell * fac * (vals[c, i, j, k] - zero[c])
-                            if e1 == 0.0:
-                                ew += s
-                            elif e1 == 1.0:
-                                ew += s * s
-                            else:
-                                ew += s ** (0.5 * q)
-                        elif code == 2:
-                            for c in range(m):
-                                d = vals[c, i, j, k] - zero[c]
-                                p = pws[c]
-                                ad = abs(d)
-                                if p == 2.0:
-                                    gw = cfs[c] * 2.0 * d
-                                    ew += cfs[c] * d * d
-                                elif p == 4.0:
-                                    gw = cfs[c] * 4.0 * d * d * d
-                                    ew += cfs[c] * ad * ad * ad * ad
-                                else:
-                                    gw = cfs[c] * p * d * ad ** (p - 2.0)
-                                    ew += cfs[c] * ad ** p
-                                grad[c, i, j, k] += cell * gw
-                        else:
-                            s = 0.0
-                            for c in range(m):
-                                d = vals[c, i, j, k] - zero[c]
-                                s += d * d
-                            sn = np.sin(vals[0, i, j, k])
-                            gq = 1.0 + 0.5 * sn * sn
-                            ew += s * gq
-                            for c in range(m):
-                                grad[c, i, j, k] += cell * 2.0 * (vals[c, i, j, k] - zero[c]) * gq
-                            grad[0, i, j, k] += cell * s * 0.5 * np.sin(2.0 * vals[0, i, j, k])
-        eg = _edge_sq3_nb(vals, mask)
-        return (0.5 * eg * ih2 + ew) * cell, grad
-
-    @njit(cache=True)
-    def _gradsq2_nb(vals, h):
-        m, nx, ny = vals.shape
-        out = np.zeros((nx, ny))
-        h2 = 2.0 * h
-        for c in range(m):
-            vc = vals[c]
-            for i in range(nx):
-                for j in range(ny):
-                    if 0 < i < nx - 1:
-                        gx = (vc[i + 1, j] - vc[i - 1, j]) / h2
-                    elif i == 0:
-                        gx = (vc[1, j] - vc[0, j]) / h
-                    else:
-                        gx = (vc[nx - 1, j] - vc[nx - 2, j]) / h
-                    if 0 < j < ny - 1:
-                        gy = (vc[i, j + 1] - vc[i, j - 1]) / h2
-                    elif j == 0:
-                        gy = (vc[i, 1] - vc[i, 0]) / h
-                    else:
-                        gy = (vc[i, ny - 1] - vc[i, ny - 2]) / h
-                    out[i, j] += gx * gx + gy * gy
-        return out
-
-    @njit(cache=True)
-    def _gradsq3_nb(vals, h):
-        m, nx, ny, nz = vals.shape
-        out = np.zeros((nx, ny, nz))
-        h2 = 2.0 * h
-        for c in range(m):
-            vc = vals[c]
-            for i in range(nx):
-                for j in range(ny):
-                    for k in range(nz):
-                        if 0 < i < nx - 1:
-                            g = (vc[i + 1, j, k] - vc[i - 1, j, k]) / h2
-                        elif i == 0:
-                            g = (vc[1, j, k] - vc[0, j, k]) / h
-                        else:
-                            g = (vc[nx - 1, j, k] - vc[nx - 2, j, k]) / h
-                        acc = g * g
-                        if 0 < j < ny - 1:
-                            g = (vc[i, j + 1, k] - vc[i, j - 1, k]) / h2
-                        elif j == 0:
-                            g = (vc[i, 1, k] - vc[i, 0, k]) / h
-                        else:
-                            g = (vc[i, ny - 1, k] - vc[i, ny - 2, k]) / h
-                        acc += g * g
-                        if 0 < k < nz - 1:
-                            g = (vc[i, j, k + 1] - vc[i, j, k - 1]) / h2
-                        elif k == 0:
-                            g = (vc[i, j, 1] - vc[i, j, 0]) / h
-                        else:
-                            g = (vc[i, j, nz - 1] - vc[i, j, nz - 2]) / h
-                        acc += g * g
-                        out[i, j, k] += acc
-        return out
-
-    @njit(cache=True)
-    def _w_all2_nb(vals, code, zero, q, cfs, pws):
-        _, nx, ny = vals.shape
-        out = np.empty((nx, ny))
-        for i in range(nx):
-            for j in range(ny):
-                out[i, j] = _w_at2(code, zero, q, cfs, pws, vals, i, j)
-        return out
-
-    @njit(cache=True)
-    def _w_all3_nb(vals, code, zero, q, cfs, pws):
-        _, nx, ny, nz = vals.shape
-        out = np.empty((nx, ny, nz))
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    out[i, j, k] = _w_at3(code, zero, q, cfs, pws, vals, i, j, k)
-        return out
-
-    def laplacian_numba(vals, mask, h):
-        f = _lap2_nb if vals.ndim == 3 else _lap3_nb
-        return f(vals, mask, h)
-
-    def energy_only_numba(vals, mask, h, pot):
-        n = vals.ndim - 1
-        edge = _edge_sq2_nb if n == 2 else _edge_sq3_nb
-        wsum = _w_sum2_nb if n == 2 else _w_sum3_nb
-        eg = edge(vals, mask)
-        ew = wsum(vals, mask, *pot.packed())
-        return float((0.5 * eg / (h * h) + ew) * h ** n)
-
-    def energy_and_grad_numba(vals, mask, h, pot):
-        f = _energy_grad2_nb if vals.ndim == 3 else _energy_grad3_nb
-        e, g = f(vals, mask, h, *pot.packed())
-        return float(e), g
-
-    def energy_density_numba(vals, h, pot):
-        n = vals.ndim - 1
-        gsq = (_gradsq2_nb if n == 2 else _gradsq3_nb)(vals, h)
-        w = (_w_all2_nb if n == 2 else _w_all3_nb)(vals, *pot.packed())
-        return 0.5 * gsq + w
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if NUMBA_ENABLED:
-    laplacian = laplacian_numba
-    energy_only = energy_only_numba
-    energy_and_grad = energy_and_grad_numba
-    energy_density = energy_density_numba
-else:
-    laplacian = laplacian_numpy
-    energy_only = energy_only_numpy
-    energy_and_grad = energy_and_grad_numpy
-    energy_density = energy_density_numpy
+        return decrement

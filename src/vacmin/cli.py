@@ -1,7 +1,6 @@
 """Experiment orchestration CLI.
 
     vacmin <subcommand> --config experiment.yaml [--out DIR] [--seed N]
-                        [--threads N]
 
 Subcommands: minimize, energy-profile, bad-discs, monotonicity,
 max-principle, competitor, bootstrap, verify-potential.
@@ -249,9 +248,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="numba thread budget (kernels are serial today; "
-                             "reserved for batched runs)")
     args = parser.parse_args(argv)
 
     try:
@@ -260,12 +256,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         out = args.out or cfg.out
         os.makedirs(out, exist_ok=True)
-        if args.threads and args.threads > 1:
-            try:
-                import numba
-                numba.set_num_threads(args.threads)
-            except ImportError:
-                pass
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import struct
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 
 _MAGIC = b"VACF"
 _VERSION = 1
+# magic, version, n, m, axis size, h, r_max
+_HEADER = struct.Struct("<4sIIIIdd")
 
 
 class GridError(ValueError):
@@ -75,6 +78,26 @@ class Grid:
             ok &= np.roll(nonext, 1, axis=ax) & np.roll(nonext, -1, axis=ax)
         if not ok[interior].all():
             raise GridError("interior node lacking a neighbor in the mask")
+
+    @cached_property
+    def stencil(self):
+        """Index arrays of the interior-only operator, built once per grid.
+
+        Returns (interior, ring, nbr): the flat cube indices of the INTERIOR
+        and of the BOUNDARY nodes, and for interior node i its neighbour
+        along +axis d (d < n) or -axis d-n (d >= n) as nbr[d, i], a position
+        in the buffer [interior values, ring values].
+        """
+        flat = self.mask.ravel()
+        interior = np.flatnonzero(flat == INTERIOR)
+        ring = np.flatnonzero(flat == BOUNDARY)
+        pos = np.full(flat.size, -1, dtype=np.intp)
+        pos[interior] = np.arange(interior.size)
+        pos[ring] = interior.size + np.arange(ring.size)
+        strides = [self.axis.size ** (self.n - 1 - ax) for ax in range(self.n)]
+        nbr = np.stack([pos[interior + s] for s in strides]
+                       + [pos[interior - s] for s in strides])
+        return interior, ring, nbr
 
     @property
     def cell(self) -> float:
@@ -273,8 +296,8 @@ def save_field(path: str, u: VectorField) -> None:
     then node-major component-minor float64 payload; JSON sidecar alongside."""
     g = u.grid
     payload = np.moveaxis(u.values, 0, -1).astype("<f8").tobytes(order="C")
-    header = struct.pack("<4sIIIIdd", _MAGIC, _VERSION, g.n, u.m,
-                         g.axis.size, g.h, g.r_max)
+    header = _HEADER.pack(_MAGIC, _VERSION, g.n, u.m, g.axis.size, g.h,
+                          g.r_max)
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -294,16 +317,32 @@ def save_field(path: str, u: VectorField) -> None:
 
 
 def load_field(path: str) -> VectorField:
+    """Read a field written by save_field, checking the payload length
+    against the header and its sha256 against the sidecar."""
     with open(path, "rb") as f:
-        header = f.read(struct.calcsize("<4sIIIIdd"))
-        magic, version, n, m, size, h, r_max = struct.unpack("<4sIIIIdd", header)
+        header = f.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated field header")
+        magic, version, n, m, size, h, r_max = _HEADER.unpack(header)
         if magic != _MAGIC or version != _VERSION:
-            raise ValueError("not a vacmin field file")
-        payload = np.frombuffer(f.read(), dtype="<f8")
+            raise ValueError(f"{path}: not a vacmin field file")
+        payload = f.read()
+    expected_len = 8 * m * size ** n
+    if len(payload) != expected_len:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, header "
+                         f"n={n} m={m} axis size={size} needs {expected_len}")
+    try:
+        with open(path + ".json") as f:
+            sha256 = json.load(f)["payload_sha256"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: no readable sidecar {path}.json "
+                         f"({type(exc).__name__})") from exc
+    if hashlib.sha256(payload).hexdigest() != sha256:
+        raise ValueError(f"{path}: payload sha256 does not match {path}.json")
     grid = Grid(n, h, r_max)
     if grid.axis.size != size:
-        raise ValueError("grid size mismatch in field file")
-    vals = payload.reshape(grid.shape + (m,))
+        raise ValueError(f"{path}: grid size mismatch in field file")
+    vals = np.frombuffer(payload, dtype="<f8").reshape(grid.shape + (m,))
     return VectorField(grid, np.moveaxis(vals, -1, 0).copy())
 
 

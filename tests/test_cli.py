@@ -233,3 +233,25 @@ def test_rerun_byte_identical_subprocess(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append(_tree_digest(out))
     assert outs[0] == outs[1]
+
+
+def test_minimize_independent_of_blas_threads(tmp_path):
+    # the solver's reductions are single-threaded numpy, so the BLAS thread
+    # count cannot change an iterate; r_max=4 makes the arrays large enough
+    # for a threaded BLAS reduction to split them
+    cfg = write_cfg(tmp_path, r_max=4.0)
+    outs = []
+    for name, threads in (("default", None), ("one", "1")):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / name
+        r = subprocess.run(
+            [sys.executable, "-m", "vacmin.cli", "minimize",
+             "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.append(out)
+    for name in ("field.bin", "solve.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

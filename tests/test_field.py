@@ -1,6 +1,7 @@
 """Grid construction, stencils, quadrature, sampling and serialization."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -189,3 +190,34 @@ def test_sphere_csv(tmp_path, small_grid):
 def test_vector_field_validation(small_grid):
     with pytest.raises(ValueError):
         VectorField(small_grid, np.full((1,) + small_grid.shape, np.nan))
+
+
+def _saved_field(tmp_path, grid):
+    u = VectorField(grid, np.zeros((2,) + grid.shape))
+    path = str(tmp_path / "f.bin")
+    save_field(path, u)
+    return path
+
+
+def test_load_field_rejects_short_payload(tmp_path, small_grid):
+    path = _saved_field(tmp_path, small_grid)
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) - 8)
+    with pytest.raises(ValueError, match="f.bin: payload is"):
+        load_field(path)
+
+
+def test_load_field_rejects_sidecar_mismatch(tmp_path, small_grid):
+    path = _saved_field(tmp_path, small_grid)
+    with open(path, "r+b") as f:
+        f.seek(-8, os.SEEK_END)
+        f.write(np.float64(1.0).tobytes())
+    with pytest.raises(ValueError, match="f.bin: payload sha256"):
+        load_field(path)
+
+
+def test_load_field_rejects_missing_sidecar(tmp_path, small_grid):
+    path = _saved_field(tmp_path, small_grid)
+    os.remove(path + ".json")
+    with pytest.raises(ValueError, match="f.bin: no readable sidecar"):
+        load_field(path)

@@ -1,8 +1,4 @@
-"""Numba kernels against the pure-numpy reference path."""
-
-import os
-import subprocess
-import sys
+"""The interior-only operator against the full-cube edge-sum oracle."""
 
 import numpy as np
 import pytest
@@ -19,48 +15,41 @@ POTS = [
     product_perturbed([0.3, -0.2]),
 ]
 
-needs_numba = pytest.mark.skipif(not K.NUMBA_ENABLED, reason="numba disabled")
+GRIDS = [(2, 0.1, 1.5), (3, 0.2, 1.2)]
 
 
-@needs_numba
-@pytest.mark.parametrize("n,h,r", [(2, 0.1, 1.5), (3, 0.2, 1.2)])
-def test_paths_agree(n, h, r):
+@pytest.mark.parametrize("n,h,r", GRIDS)
+@pytest.mark.parametrize("pot", POTS, ids=lambda p: p.family)
+def test_operator_matches_oracle(n, h, r, pot):
     g = Grid(n, h, r)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((2,) + g.shape)
-    for pot in POTS:
-        e_nb = K.energy_only_numba(vals, g.mask, g.h, pot)
-        e_np = K.energy_only_numpy(vals, g.mask, g.h, pot)
-        assert e_nb == pytest.approx(e_np, rel=1e-12)
-        E_nb, g_nb = K.energy_and_grad_numba(vals, g.mask, g.h, pot)
-        E_np, g_np = K.energy_and_grad_numpy(vals, g.mask, g.h, pot)
-        assert E_nb == pytest.approx(E_np, rel=1e-12)
-        assert np.abs(g_nb - g_np).max() < 1e-12
-        d_nb = K.energy_density_numba(vals, g.h, pot)
-        d_np = K.energy_density_numpy(vals, g.h, pot)
-        assert np.abs(d_nb - d_np).max() < 1e-10
-        l_nb = K.laplacian_numba(vals, g.mask, g.h)
-        l_np = K.laplacian_numpy(vals, g.mask, g.h)
-        assert np.abs(l_nb - l_np).max() < 1e-10
+    op = K.InteriorOperator(g, vals, pot)
+    e_op, g_op = op.energy_and_grad(op.gather(vals))
+    e_or, g_or = K.energy_and_grad(vals, g.mask, g.h, pot)
+    assert e_op == pytest.approx(e_or, rel=1e-12)
+    assert e_or == pytest.approx(K.energy_only(vals, g.mask, g.h, pot),
+                                 rel=1e-12)
+    assert np.abs(g_op - op.gather(g_or)).max() <= 1e-12 * np.abs(g_or).max()
+    assert np.array_equal(op.scatter(vals, op.gather(vals)), vals)
 
 
-@needs_numba
-def test_energy_and_grad_consistent_with_energy_only():
-    g = Grid(2, 0.1, 1.5)
+@pytest.mark.parametrize("n,h,r", GRIDS)
+@pytest.mark.parametrize("pot", POTS, ids=lambda p: p.family)
+def test_line_decrement_matches_oracle(n, h, r, pot):
+    g = Grid(n, h, r)
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((2,) + g.shape)
-    pot = POTS[1]
-    e1 = K.energy_only(vals, g.mask, g.h, pot)
-    e2, _ = K.energy_and_grad(vals, g.mask, g.h, pot)
-    assert e1 == pytest.approx(e2, rel=1e-12)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, VACMIN_NO_NUMBA="1")
-    code = ("from vacmin import _kernels as K; "
-            "assert not K.NUMBA_ENABLED; "
-            "assert K.energy_only is K.energy_only_numpy; "
-            "print('ok')")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0 and "ok" in out.stdout
+    op = K.InteriorOperator(g, vals, pot)
+    x = op.gather(vals)
+    direction = rng.standard_normal(x.shape)
+    _, grad_d = op.gradient(x)
+    decrement = op.line(x, direction, grad_d, pot.value_field(x))
+    e_x = K.energy_only(vals, g.mask, g.h, pot)
+    for t in rng.uniform(1e-4, 0.5, 5):
+        de, trial, w_t = decrement(t)
+        e_t = K.energy_only(op.scatter(vals, x - t * direction), g.mask,
+                            g.h, pot)
+        assert abs(de - (e_t - e_x)) <= 1e-12 * max(1.0, abs(e_x))
+        assert np.array_equal(trial, x - t * direction)
+        assert np.array_equal(w_t, pot.value_field(trial))

@@ -199,3 +199,41 @@ def test_minimize_3d_smoke():
     u, rep = minimize(u0, pot, tol=1e-5, max_iter=20_000)
     assert rep.converged
     assert el_residual(u, pot) <= 1e-5
+
+
+def test_minimize_trace_ends_at_reported_energy():
+    # the trace is the oracle's initial energy plus the accepted line-search
+    # decrements; the reported energy is the oracle's at the output
+    g = Grid(2, 0.1, 2.0)
+    pot = power([0.0, 0.0], 4)
+    u0 = initial_field(g, pot, angular(pot, 0.7))
+    u, rep = minimize(u0, pot, tol=1e-6)
+    assert rep.energy_trace[0] == discrete_energy(u0, pot)
+    assert rep.energy == discrete_energy(u, pot)
+    assert rep.energy == pytest.approx(rep.energy_trace[-1], rel=1e-12)
+
+
+# sup error against the Bessel solution, measured with the first-order
+# staircase boundary at h = 0.2, 0.1, 0.05
+BESSEL_SUP_ERRORS = {0.2: 6.311e-2, 0.1: 3.143e-2, 0.05: 1.582e-2}
+
+
+def test_minimize_converges_to_bessel_solution():
+    # W = |u|^2/2 with data 0.6 (cos t, sin t) on B_4: lap u = u is solved
+    # by 0.6 I_1(r)/I_1(4) (cos t, sin t)
+    from scipy.special import iv
+    pot = quadratic([0.0, 0.0])
+    errs = []
+    for h, measured in BESSEL_SUP_ERRORS.items():
+        g = Grid(2, h, 4.0)
+        u, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
+                          tol=1e-6)
+        assert rep.converged
+        theta = np.arctan2(g.coords[1], g.coords[0])
+        exact = (0.6 * iv(1, g.radius) / iv(1, 4.0)
+                 * np.stack([np.cos(theta), np.sin(theta)]))
+        err = np.sqrt(np.sum((u.values - exact) ** 2, axis=0))
+        errs.append(float(err[g.mask == INTERIOR].max()))
+        assert errs[-1] <= 1.1 * measured
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.log2(coarse / fine) >= 0.8
