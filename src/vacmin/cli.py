@@ -60,6 +60,12 @@ def _solve(cfg: ExperimentConfig):
     return grid, pot, u, rep
 
 
+def _not_converged(command: str, rep) -> int:
+    print(f"{command}: solve did not converge: iterations={rep.iterations} "
+          f"residual={rep.residual:.6g} tol={rep.tol:.6g}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
 def _default_radii(cfg: ExperimentConfig, margin: float = 0.0):
     radii = cfg.analysis["radii"]
     if radii:
@@ -111,7 +117,7 @@ def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
 def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg)
     if not rep.converged:
-        return EXIT_SOLVER
+        return _not_converged("bad-discs", rep)
     e = energy_density(u, pot)
     eps = cfg.analysis["eps"]
     alpha = cfg.analysis["alpha"]
@@ -134,7 +140,7 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
 def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg)
     if not rep.converged:
-        return EXIT_SOLVER
+        return _not_converged("monotonicity", rep)
     margin = 2 * grid.h
     radii = _default_radii(cfg, margin=margin)
     mono = monotone_quantities(u, pot, radii,
@@ -182,7 +188,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
 def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg)
     if not rep.converged:
-        return EXIT_SOLVER
+        return _not_converged("competitor", rep)
     mag = float(cfg.boundary.get("magnitude", 0.5))
     reports = standard_suite(u, pot, mag)
     dq = cfg.delta_q()

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FAMILIES = ("quadratic", "power", "anisotropic", "product-perturbed")
-_CODES = {name: i for i, name in enumerate(FAMILIES)}
 
 
 def _as_vec(x) -> np.ndarray:
@@ -78,11 +77,6 @@ class Potential:
     @property
     def m(self) -> int:
         return self.zero.size
-
-    def packed(self):
-        """(code, zero, exponent, coeffs, powers) for the numeric kernels."""
-        return (_CODES[self.family], self.zero, float(self.exponent),
-                self.coeffs, self.powers)
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -255,3 +255,43 @@ def test_minimize_independent_of_blas_threads(tmp_path):
         outs.append(out)
     for name in ("field.bin", "solve.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_bad_discs_independent_of_blas_threads(tmp_path):
+    # the covering's cosines and sums are numpy loops, not BLAS calls, so
+    # the thread count cannot move a center or a covered flag
+    cfg = write_cfg(tmp_path, r_max=4.0,
+                    analysis={"radii": [0.75, 1.25], "eps": 0.005,
+                              "sphere_points": 2048})
+    outs = []
+    for name, threads in (("default", None), ("one", "1")):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / name
+        r = subprocess.run(
+            [sys.executable, "-m", "vacmin.cli", "bad-discs",
+             "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["bad_discs.json", "sphere_samples_0.csv",
+                     "sphere_samples_1.csv"]
+    reports = json.loads((outs[0] / "bad_discs.json").read_text())["reports"]
+    assert all(r["count"] > 0 for r in reports)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["bad-discs", "monotonicity", "competitor"])
+def test_unconverged_solve_says_why(tmp_path, capsys, cmd):
+    cfg = write_cfg(tmp_path, solver={"max_iter": 3})
+    out = tmp_path / "out"
+    assert run_cli(cmd, cfg, out) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{cmd}: solve did not converge: iterations=3 ")
+    assert "residual=" in err[0] and "tol=1e-05" in err[0]
+    assert list(out.iterdir()) == []

@@ -1,16 +1,31 @@
 """Good radii, Holder constants, clearing-out threshold and the covering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vacmin import discs
 from vacmin.discs import (BadDiscReport, ClearingOutViolated,
-                          clearing_out_threshold, clearing_out_violations,
-                          find_bad_discs, geodesic_distances, greedy_bad_discs,
-                          holder_constant, select_good_radius,
-                          sphere_holder_constant)
+                          bad_disc_pipeline, clearing_out_threshold,
+                          clearing_out_violations, find_bad_discs,
+                          greedy_bad_discs, holder_constant,
+                          select_good_radius, sphere_holder_constant)
 from vacmin.field import Grid, ScalarField, sphere_area, sphere_points
+
+
+def geodesic_distances(points: np.ndarray, radius: float) -> np.ndarray:
+    """Dense K x K great-circle distances of points on |x| = radius: the
+    reference the blocked covering is checked against. The cosines are
+    summed coordinate by coordinate like the covering's, so that equality
+    can be exact; a BLAS product rounds some of them differently in the
+    last bit."""
+    unit = points / radius
+    dots = unit[:, None, 0] * unit[None, :, 0]
+    for k in range(1, unit.shape[1]):
+        dots = dots + unit[:, None, k] * unit[None, :, k]
+    return radius * np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +330,157 @@ def test_disc_count_bounded_across_doublings():
         centers, _ = greedy_bad_discs(pts, vals, R, eps, mu)
         counts.append(len(centers))
     assert counts == [2, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the blocked sweep against dense K x K references
+
+
+def dense_holder(points, values, radius, alpha=1.0, max_dist=1.0):
+    dist = geodesic_distances(points, radius)
+    diff = np.abs(values[:, None] - values[None, :])
+    sel = (dist > 1e-12) & (dist <= max_dist)
+    if not np.any(sel):
+        return 0.0
+    return float((diff[sel] / dist[sel] ** alpha).max())
+
+
+def dense_greedy(points, values, radius, eps, mu):
+    K = len(values)
+    w = sphere_area(points.shape[1], radius) / K
+    dist = geodesic_distances(points, radius)
+    in2, in1 = dist <= 2.0, dist <= 1.0
+    covered = np.zeros(K, dtype=bool)
+    hot = values > eps
+    centers = []
+    while True:
+        open_idx = np.flatnonzero(hot & ~covered)
+        if open_idx.size == 0:
+            break
+        ball2 = in2[open_idx] @ (values * w)
+        bmax = float(ball2.max())
+        if bmax < mu:
+            raise ClearingOutViolated("dense reference")
+        near = open_idx[ball2 >= bmax - 1e-12 * max(1.0, abs(bmax))]
+        pick = int(near[np.lexsort((near, -values[near]))[0]])
+        centers.append(pick)
+        covered |= in1[pick]
+    return np.array(centers, dtype=int), covered
+
+
+def dense_ball2(points, values, radius):
+    w = sphere_area(points.shape[1], radius) / len(values)
+    return (geodesic_distances(points, radius) <= 2.0) @ (values * w)
+
+
+def dense_violations(points, values, radius, eps, mu):
+    dist = geodesic_distances(points, radius)
+    ball2 = dense_ball2(points, values, radius)
+    out = []
+    for i in np.flatnonzero(ball2 < mu):
+        inner = values[dist[i] <= 1.0]
+        if inner.size and inner.max() > eps:
+            out.append((int(i), float(ball2[i]), float(inner.max())))
+    return out
+
+
+def _random_slice(rng, n, K):
+    """A smooth random profile on K samples of a sphere of random radius,
+    small enough for K samples to have neighbours within distance 1."""
+    R = float(rng.uniform(0.6, 1.5) if K < 100 else rng.uniform(2.0, 6.0))
+    pts = sphere_points(n, R, K)
+    vals = np.full(K, rng.uniform(0.0, 0.2))
+    for _ in range(int(rng.integers(1, 5))):
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        vals += rng.uniform(0.2, 1.0) * (1.0 + np.cos(
+            rng.uniform(0.5, 2.0) * pts @ d + rng.uniform(0, 2 * math.pi)))
+    return R, pts, vals
+
+
+def _gap_threshold(ball2):
+    """A level in the widest gap between the middle half of the sorted
+    2-ball energies, so no energy sits within rounding of it."""
+    srt = np.sort(ball2)
+    lo = len(srt) // 4
+    k = lo + int(np.argmax(np.diff(srt[lo:3 * lo + 1])))
+    return 0.5 * (srt[k] + srt[k + 1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", [50, 1000])  # below / not a multiple of a block
+def test_blocked_sweep_matches_dense(n, K):
+    assert K < discs._BLOCK or K % discs._BLOCK
+    rng = np.random.default_rng(100 * n + K)
+    centers_seen = violations_seen = 0
+    for _ in range(4):
+        R, pts, vals = _random_slice(rng, n, K)
+        c4 = sphere_holder_constant(pts, vals, R, 1.0)
+        assert c4 == dense_holder(pts, vals, R, 1.0)
+        assert (sphere_holder_constant(pts, vals, R, 0.5, max_dist=1.5)
+                == dense_holder(pts, vals, R, 0.5, max_dist=1.5))
+        eps = 0.3 * float(vals.max())
+        mu = clearing_out_threshold(eps, c4, 1.0, n)
+        centers, covered = greedy_bad_discs(pts, vals, R, eps, mu)
+        ref_centers, ref_covered = dense_greedy(pts, vals, R, eps, mu)
+        assert centers.tolist() == ref_centers.tolist()
+        assert np.array_equal(covered, ref_covered)
+        centers_seen += len(centers)
+        # a level above the threshold so that violations exist
+        mu_high = _gap_threshold(dense_ball2(pts, vals, R))
+        got = clearing_out_violations(pts, vals, R, eps, mu_high)
+        ref = dense_violations(pts, vals, R, eps, mu_high)
+        assert [(i, v) for i, _, v in got] == [(i, v) for i, _, v in ref]
+        assert [b for _, b, _ in got] == pytest.approx(
+            [b for _, b, _ in ref], rel=1e-12)
+        violations_seen += len(got)
+    assert centers_seen > 0 and violations_seen > 0
+
+
+
+@pytest.mark.parametrize("K", [200, 1000])
+def test_blocked_sweep_matches_dense_on_disc_edges(K):
+    # equi-angular circle samples 1/4 apart in arc length: every sample has
+    # neighbours at distance 1 and 2 up to rounding, where only the exact
+    # arccos test can decide
+    R = K / (8 * math.pi)
+    pts, theta = _circle_samples(K, R)
+    rng = np.random.default_rng(K)
+    vals = 0.1 + _bump(theta, 1.0, 3.0 / R, 1.0) + 0.05 * rng.random(K)
+    c4 = sphere_holder_constant(pts, vals, R, 1.0)
+    assert c4 == dense_holder(pts, vals, R, 1.0)
+    for eps in (0.3, 0.6):
+        mu = clearing_out_threshold(eps, c4, 1.0, 2)
+        centers, covered = greedy_bad_discs(pts, vals, R, eps, mu)
+        ref_centers, ref_covered = dense_greedy(pts, vals, R, eps, mu)
+        assert len(centers) > 0
+        assert centers.tolist() == ref_centers.tolist()
+        assert np.array_equal(covered, ref_covered)
+
+def test_within_decides_at_the_threshold_like_arccos():
+    # cosines packed within a few ulps and within the band of the
+    # threshold: the mask must equal the exact test radius*arccos <= dist
+    radius, dist = 3.0, 2.0
+    t = math.cos(dist / radius)
+    ulps = t + np.arange(-40, 41) * np.spacing(t)
+    band = t + np.linspace(-3e-9, 3e-9, 121)
+    cos = np.concatenate([ulps, band, [-1.0, 1.0]]).reshape(1, -1)
+    mask = discs._within(cos, radius, dist)
+    assert np.array_equal(mask, radius * np.arccos(cos) <= dist)
+    # a disc wider than half the circumference holds every sample
+    assert discs._within(cos, 0.5, 2.0).all()
+
+
+def test_pipeline_memory_is_blocked():
+    # K = 4096 on a 3D slice: a dense K x K float64 matrix alone is 128 MB
+    g = Grid(3, 0.2, 4.0)
+    e = ScalarField.from_function(
+        g, lambda x: np.exp(-((x[0] - 1.5) ** 2 + x[1] ** 2 + x[2] ** 2)))
+    tracemalloc.start()
+    try:
+        rep = bad_disc_pipeline(e, 1.2, 0.05, K=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count > 0
+    assert peak < 96 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -172,10 +172,3 @@ def test_excursion_bound_quadratic():
     # vanishes as eps -> 0
     assert excursion_bound(pot, 1e-6, seed=5) < 2e-3
 
-
-def test_packed_roundtrip():
-    for pot in ALL_FAMILIES:
-        code, zero, q, cfs, pws = pot.packed()
-        assert zero.shape == (pot.m,)
-        assert cfs.shape == pws.shape == (pot.m,)
-        assert isinstance(code, int) and q >= 2
