@@ -13,6 +13,12 @@ respect to interior values is h^n * (-lap_h(u) + gradW(u)), which is what
 oracle; ``InteriorOperator`` evaluates the same energy on interior values
 only. Every inner product is a single-threaded ``np.einsum`` reduction, so
 results do not depend on the BLAS thread count.
+
+First derivatives come from one centered-difference pass, ``derivatives``,
+which returns the (n, m, *shape) stack; ``gradient_sq`` reduces it to
+|grad u|^2 and ``density`` forms e = 1/2 |grad u|^2 + W(u). Every energy
+density, stress tensor and Modica bound in the package is built from
+these three, so each analysis call differentiates a field once.
 """
 
 from __future__ import annotations
@@ -50,13 +56,19 @@ def laplacian(vals: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
     return acc
 
 
-def _edge_terms(vals: np.ndarray, mask: np.ndarray, ax: int):
-    """Forward differences along ax and the per-edge inclusion mask."""
-    lo = [slice(None)] * (vals.ndim - 1)
-    hi = [slice(None)] * (vals.ndim - 1)
+def edge_slices(n: int, ax: int):
+    """(lo, hi): index tuples of the lower and the upper endpoints of the
+    edges along axis ax of an n-dimensional grid."""
+    lo = [slice(None)] * n
+    hi = [slice(None)] * n
     lo[ax] = slice(None, -1)
     hi[ax] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
+    return tuple(lo), tuple(hi)
+
+
+def _edge_terms(vals: np.ndarray, mask: np.ndarray, ax: int):
+    """Forward differences along ax and the per-edge inclusion mask."""
+    lo, hi = edge_slices(vals.ndim - 1, ax)
     d = vals[(slice(None),) + hi] - vals[(slice(None),) + lo]
     inc = (mask[lo] == INTERIOR) | (mask[hi] == INTERIOR)
     return d, inc, lo, hi
@@ -97,16 +109,35 @@ def energy_and_grad(vals, mask, h, pot):
     return e * cell, grad
 
 
-def energy_density(vals, h, pot) -> np.ndarray:
-    """1/2 |grad u|^2 + W(u) on every node; centered differences with
-    one-sided stencils at the cube faces."""
-    gsq = np.zeros(vals.shape[1:])
+def derivatives(vals: np.ndarray, h: float) -> np.ndarray:
+    """All first derivatives, shape (n, m, *shape): centered differences
+    with one-sided stencils at the cube faces."""
     n = vals.ndim - 1
-    for c in range(vals.shape[0]):
-        for ax in range(n):
-            g = np.gradient(vals[c], h, axis=ax)
-            gsq += g * g
-    return 0.5 * gsq + pot.value_field(vals)
+    out = np.empty((n,) + vals.shape)
+    for ax in range(n):
+        for c in range(vals.shape[0]):
+            out[ax, c] = np.gradient(vals[c], h, axis=ax)
+    return out
+
+
+def gradient_sq(P: np.ndarray) -> np.ndarray:
+    """|grad u|^2 from a derivative stack, summed components outer, axes
+    inner."""
+    gsq = np.zeros(P.shape[2:])
+    for c in range(P.shape[1]):
+        for ax in range(P.shape[0]):
+            gsq += P[ax, c] * P[ax, c]
+    return gsq
+
+
+def density(gsq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The energy density 1/2 |grad u|^2 + W(u)."""
+    return 0.5 * gsq + w
+
+
+def energy_density(vals, h, pot) -> np.ndarray:
+    """1/2 |grad u|^2 + W(u) on every node."""
+    return density(gradient_sq(derivatives(vals, h)), pot.value_field(vals))
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,23 +195,6 @@ class InteriorOperator:
         directly with the pinned data."""
         grad_d = self._apply(self._pinned, x)
         return grad_d + self.cell * self.pot.grad_field(x), grad_d
-
-    def energy_and_grad(self, x: np.ndarray):
-        """E(x) as the edge sum over edges with an interior endpoint, and
-        its gradient; the interior-only twin of the oracle."""
-        self._pinned[:, :self.n_int] = x
-        edges = 0.0
-        for idx in self.nbr:
-            diff = np.take(self._pinned, idx, axis=1) - x
-            sq = np.einsum("ij,ij->j", diff, diff)
-            # an interior-interior edge is seen from both ends, a ring edge
-            # once
-            ring_edges = float(sq[idx >= self.n_int].sum())
-            edges += 0.5 * (float(sq.sum()) + ring_edges)
-        with np.errstate(over="ignore"):
-            e = self.cell * (0.5 * edges / self.h2
-                             + float(self.pot.value_field(x).sum()))
-        return e, self.gradient(x)[0]
 
     def line(self, x: np.ndarray, g: np.ndarray, grad_d: np.ndarray,
              w: np.ndarray):

@@ -142,7 +142,7 @@ def random_smooth(pot: Potential, magnitude: float, seed: int,
 
 
 def make_boundary(tag: str, pot: Potential, grid: Grid, params: dict):
-    if tag in ("constant", "constant-a"):
+    if tag == "constant":
         return constant(pot)
     if tag == "angular":
         return angular(pot, float(params.get("magnitude", 0.5)),
@@ -151,7 +151,7 @@ def make_boundary(tag: str, pot: Potential, grid: Grid, params: dict):
     if tag == "radial-profile":
         return radial_profile(pot, grid, float(params.get("magnitude", 0.5)),
                               params.get("direction"))
-    if tag in ("random", "random-seeded"):
+    if tag == "random":
         return random_smooth(pot, float(params.get("magnitude", 0.5)),
                              int(params.get("seed", 0)),
                              float(params.get("bandlimit", 3.0)),

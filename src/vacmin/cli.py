@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import boundary as bdata
-from .competitor import max_principle_check, standard_suite
+from .competitor import (max_principle_check, quadrature_slack,
+                         standard_suite)
 from .config import ConfigError, ExperimentConfig
 from .discs import ClearingOutViolated, bad_disc_pipeline
 from .field import energy_density, export_sphere_csv, save_field
@@ -191,7 +192,7 @@ def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
         return _not_converged("competitor", rep)
     mag = float(cfg.boundary.get("magnitude", 0.5))
     reports = standard_suite(u, pot, mag)
-    dq = cfg.delta_q()
+    dq = quadrature_slack(grid, scale=cfg.analysis["delta_q_scale"])
     ok = all(r.difference >= -dq for r in reports if r.admissible)
     _write_json(os.path.join(out, "competitors.json"),
                 _report(cfg, {"delta_q": dq,

@@ -17,11 +17,11 @@ least E(u) - delta_q; the reports record exactly that comparison.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import edge_slices
 from .field import BOUNDARY, INTERIOR, VectorField
 from .growth import annulus_field
 from .minimizer import discrete_energy, minimize
@@ -146,11 +146,7 @@ def modulus_gradient_ratio(u: VectorField, trunc: VectorField, zero) -> float:
     rho_t = np.sqrt(np.sum((trunc.values - a) ** 2, axis=0))
     worst = 0.0
     for ax in range(u.grid.n):
-        lo = [slice(None)] * u.grid.n
-        hi = [slice(None)] * u.grid.n
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+        lo, hi = edge_slices(u.grid.n, ax)
         d = np.abs(rho[hi] - rho[lo])
         dt = np.abs(rho_t[hi] - rho_t[lo])
         sel = d > 1e-14
@@ -203,11 +199,7 @@ def energy_decomposition(u: VectorField, zero, pot: Potential):
     t_nu = 0.0
     interior = g.mask == INTERIOR
     for ax in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+        lo, hi = edge_slices(n, ax)
         inc = (g.mask[lo] == INTERIOR) | (g.mask[hi] == INTERIOR)
         drho = (rho[hi] - rho[lo]) * inc
         t_rho += 0.5 * float(np.sum(drho * drho)) / (h * h)
@@ -240,11 +232,6 @@ class MaxPrincipleReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def max_principle_check(u0: VectorField, pot: Potential, r: float,

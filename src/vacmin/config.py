@@ -88,10 +88,6 @@ class ExperimentConfig:
             raise ConfigError(f"potential.zero: dimension {pot.m} != m={self.m}")
         return pot
 
-    def delta_q(self) -> float:
-        grid = self.make_grid()
-        return 1e-8 + self.analysis["delta_q_scale"] * self.h ** 2 * grid.ball_volume()
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -12,7 +12,6 @@ measured Holder constant was too small and the run fails loudly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -242,11 +241,6 @@ class BadDiscReport:
                       "eps": "energy density", "mu": "slice energy",
                       "slice_energy": "slice energy"},
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,

@@ -199,22 +199,13 @@ def energy_density(u: VectorField, pot: Potential) -> ScalarField:
 
 def gradient_sq(u: VectorField) -> ScalarField:
     """|grad u|^2 by centered differences (one-sided at cube faces)."""
-    gsq = np.zeros(u.grid.shape)
-    for c in range(u.m):
-        for ax in range(u.grid.n):
-            g = np.gradient(u.values[c], u.grid.h, axis=ax)
-            gsq += g * g
-    return ScalarField(u.grid, gsq)
+    P = _kernels.derivatives(u.values, u.grid.h)
+    return ScalarField(u.grid, _kernels.gradient_sq(P))
 
 
 def partial_derivatives(u: VectorField) -> np.ndarray:
     """All first derivatives, shape (n, m, *grid.shape)."""
-    n, m = u.grid.n, u.m
-    out = np.empty((n, m) + u.grid.shape)
-    for ax in range(n):
-        for c in range(m):
-            out[ax, c] = np.gradient(u.values[c], u.grid.h, axis=ax)
-    return out
+    return _kernels.derivatives(u.values, u.grid.h)
 
 
 def ball_weights(grid: Grid, R: float) -> np.ndarray:

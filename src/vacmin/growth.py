@@ -7,7 +7,6 @@ report normalized-energy trends and fitted exponents instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dfield
 
@@ -137,11 +136,6 @@ class GrowthReport:
             "units": {"radii": "length", "energies": "energy",
                       "normalized": "energy / length^(n-1)"},
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def growth_diagnostic(radii, energies, n: int, q: float,

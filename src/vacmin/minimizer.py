@@ -90,13 +90,17 @@ def el_residual(u: VectorField, pot: Potential) -> float:
     return _residual_from_grad(g, u.grid.cell)
 
 
+def _modica(gsq: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
+    """max over interior nodes of 1/2 |grad u|^2 - W(u)."""
+    diff = 0.5 * gsq - w
+    return float(diff[mask == INTERIOR].max())
+
+
 def modica_check(u: VectorField, pot: Potential) -> float:
     """max over interior nodes of 1/2 |grad u|^2 - W(u); <= 0 means the
     gradient bound holds discretely."""
-    gsq = gradient_sq(u).values
-    w = pot.value_field(u.values)
-    diff = 0.5 * gsq - w
-    return float(diff[u.grid.mask == INTERIOR].max())
+    return _modica(gradient_sq(u).values, pot.value_field(u.values),
+                   u.grid.mask)
 
 
 def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,

@@ -11,14 +11,14 @@ never via the derivative form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import _kernels
 from .field import (Grid, ScalarField, VectorField, gradient_sq, integrate_ball,
                     interpolate, partial_derivatives, sphere_area, sphere_points)
-from .minimizer import el_residual, modica_check
+from .minimizer import _modica, el_residual
 from .potentials import Potential
 
 
@@ -28,24 +28,26 @@ class NotASolution(ValueError):
 
 
 class StressTensorField:
-    """Symmetric n x n tensor per node, stored as (n, n, *grid.shape)."""
+    """Symmetric n x n tensor per node, stored as (n, n, *grid.shape), and
+    the energy density e it was formed with, shape grid.shape."""
 
-    def __init__(self, grid: Grid, values: np.ndarray):
+    def __init__(self, grid: Grid, values: np.ndarray, density: np.ndarray):
         if values.shape != (grid.n, grid.n) + grid.shape:
             raise ValueError("tensor values must have shape (n, n, *grid.shape)")
         self.grid = grid
         self.values = values
+        self.density = density
 
 
 def stress_tensor(u: VectorField, pot: Potential) -> StressTensorField:
     g = u.grid
     n = g.n
     P = partial_derivatives(u)  # (n, m, *shape)
-    e = 0.5 * np.einsum("ac...,ac...->...", P, P) + pot.value_field(u.values)
+    e = _kernels.density(_kernels.gradient_sq(P), pot.value_field(u.values))
     T = np.einsum("ic...,jc...->ij...", P, P)
     for i in range(n):
         T[i, i] -= e
-    return StressTensorField(g, T)
+    return StressTensorField(g, T, e)
 
 
 def stress_divergence(T: StressTensorField) -> VectorField:
@@ -67,14 +69,12 @@ def interior_sup(f: VectorField, margin: float = 0.0) -> float:
     return float(mag[sel].max())
 
 
-def positivity_check(T: StressTensorField, u: VectorField, pot: Potential) -> float:
+def positivity_check(T: StressTensorField) -> float:
     """min over interior nodes of the smallest eigenvalue of T + e*I, where
     e is the energy density. Equals the Gram matrix of the gradient, so the
     result is >= 0 up to roundoff for every field."""
     g = T.grid
-    gsq = gradient_sq(u).values
-    e = 0.5 * gsq + pot.value_field(u.values)
-    M = T.values + np.einsum("ij,...->ij...", np.eye(g.n), e)
+    M = T.values + np.einsum("ij,...->ij...", np.eye(g.n), T.density)
     sel = g.mask == 1
     stack = np.moveaxis(M[..., sel], (0, 1), (-2, -1))  # (N, n, n)
     eigs = np.linalg.eigvalsh(stack)
@@ -113,8 +113,7 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     area = sphere_area(g.n, R)
     boundary_side = R * float(nn.mean()) * area
 
-    e = 0.5 * gradient_sq(u).values + pot.value_field(u.values)
-    evals = interpolate(g, e, pts)
+    evals = interpolate(g, T.density, pts)
     gap = boundary_side + R * float(evals.mean()) * area
     return volume_side, boundary_side, gap
 
@@ -139,11 +138,6 @@ class MonotonicityReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _violations(seq, tol):
@@ -176,7 +170,7 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     gsq = gradient_sq(u).values
     w = pot.value_field(u.values)
     fdens = ScalarField(g, 0.5 * (n - 2) * gsq + n * w)
-    edens = ScalarField(g, 0.5 * gsq + w)
+    edens = ScalarField(g, _kernels.density(gsq, w))
     f_vals = [integrate_ball(fdens, r) for r in radii]
     e_vals = [integrate_ball(edens, r) for r in radii]
     r = np.asarray(radii)
@@ -184,7 +178,7 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     strong_f = list(np.asarray(f_vals) * r ** (1 - n))
     strong_e = list(np.asarray(e_vals) * r ** (1 - n))
     tol = c_m * g.h
-    mod = modica_check(u, pot)
+    mod = _modica(gsq, w, g.mask)
     mtol = tol if modica_tol is None else modica_tol
     return MonotonicityReport(
         radii=radii,

@@ -16,7 +16,6 @@ for testing the assumption checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,11 +239,6 @@ class AssumptionReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _directions(m: int, samples: int, rng) -> np.ndarray:

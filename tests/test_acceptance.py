@@ -120,7 +120,7 @@ def test_criterion_03_tensor_identities():
             w = pot.value_field(u.values)
             rhs = -(0.5 * (n - 2) * gsq + n * w)
             assert np.abs(tr - rhs)[sel].max() < 1e-12
-            assert positivity_check(T, u, pot) >= -1e-12
+            assert positivity_check(T) >= -1e-12
 
 
 def test_criterion_04_solution_certificates():

@@ -25,9 +25,8 @@ def test_operator_matches_oracle(n, h, r, pot):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((2,) + g.shape)
     op = K.InteriorOperator(g, vals, pot)
-    e_op, g_op = op.energy_and_grad(op.gather(vals))
+    g_op = op.gradient(op.gather(vals))[0]
     e_or, g_or = K.energy_and_grad(vals, g.mask, g.h, pot)
-    assert e_op == pytest.approx(e_or, rel=1e-12)
     assert e_or == pytest.approx(K.energy_only(vals, g.mask, g.h, pot),
                                  rel=1e-12)
     assert np.abs(g_op - op.gather(g_or)).max() <= 1e-12 * np.abs(g_or).max()
