@@ -145,16 +145,28 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
+def norm2(d: np.ndarray) -> np.ndarray:
+    """|d|^2 over the leading (component) axis, one component at a time:
+    an elementwise loop whose bits do not depend on the memory layout."""
+    out = d[0] * d[0]
+    for c in range(1, d.shape[0]):
+        out += d[c] * d[c]
+    return out
+
+
 class InteriorOperator:
     """The discrete energy as a function of the interior values x, shape
     (m, N), with the boundary values of ``vals`` pinned.
 
     Neighbours are read with ``np.take`` from one buffer holding the
     interior values first and the pinned ring values after them, through
-    the grid's ``stencil``; one code path serves n=2 and n=3. The Dirichlet
-    part is exactly quadratic, with Hessian A = -h^n lap_0, lap_0 the
-    Laplacian with zero boundary data, so the energy change along a
-    direction g is known in closed form up to the W-sum (``line``).
+    the grid's ``stencil``; one code path serves n=2 and n=3. Every (m, N)
+    array it returns is C-contiguous, so elementwise passes over an iterate
+    run along N. The Dirichlet part is exactly quadratic, with Hessian
+    A = -h^n lap_0, lap_0 the Laplacian with zero boundary data, so the
+    energy change along a direction g is known in closed form up to the
+    W-sum (``line``), and the Dirichlet gradient at x - t g is
+    grad_d - t A g.
     """
 
     def __init__(self, grid, vals: np.ndarray, pot):
@@ -168,10 +180,11 @@ class InteriorOperator:
         self._pinned[:, N:] = vals.reshape(m, -1)[:, ring]
         self._zero = np.zeros((m, N + ring.size))
         self._tmp = np.empty((m, N))
+        self._ag = np.empty((m, N))
 
     def gather(self, vals: np.ndarray) -> np.ndarray:
-        """Interior values of a full-cube array, shape (m, N)."""
-        return vals.reshape(vals.shape[0], -1)[:, self.interior]
+        """Interior values of a full-cube array, shape (m, N), C-contiguous."""
+        return np.take(vals.reshape(vals.shape[0], -1), self.interior, axis=1)
 
     def scatter(self, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A copy of the full-cube ``vals`` with its interior set to x."""
@@ -179,11 +192,11 @@ class InteriorOperator:
         out.reshape(out.shape[0], -1)[:, self.interior] = x
         return out
 
-    def _apply(self, buf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _apply(self, buf: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """-h^n lap(x), the neighbours of x read from buf."""
         buf[:, :self.n_int] = x
         # every index is in range; "clip" skips the bounds check of "raise"
-        out = np.take(buf, self.nbr[0], axis=1, mode="clip")
+        out = np.take(buf, self.nbr[0], axis=1, out=out, mode="clip")
         for idx in self.nbr[1:]:
             out += np.take(buf, idx, axis=1, out=self._tmp, mode="clip")
         out -= len(self.nbr) * x
@@ -198,11 +211,13 @@ class InteriorOperator:
 
     def line(self, x: np.ndarray, g: np.ndarray, grad_d: np.ndarray,
              w: np.ndarray):
-        """t -> (E(x - t g) - E(x), x - t g, W(x - t g)), given the Dirichlet
-        gradient and W at x. The Dirichlet change is the exact quadratic
-        -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is re-evaluated."""
+        """(t -> (E(x - t g) - E(x), x - t g, W(x - t g)), A g), given the
+        Dirichlet gradient and W at x. The Dirichlet change is the exact
+        quadratic -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is
+        re-evaluated. A g lives in a buffer the next call overwrites."""
         lin = dot(grad_d, g)
-        quad = dot(g, self._apply(self._zero, g))  # A g = -h^n lap_0(g)
+        ag = self._apply(self._zero, g, out=self._ag)  # A g = -h^n lap_0(g)
+        quad = dot(g, ag)
         cell, value_field = self.cell, self.pot.value_field
 
         def decrement(t: float):
@@ -212,4 +227,4 @@ class InteriorOperator:
                 dw = float(np.sum(w_t - w))
             return t * (0.5 * t * quad - lin) + cell * dw, trial, w_t
 
-        return decrement
+        return decrement, ag

@@ -50,6 +50,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.solver or {}, dict):
+            raise ConfigError("solver: expected a mapping")
+        unknown = set(self.solver or {}) - set(_SOLVER_DEFAULTS)
+        if unknown:
+            raise ConfigError(
+                f"solver.{sorted(unknown, key=str)[0]}: unknown key")
         self.solver = {**_SOLVER_DEFAULTS, **(self.solver or {})}
         self.analysis = {**_ANALYSIS_DEFAULTS, **(self.analysis or {})}
         self.validate()

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import norm2
+
 FAMILIES = ("quadratic", "power", "anisotropic", "product-perturbed")
 
 
@@ -124,7 +126,7 @@ class Potential:
     def value_field(self, vals: np.ndarray) -> np.ndarray:
         """W at every point of a (m, ...) array; returns (...)."""
         d = vals - self.zero.reshape((self.m,) + (1,) * (vals.ndim - 1))
-        rho2 = np.einsum("c...,c...->...", d, d)
+        rho2 = norm2(d)
         if self.family == "quadratic":
             return 0.5 * rho2
         if self.family == "power":
@@ -138,7 +140,7 @@ class Potential:
     def grad_field(self, vals: np.ndarray) -> np.ndarray:
         """grad W at every point of a (m, ...) array; returns (m, ...)."""
         d = vals - self.zero.reshape((self.m,) + (1,) * (vals.ndim - 1))
-        rho2 = np.einsum("c...,c...->...", d, d)
+        rho2 = norm2(d)
         if self.family == "quadratic":
             return d.copy()
         if self.family == "power":

@@ -82,6 +82,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["minimize", "--config", str(q)]) == 2
 
 
+def test_unknown_solver_key_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, solver={"max_iters": 3})
+    assert run_cli("minimize", cfg, tmp_path / "out") == 2
+    assert "solver.max_iters" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"^solver\.max_iters: unknown key$"):
+        ExperimentConfig.from_dict({**BASE, "solver": {"max_iters": 3}})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

@@ -6,9 +6,10 @@ import pytest
 from conftest import random_interior_field
 from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, INTERIOR
-from vacmin.minimizer import (SolverDivergence, discrete_energy,
-                              discrete_energy_gradient, el_residual, minimize,
-                              modica_check)
+from vacmin._kernels import InteriorOperator
+from vacmin.minimizer import (SolverDivergence, _residual_from_grad,
+                              discrete_energy, discrete_energy_gradient,
+                              el_residual, minimize, modica_check)
 from vacmin.potentials import power, quadratic
 
 
@@ -190,6 +191,43 @@ def test_modica_examples(small_grid):
     u2 = VectorField.from_function(g1, lambda x: np.exp(x[0]), m=1)
     dev = modica_check(u2, pot)
     assert 0 <= dev < np.exp(2.0) * g1.h ** 2
+
+
+@pytest.mark.parametrize("n,h,r", [(2, 0.1, 2.0), (3, 0.2, 1.6)])
+@pytest.mark.parametrize("family", ["power", "quadratic"])
+def test_reported_residual_is_a_direct_certificate(n, h, r, family):
+    # the solver carries its Dirichlet gradient by a recurrence; the
+    # reported residual must still be the one a fresh operator evaluates
+    g = Grid(n, h, r)
+    pot = power([0.0, 0.0], 4) if family == "power" else quadratic([0.0, 0.0])
+    u, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
+                      tol=1e-6)
+    op = InteriorOperator(g, u.values, pot)
+    grad, _ = op.gradient(op.gather(u.values))
+    assert rep.residual == _residual_from_grad(grad, g.cell)
+    assert rep.converged and rep.residual <= rep.tol
+
+
+def test_unconverged_residual_is_a_direct_certificate():
+    g = Grid(2, 0.1, 2.0)
+    pot = power([0.0, 0.0], 4)
+    u, rep = minimize(initial_field(g, pot, angular(pot, 0.7)), pot,
+                      tol=1e-12, max_iter=7)
+    op = InteriorOperator(g, u.values, pot)
+    grad, _ = op.gradient(op.gather(u.values))
+    assert not rep.converged and rep.iterations == 7
+    assert rep.residual == _residual_from_grad(grad, g.cell)
+
+
+def test_bb2_steps_rarely_backtrack():
+    # BB2 steps pass Armijo on the first trial most of the time; BB1 steps
+    # backtrack about once per iteration on this grid
+    g = Grid(2, 0.1, 2.0)
+    pot = power([0.0, 0.0], 4)
+    u, rep = minimize(initial_field(g, pot, angular(pot, 0.7)), pot,
+                      tol=1e-6)
+    assert rep.converged
+    assert rep.backtracks <= rep.iterations // 2
 
 
 def test_minimize_3d_smoke():

@@ -172,3 +172,26 @@ def test_excursion_bound_quadratic():
     # vanishes as eps -> 0
     assert excursion_bound(pot, 1e-6, seed=5) < 2e-3
 
+
+def _families(m):
+    zero = np.linspace(-0.2, 0.3, m)
+    return [quadratic(zero), power(zero, 4), power(zero, 3),
+            anisotropic(zero, np.linspace(1.0, 2.0, m),
+                        [2 + 2 * (c % 2) for c in range(m)]),
+            product_perturbed(zero)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(257,), (9, 11)])
+def test_field_evaluators_independent_of_layout(m, shape):
+    # the solver's iterates are planar (component-major); point-major
+    # input must give the same bits
+    rng = np.random.default_rng(m)
+    vals = rng.standard_normal((m,) + shape)
+    planar, pointwise = np.ascontiguousarray(vals), np.asfortranarray(vals)
+    assert planar.flags.c_contiguous and pointwise.flags.f_contiguous
+    for pot in _families(m):
+        assert np.array_equal(pot.value_field(planar),
+                              pot.value_field(pointwise)), pot.family
+        assert np.array_equal(pot.grad_field(planar),
+                              pot.grad_field(pointwise)), pot.family
