@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the full-cube edge-sum oracle and the interior-only
-operator the solver iterates with.
+"""Hot numeric kernels: the interior operator that forms every discrete
+energy, gradient and residual, and the one first-derivative pass.
 
 Grid arrays are channels-first: field values have shape (m, *grid.shape),
 masks are int8 with 0=exterior, 1=interior, 2=boundary. The discrete
@@ -8,11 +8,13 @@ energy is the forward-difference edge sum
     E = h^n * [ sum_edges 1/2 |u_b - u_a|^2 / h^2  +  sum_interior W(u) ]
 
 over edges with at least one interior endpoint; its exact gradient with
-respect to interior values is h^n * (-lap_h(u) + gradW(u)), which is what
-``energy_and_grad`` returns. These full-cube functions are the reference
-oracle; ``InteriorOperator`` evaluates the same energy on interior values
-only. Every inner product is a single-threaded ``np.einsum`` reduction, so
-results do not depend on the BLAS thread count.
+respect to interior values is h^n * (-lap_h(u) + gradW(u)).
+``InteriorOperator`` is the one implementation of both: it holds the
+field's boundary values pinned and evaluates E, its gradient and the
+solver's line search on the interior values alone. ``energy_only`` and
+``energy_and_grad`` apply it to a full-cube field with that field's own
+boundary values. Every inner product is a single-threaded ``np.einsum``
+reduction, so results do not depend on the BLAS thread count.
 
 First derivatives come from one centered-difference pass, ``derivatives``,
 which returns the (n, m, *shape) stack; ``gradient_sq`` reduces it to
@@ -28,33 +30,6 @@ import numpy as np
 # there is no compiled path; the benchmark's environment record reads this name
 NUMBA_ENABLED = False
 
-INTERIOR = 1
-
-
-def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """a sampled at index+step along axis, zero-filled at the face."""
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    else:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
-def laplacian(vals: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
-    n = vals.ndim - 1
-    acc = -2.0 * n * vals
-    for ax in range(n):
-        acc += _shift(vals, ax + 1, +1) + _shift(vals, ax + 1, -1)
-    acc /= h * h
-    acc[:, mask != INTERIOR] = 0.0
-    return acc
-
 
 def edge_slices(n: int, ax: int):
     """(lo, hi): index tuples of the lower and the upper endpoints of the
@@ -64,49 +39,6 @@ def edge_slices(n: int, ax: int):
     lo[ax] = slice(None, -1)
     hi[ax] = slice(1, None)
     return tuple(lo), tuple(hi)
-
-
-def _edge_terms(vals: np.ndarray, mask: np.ndarray, ax: int):
-    """Forward differences along ax and the per-edge inclusion mask."""
-    lo, hi = edge_slices(vals.ndim - 1, ax)
-    d = vals[(slice(None),) + hi] - vals[(slice(None),) + lo]
-    inc = (mask[lo] == INTERIOR) | (mask[hi] == INTERIOR)
-    return d, inc, lo, hi
-
-
-def energy_only(vals, mask, h, pot) -> float:
-    n = vals.ndim - 1
-    cell = h ** n
-    interior = mask == INTERIOR
-    e = 0.0
-    # overflow to inf is fine: the solver treats non-finite energy as divergence
-    with np.errstate(over="ignore"):
-        for ax in range(n):
-            d, inc, _, _ = _edge_terms(vals, mask, ax)
-            e += 0.5 * float(np.sum((d * d) * inc)) / (h * h)
-        e += float(np.sum(pot.value_field(vals)[interior]))
-    return e * cell
-
-
-def energy_and_grad(vals, mask, h, pot):
-    n = vals.ndim - 1
-    cell = h ** n
-    interior = mask == INTERIOR
-    grad = np.zeros_like(vals)
-    e = 0.0
-    scale = cell / (h * h)
-    with np.errstate(over="ignore"):
-        for ax in range(n):
-            d, inc, lo, hi = _edge_terms(vals, mask, ax)
-            d = d * inc
-            e += 0.5 * float(np.sum(d * d)) / (h * h)
-            grad[(slice(None),) + lo] -= d * scale
-            grad[(slice(None),) + hi] += d * scale
-        wv = pot.value_field(vals)
-        e += float(np.sum(wv[interior]))
-        grad += pot.grad_field(vals) * cell
-    grad[:, ~interior] = 0.0
-    return e * cell, grad
 
 
 def derivatives(vals: np.ndarray, h: float) -> np.ndarray:
@@ -203,6 +135,27 @@ class InteriorOperator:
         out *= -self.cell / self.h2
         return out
 
+    def energy(self, x: np.ndarray) -> float:
+        """E at interior values x: the edge sum over every edge with an
+        interior endpoint. Each interior node contributes its +axis edges,
+        and its -axis edges to ring nodes, the neighbours read from the
+        pinned buffer."""
+        buf = self._pinned
+        buf[:, :self.n_int] = x
+        n = len(self.nbr) // 2
+        e = 0.0
+        # overflow to inf is fine: the solver treats non-finite energy as
+        # divergence
+        with np.errstate(over="ignore"):
+            for up, down in zip(self.nbr[:n], self.nbr[n:]):
+                d = np.take(buf, up, axis=1, mode="clip") - x
+                e += 0.5 * float(np.sum(d * d)) / self.h2
+                at_ring = np.flatnonzero(down >= self.n_int)
+                d = x[:, at_ring] - buf[:, down[at_ring]]
+                e += 0.5 * float(np.sum(d * d)) / self.h2
+            e += float(np.sum(self.pot.value_field(x)))
+        return e * self.cell
+
     def gradient(self, x: np.ndarray):
         """(gradient of E, its Dirichlet part -h^n lap(x)), both evaluated
         directly with the pinned data."""
@@ -228,3 +181,19 @@ class InteriorOperator:
             return t * (0.5 * t * quad - lin) + cell * dw, trial, w_t
 
         return decrement, ag
+
+
+def energy_only(grid, vals: np.ndarray, pot) -> float:
+    """The discrete energy of the full-cube field vals, with its own
+    boundary values pinned."""
+    op = InteriorOperator(grid, vals, pot)
+    return op.energy(op.gather(vals))
+
+
+def energy_and_grad(grid, vals: np.ndarray, pot):
+    """(energy, gradient) of the full-cube field vals, with its own boundary
+    values pinned; the gradient is a full-cube array, zero off the
+    interior."""
+    op = InteriorOperator(grid, vals, pot)
+    x = op.gather(vals)
+    return op.energy(x), op.scatter(np.zeros_like(vals), op.gradient(x)[0])

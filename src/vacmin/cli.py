@@ -48,14 +48,19 @@ def _report(cfg: ExperimentConfig, body: dict) -> dict:
     return {"config_sha256": cfg.sha256(), **body}
 
 
+def _initial_field(cfg: ExperimentConfig, grid, pot, **defaults):
+    """The config's boundary data extended into the ball; ``defaults`` fill
+    boundary parameters the config leaves out."""
+    params = {"seed": cfg.seed, **defaults, **cfg.boundary}
+    tag = params.pop("tag")
+    return bdata.initial_field(grid, pot,
+                               bdata.make_boundary(tag, pot, grid, params))
+
+
 def _solve(cfg: ExperimentConfig):
     grid = cfg.make_grid()
     pot = cfg.make_potential()
-    params = dict(cfg.boundary)
-    tag = params.pop("tag")
-    params.setdefault("seed", cfg.seed)
-    fn = bdata.make_boundary(tag, pot, grid, params)
-    u0 = bdata.initial_field(grid, pot, fn)
+    u0 = _initial_field(cfg, grid, pot)
     u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                       max_iter=int(cfg.solver["max_iter"]))
     return grid, pot, u, rep
@@ -168,12 +173,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
     r = cfg.analysis["r"]
     if r is None:
         r = pot.monot_radius / 4.0
-    params = dict(cfg.boundary)
-    tag = params.pop("tag")
-    params.setdefault("seed", cfg.seed)
-    params.setdefault("magnitude", r)
-    fn = bdata.make_boundary(tag, pot, grid, params)
-    u0 = bdata.initial_field(grid, pot, fn)
+    u0 = _initial_field(cfg, grid, pot, magnitude=r)
     verdict = max_principle_check(u0, pot, float(r), tol=cfg.solver["tol"],
                                   max_iter=int(cfg.solver["max_iter"]),
                                   seed=cfg.seed)

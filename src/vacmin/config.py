@@ -15,11 +15,18 @@ from dataclasses import dataclass, field, asdict
 import yaml
 
 from .field import Grid
-from .potentials import Potential, from_config as potential_from_config
+from .potentials import (CONFIG_KEYS as POTENTIAL_KEYS, Potential,
+                         from_config as potential_from_config)
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message carries the key path."""
+
+
+def _reject_unknown(path: str, block: dict, known) -> None:
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown, key=str)[0]}: unknown key")
 
 
 _SOLVER_DEFAULTS = {"tol": 1e-5, "max_iter": 50_000}
@@ -50,14 +57,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.solver or {}, dict):
-            raise ConfigError("solver: expected a mapping")
-        unknown = set(self.solver or {}) - set(_SOLVER_DEFAULTS)
-        if unknown:
-            raise ConfigError(
-                f"solver.{sorted(unknown, key=str)[0]}: unknown key")
-        self.solver = {**_SOLVER_DEFAULTS, **(self.solver or {})}
-        self.analysis = {**_ANALYSIS_DEFAULTS, **(self.analysis or {})}
+        for path, defaults in (("solver", _SOLVER_DEFAULTS),
+                               ("analysis", _ANALYSIS_DEFAULTS)):
+            block = getattr(self, path) or {}
+            if not isinstance(block, dict):
+                raise ConfigError(f"{path}: expected a mapping")
+            _reject_unknown(path, block, defaults)
+            setattr(self, path, {**defaults, **block})
         self.validate()
 
     def validate(self) -> None:
@@ -72,6 +78,10 @@ class ExperimentConfig:
         need(self.r_max >= 4 * self.h, "r_max", "must be at least 4h")
         need(isinstance(self.potential, dict) and "family" in self.potential,
              "potential.family", "is required")
+        family = self.potential["family"]
+        need(isinstance(family, str) and family in POTENTIAL_KEYS,
+             "potential.family", f"unknown family {family!r}")
+        _reject_unknown("potential", self.potential, POTENTIAL_KEYS[family])
         need(isinstance(self.boundary, dict) and "tag" in self.boundary,
              "boundary.tag", "is required")
         need(self.solver["tol"] > 0, "solver.tol", "must be > 0")

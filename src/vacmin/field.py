@@ -184,12 +184,7 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# stencils and quadrature
-
-
-def laplacian(u: VectorField) -> VectorField:
-    """Second-order centered Laplacian per component, interior nodes only."""
-    return u.with_values(_kernels.laplacian(u.values, u.grid.mask, u.grid.h))
+# derivatives and quadrature
 
 
 def energy_density(u: VectorField, pot: Potential) -> ScalarField:

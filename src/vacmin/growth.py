@@ -29,12 +29,6 @@ class EnergyProfile:
     def normalized(self, p: float) -> np.ndarray:
         return np.asarray(self.energies) / np.asarray(self.radii) ** p
 
-    def loglog_slopes(self) -> np.ndarray:
-        r = np.asarray(self.radii)
-        e = np.asarray(self.energies)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.diff(np.log(e)) / np.diff(np.log(r))
-
     def to_dict(self) -> dict:
         return {"radii": list(map(float, self.radii)),
                 "energies": list(map(float, self.energies))}

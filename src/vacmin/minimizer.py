@@ -71,15 +71,16 @@ class SolveReport:
 
 
 def discrete_energy(u: VectorField, pot: Potential) -> float:
-    """Edge-based quadrature of the energy over the ball mask."""
-    return _kernels.energy_only(u.values, u.grid.mask, u.grid.h, pot)
+    """Edge-based quadrature of the energy over the ball mask, evaluated by
+    an ``InteriorOperator`` that pins u's own boundary values, so a
+    competitor with other boundary values still gets its energy."""
+    return _kernels.energy_only(u.grid, u.values, pot)
 
 
 def discrete_energy_gradient(u: VectorField, pot: Potential) -> VectorField:
     """Exact gradient of discrete_energy w.r.t. interior values:
     cell * (-lap(u) + gradW(u)) there, zero on boundary/exterior nodes."""
-    _, g = _kernels.energy_and_grad(u.values, u.grid.mask, u.grid.h, pot)
-    return u.with_values(g)
+    return u.with_values(_kernels.energy_and_grad(u.grid, u.values, pot)[1])
 
 
 def _residual_from_grad(grad: np.ndarray, cell: float) -> float:
@@ -87,9 +88,12 @@ def _residual_from_grad(grad: np.ndarray, cell: float) -> float:
 
 
 def el_residual(u: VectorField, pot: Potential) -> float:
-    """sup over interior nodes of |lap(u) - gradW(u)| (Euclidean in R^m)."""
-    _, g = _kernels.energy_and_grad(u.values, u.grid.mask, u.grid.h, pot)
-    return _residual_from_grad(g, u.grid.cell)
+    """sup over interior nodes of |lap(u) - gradW(u)| (Euclidean in R^m),
+    from the gradient of an ``InteriorOperator`` that pins u's own boundary
+    values: on a solver output it is the reported residual, bit for bit."""
+    op = _kernels.InteriorOperator(u.grid, u.values, pot)
+    return _residual_from_grad(op.gradient(op.gather(u.values))[0],
+                               u.grid.cell)
 
 
 def _modica(gsq: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
@@ -130,19 +134,20 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     look: once it reaches tol, and on every exit, the gradient is evaluated
     directly, and ``converged`` and the reported ``residual`` come from that
     direct gradient alone, so the residual stays a certificate. The initial
-    and final energies come from the edge-sum oracle, and ``energy_trace``
-    is the initial energy plus the accepted changes."""
+    and final energies are the operator's own ``energy``, so they equal
+    ``discrete_energy`` of u0 and of the result bit for bit, and
+    ``energy_trace`` is the initial energy plus the accepted changes."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = u0.grid
     h, cell = grid.h, grid.cell
     t0 = time.perf_counter()
 
-    energy = _kernels.energy_only(u0.values, grid.mask, h, pot)
-    if not np.isfinite(energy):
-        raise SolverDivergence("initial energy is not finite")
     op = _kernels.InteriorOperator(grid, u0.values, pot)
     x = op.gather(u0.values)
+    energy = op.energy(x)
+    if not np.isfinite(energy):
+        raise SolverDivergence("initial energy is not finite")
     grad, grad_d = op.gradient(x)
     direct = True
     w = pot.value_field(x)
@@ -204,10 +209,9 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     if not direct:
         grad, _ = op.gradient(x)
     residual = _residual_from_grad(grad, cell)
-    values = op.scatter(u0.values, x)
     report = SolveReport(
         iterations=iterations,
-        energy=_kernels.energy_only(values, grid.mask, h, pot),
+        energy=op.energy(x),
         residual=residual,
         converged=converged,
         tol=tol,
@@ -218,4 +222,4 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
         wall_time=time.perf_counter() - t0,
         energy_trace=energies,
     )
-    return u0.with_values(values), report
+    return u0.with_values(op.scatter(u0.values, x)), report

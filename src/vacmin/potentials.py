@@ -196,8 +196,19 @@ def product_perturbed(zero, **kw) -> Potential:
     return Potential("product-perturbed", zero, exponent=2.0, lower_coef=1.0, **kw)
 
 
+# the keys from_config reads from a config block, per family
+CONFIG_KEYS = {
+    fam: frozenset(("family", "zero", "a", "lower_radius", "monot_radius")
+                   + extra)
+    for fam, extra in (("quadratic", ()), ("power", ("q",)),
+                       ("anisotropic", ("coeffs", "powers")),
+                       ("product-perturbed", ()))
+}
+
+
 def from_config(block: dict) -> Potential:
-    """Build a potential from a config mapping (family tag + parameters)."""
+    """Build a potential from a config mapping (family tag + parameters);
+    it reads only the keys ``CONFIG_KEYS`` lists for the family."""
     fam = block.get("family")
     zero = block.get("zero", block.get("a", 0.0))
     extra = {k: block[k] for k in ("lower_radius", "monot_radius") if k in block}

@@ -26,9 +26,11 @@ BASE = {
 
 
 def write_cfg(tmp_path, name="exp.yaml", **overrides):
+    """BASE with overrides; a block is merged into BASE's, except a
+    potential block, which replaces it (its keys depend on the family)."""
     cfg = json.loads(json.dumps(BASE))
     for key, val in overrides.items():
-        if isinstance(val, dict):
+        if isinstance(val, dict) and key != "potential":
             cfg[key] = {**cfg.get(key, {}), **val}
         else:
             cfg[key] = val
@@ -88,6 +90,24 @@ def test_unknown_solver_key_rejected(tmp_path, capsys):
     assert "solver.max_iters" in capsys.readouterr().err
     with pytest.raises(ConfigError, match=r"^solver\.max_iters: unknown key$"):
         ExperimentConfig.from_dict({**BASE, "solver": {"max_iters": 3}})
+
+
+@pytest.mark.parametrize("key,block,path", [
+    ("potential", {"family": "power", "qq": 4}, "potential.qq"),
+    ("potential", {"family": "quadratic", "q": 4}, "potential.q"),
+    ("analysis", {"epss": 0.1}, "analysis.epss"),
+])
+def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
+    # a misspelt or foreign key must not fall back to a default silently
+    cfg = json.loads(json.dumps(BASE))
+    cfg[key] = block
+    p = tmp_path / "exp.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    assert run_cli("minimize", str(p), tmp_path / "out") == 2
+    assert path in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=rf"^{path}: unknown key$"):
+        ExperimentConfig.from_dict(cfg)
+    assert not (tmp_path / "out" / "solve.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vacmin import _kernels as K
-from vacmin.field import Grid
+from vacmin.competitor import build_shell
+from vacmin.field import BOUNDARY, INTERIOR, Grid, VectorField
 from vacmin.potentials import anisotropic, power, product_perturbed, quadratic
 
 POTS = [
@@ -18,6 +19,28 @@ POTS = [
 GRIDS = [(2, 0.1, 1.5), (3, 0.2, 1.2)]
 
 
+def edge_energy_and_grad(vals, mask, h, pot):
+    """Oracle: the discrete energy as the full-cube sum over every edge with
+    an interior endpoint, and its gradient (zero off the interior)."""
+    n = vals.ndim - 1
+    cell = h ** n
+    interior = mask == INTERIOR
+    grad = np.zeros_like(vals)
+    e = 0.0
+    scale = cell / (h * h)
+    for ax in range(n):
+        lo, hi = K.edge_slices(n, ax)
+        inc = (mask[lo] == INTERIOR) | (mask[hi] == INTERIOR)
+        d = (vals[(slice(None),) + hi] - vals[(slice(None),) + lo]) * inc
+        e += 0.5 * float(np.sum(d * d)) / (h * h)
+        grad[(slice(None),) + lo] -= d * scale
+        grad[(slice(None),) + hi] += d * scale
+    e += float(np.sum(pot.value_field(vals)[interior]))
+    grad += pot.grad_field(vals) * cell
+    grad[:, ~interior] = 0.0
+    return e * cell, grad
+
+
 @pytest.mark.parametrize("n,h,r", GRIDS)
 @pytest.mark.parametrize("pot", POTS, ids=lambda p: p.family)
 def test_operator_matches_oracle(n, h, r, pot):
@@ -25,12 +48,34 @@ def test_operator_matches_oracle(n, h, r, pot):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((2,) + g.shape)
     op = K.InteriorOperator(g, vals, pot)
-    g_op = op.gradient(op.gather(vals))[0]
-    e_or, g_or = K.energy_and_grad(vals, g.mask, g.h, pot)
-    assert e_or == pytest.approx(K.energy_only(vals, g.mask, g.h, pot),
-                                 rel=1e-12)
-    assert np.abs(g_op - op.gather(g_or)).max() <= 1e-12 * np.abs(g_or).max()
+    x = op.gather(vals)
+    e_or, g_or = edge_energy_and_grad(vals, g.mask, g.h, pot)
+    assert op.energy(x) == pytest.approx(e_or, rel=1e-13)
+    assert np.abs(op.gradient(x)[0] - op.gather(g_or)).max() \
+        <= 1e-13 * np.abs(g_or).max()
     assert np.array_equal(op.scatter(vals, op.gather(vals)), vals)
+
+
+@pytest.mark.parametrize("n,h,r", GRIDS)
+@pytest.mark.parametrize("pot", POTS, ids=lambda p: p.family)
+def test_full_field_energy_pins_its_own_ring(n, h, r, pot):
+    # the shell competitor of a field with non-constant boundary modulus
+    # has other boundary values than the field: the full-field entry points
+    # must pin the competitor's ring, not the one an operator was built on
+    g = Grid(n, h, r)
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((2,) + g.shape)
+    op = K.InteriorOperator(g, vals, pot)
+    v = build_shell(VectorField(g, vals), pot.zero, 0.5).values
+    ring = g.mask == BOUNDARY
+    assert not np.array_equal(v[:, ring], vals[:, ring])
+    e_or, g_or = edge_energy_and_grad(v, g.mask, g.h, pot)
+    assert K.energy_only(g, v, pot) == pytest.approx(e_or, rel=1e-13)
+    e_fg, g_fg = K.energy_and_grad(g, v, pot)
+    assert e_fg == K.energy_only(g, v, pot)
+    assert np.abs(g_fg - g_or).max() <= 1e-13 * np.abs(g_or).max()
+    # an operator pinned to the other ring gives another energy
+    assert op.energy(op.gather(v)) != pytest.approx(e_or, rel=1e-6)
 
 
 @pytest.mark.parametrize("n,h,r", GRIDS)
@@ -46,11 +91,11 @@ def test_line_decrement_matches_oracle(n, h, r, pot):
     decrement, ag = op.line(x, direction, grad_d, pot.value_field(x))
     assert np.abs(grad_d - ag - op.gradient(x - direction)[1]).max() \
         <= 1e-12 * np.abs(grad_d).max()
-    e_x = K.energy_only(vals, g.mask, g.h, pot)
+    e_x = edge_energy_and_grad(vals, g.mask, g.h, pot)[0]
     for t in rng.uniform(1e-4, 0.5, 5):
         de, trial, w_t = decrement(t)
-        e_t = K.energy_only(op.scatter(vals, x - t * direction), g.mask,
-                            g.h, pot)
+        e_t = edge_energy_and_grad(op.scatter(vals, x - t * direction),
+                                   g.mask, g.h, pot)[0]
         assert abs(de - (e_t - e_x)) <= 1e-12 * max(1.0, abs(e_x))
         assert np.array_equal(trial, x - t * direction)
         assert np.array_equal(w_t, pot.value_field(trial))

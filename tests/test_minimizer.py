@@ -197,15 +197,20 @@ def test_modica_examples(small_grid):
 @pytest.mark.parametrize("family", ["power", "quadratic"])
 def test_reported_residual_is_a_direct_certificate(n, h, r, family):
     # the solver carries its Dirichlet gradient by a recurrence; the
-    # reported residual must still be the one a fresh operator evaluates
+    # reported residual must still be the one a fresh operator evaluates,
+    # and the full-field evaluations of the output must reproduce the
+    # report bit for bit, since they run the same operator
     g = Grid(n, h, r)
     pot = power([0.0, 0.0], 4) if family == "power" else quadratic([0.0, 0.0])
-    u, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
-                      tol=1e-6)
+    u0 = initial_field(g, pot, angular(pot, 0.6))
+    u, rep = minimize(u0, pot, tol=1e-6)
     op = InteriorOperator(g, u.values, pot)
     grad, _ = op.gradient(op.gather(u.values))
     assert rep.residual == _residual_from_grad(grad, g.cell)
     assert rep.converged and rep.residual <= rep.tol
+    assert el_residual(u, pot) == rep.residual
+    assert discrete_energy(u, pot) == rep.energy
+    assert discrete_energy(u0, pot) == rep.energy_trace[0]
 
 
 def test_unconverged_residual_is_a_direct_certificate():
@@ -217,6 +222,8 @@ def test_unconverged_residual_is_a_direct_certificate():
     grad, _ = op.gradient(op.gather(u.values))
     assert not rep.converged and rep.iterations == 7
     assert rep.residual == _residual_from_grad(grad, g.cell)
+    assert el_residual(u, pot) == rep.residual
+    assert discrete_energy(u, pot) == rep.energy
 
 
 def test_bb2_steps_rarely_backtrack():
@@ -240,8 +247,8 @@ def test_minimize_3d_smoke():
 
 
 def test_minimize_trace_ends_at_reported_energy():
-    # the trace is the oracle's initial energy plus the accepted line-search
-    # decrements; the reported energy is the oracle's at the output
+    # the trace is the initial energy plus the accepted line-search
+    # decrements; the reported energy is discrete_energy at the output
     g = Grid(2, 0.1, 2.0)
     pot = power([0.0, 0.0], 4)
     u0 = initial_field(g, pot, angular(pot, 0.7))
