@@ -51,10 +51,10 @@ def angular(pot: Potential, magnitude: float, windings: int = 1,
 
 
 def layer_profile(pot: Potential, direction: np.ndarray, magnitude: float,
-                  length: float, npts: int = 400, iters: int = 4000):
+                  length: float):
     """1-d energy-minimizing ramp P(s): P(0) = magnitude, P(length) = 0,
     minimizing sum h (1/2 P'^2 + W(zero + P * direction)). Returns (s, P)."""
-    s = np.linspace(0.0, length, npts)
+    s = np.linspace(0.0, length, 400)
     h1 = s[1] - s[0]
     ramp = np.clip(1.0 - s / min(2.0, length), 0.0, 1.0)
     P = magnitude * ramp
@@ -73,7 +73,7 @@ def layer_profile(pot: Potential, direction: np.ndarray, magnitude: float,
     t = h1 * h1 / 4.0
     p_prev = None
     g_prev = None
-    for _ in range(iters):
+    for _ in range(4000):
         g = grad(P)
         if np.abs(g).max() / h1 < 1e-10:
             break
@@ -109,7 +109,7 @@ def radial_profile(pot: Potential, grid: Grid, magnitude: float,
     return fn
 
 
-def random_smooth(pot: Potential, magnitude: float, seed: int,
+def random_smooth(pot: Potential, magnitude: float, seed: int = 0,
                   bandlimit: float = 3.0, terms: int = 6):
     """Band-limited random Fourier features of the direction x/|x|, rescaled
     so the modulus |g - zero| is guaranteed <= magnitude everywhere."""
@@ -141,31 +141,42 @@ def random_smooth(pot: Potential, magnitude: float, seed: int,
     return fn
 
 
+MAGNITUDE = 0.5  # the boundary modulus when a block leaves it out
+
+# per tag, the block keys make_boundary reads and their types (None: as
+# given); a key left out takes the generator's default. Every tag knows
+# ``magnitude``: the competitor suite caps its constructions at it.
+CONFIG_KEYS = {
+    "constant": {"magnitude": float},
+    "angular": {"magnitude": float, "windings": int, "phase": float},
+    "radial-profile": {"magnitude": float, "direction": None},
+    "random": {"magnitude": float, "seed": int, "bandlimit": float,
+               "terms": int},
+}
+
+
 def make_boundary(tag: str, pot: Potential, grid: Grid, params: dict):
+    """The generator ``tag`` names, fed the keys ``CONFIG_KEYS`` lists for
+    that tag; other keys in ``params`` are ignored."""
+    if tag not in CONFIG_KEYS:
+        raise ValueError(f"unknown boundary tag {tag!r}")
+    kw = {k: params[k] if cast is None else cast(params[k])
+          for k, cast in CONFIG_KEYS[tag].items() if k in params}
+    magnitude = kw.pop("magnitude", MAGNITUDE)
     if tag == "constant":
         return constant(pot)
     if tag == "angular":
-        return angular(pot, float(params.get("magnitude", 0.5)),
-                       int(params.get("windings", 1)),
-                       float(params.get("phase", 0.0)))
+        return angular(pot, magnitude, **kw)
     if tag == "radial-profile":
-        return radial_profile(pot, grid, float(params.get("magnitude", 0.5)),
-                              params.get("direction"))
-    if tag == "random":
-        return random_smooth(pot, float(params.get("magnitude", 0.5)),
-                             int(params.get("seed", 0)),
-                             float(params.get("bandlimit", 3.0)),
-                             int(params.get("terms", 6)))
-    raise ValueError(f"unknown boundary tag {tag!r}")
+        return radial_profile(pot, grid, magnitude, **kw)
+    return random_smooth(pot, magnitude, **kw)
 
 
-def initial_field(grid: Grid, pot: Potential, boundary_fn,
-                  ramp_width: float = 1.0) -> VectorField:
+def initial_field(grid: Grid, pot: Potential, boundary_fn) -> VectorField:
     """Initial iterate carrying the boundary data: g on and beyond the ball
-    edge, ramped to the potential zero over ``ramp_width`` inward."""
+    edge, ramped linearly to the potential zero over a unit width inward."""
     g = VectorField.from_function(grid, boundary_fn, m=pot.m)
-    lam = np.clip((grid.radius - (grid.r_max - ramp_width)) / ramp_width,
-                  0.0, 1.0)
+    lam = np.clip(grid.radius - (grid.r_max - 1.0), 0.0, 1.0)
     a = pot.zero.reshape((-1,) + (1,) * grid.n)
     vals = a + lam * (g.values - a)
     return VectorField(grid, vals)

@@ -190,7 +190,7 @@ def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg)
     if not rep.converged:
         return _not_converged("competitor", rep)
-    mag = float(cfg.boundary.get("magnitude", 0.5))
+    mag = float(cfg.boundary.get("magnitude", bdata.MAGNITUDE))
     reports = standard_suite(u, pot, mag)
     dq = quadrature_slack(grid, scale=cfg.analysis["delta_q_scale"])
     ok = all(r.difference >= -dq for r in reports if r.admissible)

@@ -55,7 +55,7 @@ def _boundary_deviation(u: VectorField, v: VectorField) -> float:
 
 
 def compare(u: VectorField, v: VectorField, pot: Potential, tag: str,
-            params: dict | None = None, note: str = "") -> CompetitorReport:
+            params: dict | None = None) -> CompetitorReport:
     eu = discrete_energy(u, pot)
     ev = discrete_energy(v, pot)
     dev = _boundary_deviation(u, v)
@@ -68,7 +68,6 @@ def compare(u: VectorField, v: VectorField, pot: Potential, tag: str,
         boundary_deviation=dev,
         admissible=bool(dev <= 1e-12),
         params=params or {},
-        note=note,
     )
 
 
@@ -82,7 +81,7 @@ def build_annulus_competitor(u: VectorField, pot: Potential,
     equals u outside B_{s_r}."""
     if s_r < 1.0 + 2 * u.grid.h:
         raise ValueError("annulus radius too small: need s_r >= 1 + 2h")
-    return annulus_field(u, pot, s_r, width=1.0)
+    return annulus_field(u, pot, s_r)
 
 
 def taper(tau, r: float):
@@ -122,7 +121,7 @@ def build_min_truncation(u: VectorField, level: float) -> VectorField:
 
 
 def select_truncation_level(u: VectorField, zero: float, d: float,
-                            pot: Potential, scan: int = 10_000) -> float:
+                            pot: Potential) -> float:
     """Leftmost minimizer of W over [zero + d, max u], on a uniform scan."""
     if u.m != 1:
         raise ValueError("truncation level selection is for m = 1 only")
@@ -131,7 +130,7 @@ def select_truncation_level(u: VectorField, zero: float, d: float,
     lo = zero + d
     if umax <= lo:
         raise ValueError(f"max u = {umax:.6g} does not exceed zero + d = {lo:.6g}")
-    levels = np.linspace(lo, umax, scan)
+    levels = np.linspace(lo, umax, 10_000)
     w = pot.value_field(levels[None, :])
     return float(levels[int(np.argmin(w))])
 
@@ -236,17 +235,15 @@ class MaxPrincipleReport:
 
 def max_principle_check(u0: VectorField, pot: Potential, r: float,
                         tol: float = 1e-6, max_iter: int = 50_000,
-                        slack: float | None = None,
-                        assumption_samples: int = 128,
                         seed: int = 0) -> MaxPrincipleReport:
     """Minimize from boundary data with |g - zero| <= r < r0/2, build the
     truncation competitor, and compare interior excursion against r.
 
     Preconditions: the potential's radial sections must be nondecreasing up
-    to its monot_radius (verified by sampling), and the boundary data must
-    actually stay within r of the zero.
+    to its monot_radius (verified on 128 seeded directions), and the
+    boundary data must actually stay within r of the zero.
     """
-    rep = verify_assumptions(pot, samples=assumption_samples, seed=seed)
+    rep = verify_assumptions(pot, samples=128, seed=seed)
     if not rep.radial_monotone_ok:
         raise ValueError("potential lacks nondecreasing radial sections; "
                          "the variational maximum principle does not apply")
@@ -263,7 +260,7 @@ def max_principle_check(u0: VectorField, pot: Potential, r: float,
     trunc = build_truncation(u, pot.zero, r, r0=r0)
     eu = discrete_energy(u, pot)
     et = discrete_energy(trunc, pot)
-    dq = quadrature_slack(grid) if slack is None else slack
+    dq = quadrature_slack(grid)
     interior_sup = float(u.distance_from(pot.zero).values[grid.mask == INTERIOR].max())
     holds = interior_sup <= r + 2 * grid.h
     note = ("interior excursion within r + 2h" if holds
@@ -287,8 +284,8 @@ def max_principle_check(u0: VectorField, pot: Potential, r: float,
     )
 
 
-def standard_suite(u: VectorField, pot: Potential, boundary_magnitude: float,
-                   s_r: float | None = None) -> list:
+def standard_suite(u: VectorField, pot: Potential,
+                   boundary_magnitude: float) -> list:
     """All applicable competitor comparisons for one converged minimizer.
 
     ``boundary_magnitude`` is the (constant) modulus of the boundary data;
@@ -298,8 +295,7 @@ def standard_suite(u: VectorField, pot: Potential, boundary_magnitude: float,
     exceeds the boundary so that comparison is typically trivial.
     """
     g = u.grid
-    if s_r is None:
-        s_r = g.r_max - 2 * g.h
+    s_r = g.r_max - 2 * g.h
     reports = [compare(u, build_annulus_competitor(u, pot, s_r), pot,
                        "annulus", {"s_r": s_r})]
     mag = float(boundary_magnitude)

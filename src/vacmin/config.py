@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
+from numbers import Real
 
 import yaml
 
+from .boundary import CONFIG_KEYS as BOUNDARY_KEYS
 from .field import Grid
 from .potentials import (CONFIG_KEYS as POTENTIAL_KEYS, Potential,
                          from_config as potential_from_config)
@@ -71,11 +73,9 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"{path}: {msg}")
 
-        need(self.n in (2, 3), "n", "must be 2 or 3")
-        need(self.m >= 1, "m", "must be >= 1")
-        need(self.h > 0, "h", "must be > 0")
-        need(self.r_max > 0, "r_max", "must be > 0")
-        need(self.r_max >= 4 * self.h, "r_max", "must be at least 4h")
+        def number(value):
+            return isinstance(value, Real) and not isinstance(value, bool)
+
         need(isinstance(self.potential, dict) and "family" in self.potential,
              "potential.family", "is required")
         family = self.potential["family"]
@@ -84,6 +84,29 @@ class ExperimentConfig:
         _reject_unknown("potential", self.potential, POTENTIAL_KEYS[family])
         need(isinstance(self.boundary, dict) and "tag" in self.boundary,
              "boundary.tag", "is required")
+        tag = self.boundary["tag"]
+        need(isinstance(tag, str) and tag in BOUNDARY_KEYS, "boundary.tag",
+             "unknown tag")
+        casts = BOUNDARY_KEYS[tag]
+        _reject_unknown("boundary", self.boundary, {"tag", *casts})
+        values = {"n": self.n, "m": self.m, "h": self.h, "r_max": self.r_max,
+                  "seed": self.seed,
+                  **{f"solver.{k}": v for k, v in self.solver.items()},
+                  **{f"analysis.{k}": v for k, v in self.analysis.items()},
+                  **{f"boundary.{k}": v for k, v in self.boundary.items()
+                     if casts.get(k)}}
+        radii = values.pop("analysis.radii")
+        for path, value in values.items():
+            # a null analysis.tau or analysis.r is derived by the CLI
+            need(number(value) or value is None and path in (
+                "analysis.tau", "analysis.r"), path, "expected a number")
+        need(isinstance(radii, (list, tuple)) and all(map(number, radii)),
+             "analysis.radii", "expected a list of numbers")
+        need(self.n in (2, 3), "n", "must be 2 or 3")
+        need(self.m >= 1, "m", "must be >= 1")
+        need(self.h > 0, "h", "must be > 0")
+        need(self.r_max > 0, "r_max", "must be > 0")
+        need(self.r_max >= 4 * self.h, "r_max", "must be at least 4h")
         need(self.solver["tol"] > 0, "solver.tol", "must be > 0")
         need(int(self.solver["max_iter"]) >= 1, "solver.max_iter", "must be >= 1")
         for r in self.analysis["radii"]:

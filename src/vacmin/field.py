@@ -95,17 +95,14 @@ class Grid:
         pos[interior] = np.arange(interior.size)
         pos[ring] = interior.size + np.arange(ring.size)
         strides = [self.axis.size ** (self.n - 1 - ax) for ax in range(self.n)]
-        nbr = np.stack([pos[interior + s] for s in strides]
-                       + [pos[interior - s] for s in strides])
+        nbr = np.empty((2 * self.n, interior.size), dtype=np.intp)
+        for d, s in enumerate(strides + [-s for s in strides]):
+            np.take(pos, interior + s, out=nbr[d])
         return interior, ring, nbr
 
     @property
     def cell(self) -> float:
         return self.h ** self.n
-
-    @property
-    def interior_count(self) -> int:
-        return int(np.count_nonzero(self.mask == INTERIOR))
 
     def ball_volume(self) -> float:
         if self.n == 2:
@@ -169,9 +166,6 @@ class VectorField:
             raise ValueError(f"function returned {vals.shape[0]} components, "
                              f"expected {m}")
         return cls(grid, vals)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
 
     def with_values(self, values: np.ndarray) -> "VectorField":
         return VectorField(self.grid, values)

@@ -26,9 +26,6 @@ class EnergyProfile:
         if np.any(np.diff(r) <= 0):
             raise ValueError("radii must be strictly increasing")
 
-    def normalized(self, p: float) -> np.ndarray:
-        return np.asarray(self.energies) / np.asarray(self.radii) ** p
-
     def to_dict(self) -> dict:
         return {"radii": list(map(float, self.radii)),
                 "energies": list(map(float, self.energies))}
@@ -40,34 +37,32 @@ def energy_profile(u: VectorField, pot: Potential, radii) -> EnergyProfile:
     return EnergyProfile(list(map(float, radii)), vals)
 
 
-def annulus_field(u: VectorField, pot: Potential, R: float,
-                  width: float = 1.0) -> VectorField:
+def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
     """The comparison field: equal to u outside B_R, identically the
-    potential zero inside B_{R-width}, radially linear in between using
-    u's trace on the sphere |x| = R."""
+    potential zero inside B_{R-1}, radially linear across the unit-width
+    annulus in between using u's trace on the sphere |x| = R."""
     g = u.grid
     # R = r_max is fine: the cube carries two padding layers past the ball,
     # so interpolation at radius R <= r_max never leaves the value array
-    if R < width + g.h or R > g.r_max:
-        raise ValueError("need width + h <= R <= r_max")
+    if R < 1.0 + g.h or R > g.r_max:
+        raise ValueError("need 1 + h <= R <= r_max")
     a = pot.zero.reshape((-1,) + (1,) * g.n)
     rad = g.radius
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(rad > 1e-12, g.coords / rad, 0.0)
     pts = np.moveaxis(unit * R, 0, -1).reshape(-1, g.n)
     trace = interpolate(g, u.values, pts).reshape((u.m,) + g.shape)
-    lam = np.clip((rad - (R - width)) / width, 0.0, 1.0)
+    lam = np.clip(rad - (R - 1.0), 0.0, 1.0)
     vals = a + lam * (trace - a)
     outside = rad > R
     vals[:, outside] = u.values[:, outside]
     return u.with_values(vals)
 
 
-def comparison_bound(u: VectorField, pot: Potential, R: float,
-                     width: float = 1.0) -> float:
+def comparison_bound(u: VectorField, pot: Potential, R: float) -> float:
     """Energy in B_R of the annulus comparison field; any minimizer with the
     same trace on |x| = R must have E(u; B_R) at or below this."""
-    v = annulus_field(u, pot, R, width)
+    v = annulus_field(u, pot, R)
     return integrate_ball(energy_density(v, pot), R)
 
 

@@ -150,14 +150,14 @@ def _violations(seq, tol):
 
 
 def monotone_quantities(u: VectorField, pot: Potential, radii,
-                        resid_tol: float = 1e-3, c_m: float = 1.0,
-                        modica_tol: float | None = None) -> MonotonicityReport:
+                        resid_tol: float = 1e-3,
+                        c_m: float = 1.0) -> MonotonicityReport:
     """The three normalized ball-energy sequences and their per-step
     nondecrease checks, tolerance delta_m = c_m * h per step.
 
     Requires the field to solve the system to resid_tol; the strong
     (R^{1-n}-normalized) checks are only marked applicable when the Modica
-    gradient bound holds within tolerance.
+    gradient bound holds within the same delta_m.
     """
     g = u.grid
     radii = [float(r) for r in radii]
@@ -179,7 +179,6 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     strong_e = list(np.asarray(e_vals) * r ** (1 - n))
     tol = c_m * g.h
     mod = _modica(gsq, w, g.mask)
-    mtol = tol if modica_tol is None else modica_tol
     return MonotonicityReport(
         radii=radii,
         f_values=[float(x) for x in f_vals],
@@ -193,5 +192,5 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
         modica=mod,
         residual=resid,
         tolerance=tol,
-        strong_applicable=bool(mod <= mtol),
+        strong_applicable=bool(mod <= tol),
     )

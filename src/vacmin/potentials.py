@@ -158,18 +158,6 @@ class Potential:
         out[0] += rho2 * 0.5 * np.sin(2.0 * vals[0])
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "zero": self.zero.tolist(),
-            "exponent": self.exponent,
-            "lower_coef": self.lower_coef,
-            "lower_radius": self.lower_radius,
-            "monot_radius": self.monot_radius,
-            "coeffs": self.coeffs.tolist(),
-            "powers": self.powers.tolist(),
-        }
-
 
 def quadratic(zero, **kw) -> Potential:
     return Potential("quadratic", zero, exponent=2.0, lower_coef=0.5, **kw)
@@ -198,7 +186,7 @@ def product_perturbed(zero, **kw) -> Potential:
 
 # the keys from_config reads from a config block, per family
 CONFIG_KEYS = {
-    fam: frozenset(("family", "zero", "a", "lower_radius", "monot_radius")
+    fam: frozenset(("family", "zero", "lower_radius", "monot_radius")
                    + extra)
     for fam, extra in (("quadratic", ()), ("power", ("q",)),
                        ("anisotropic", ("coeffs", "powers")),
@@ -210,7 +198,7 @@ def from_config(block: dict) -> Potential:
     """Build a potential from a config mapping (family tag + parameters);
     it reads only the keys ``CONFIG_KEYS`` lists for the family."""
     fam = block.get("family")
-    zero = block.get("zero", block.get("a", 0.0))
+    zero = block.get("zero", 0.0)
     extra = {k: block[k] for k in ("lower_radius", "monot_radius") if k in block}
     if fam == "quadratic":
         return quadratic(zero, **extra)
@@ -262,14 +250,15 @@ def _directions(m: int, samples: int, rng) -> np.ndarray:
     return np.concatenate([axes, g], axis=0)
 
 
-def verify_assumptions(pot: Potential, samples: int = 256, seed: int = 0,
-                       box_halfwidth: float = 2.0) -> AssumptionReport:
+def verify_assumptions(pot: Potential, samples: int = 256,
+                       seed: int = 0) -> AssumptionReport:
     """Sample the positivity, radial lower bound, radial monotonicity and
     Hessian definiteness assumptions; failures are reported, never raised.
 
-    Positivity is only checkable on a bounded box around ``zero``; pass the
-    box that covers the solution values you care about.
+    Positivity is only checkable on a bounded box around ``zero``; it is
+    sampled on the box of half-width 2, which the report records.
     """
+    box_halfwidth = 2.0
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)

@@ -27,10 +27,11 @@ BASE = {
 
 def write_cfg(tmp_path, name="exp.yaml", **overrides):
     """BASE with overrides; a block is merged into BASE's, except a
-    potential block, which replaces it (its keys depend on the family)."""
+    potential or boundary block, which replaces it (its keys depend on the
+    family or the tag)."""
     cfg = json.loads(json.dumps(BASE))
     for key, val in overrides.items():
-        if isinstance(val, dict) and key != "potential":
+        if isinstance(val, dict) and key not in ("potential", "boundary"):
             cfg[key] = {**cfg.get(key, {}), **val}
         else:
             cfg[key] = val
@@ -96,6 +97,9 @@ def test_unknown_solver_key_rejected(tmp_path, capsys):
     ("potential", {"family": "power", "qq": 4}, "potential.qq"),
     ("potential", {"family": "quadratic", "q": 4}, "potential.q"),
     ("analysis", {"epss": 0.1}, "analysis.epss"),
+    ("potential", {"family": "power", "q": 4, "a": 0.5}, "potential.a"),
+    ("boundary", {"tag": "angular", "magnitud": 0.6}, "boundary.magnitud"),
+    ("boundary", {"tag": "constant", "windings": 2}, "boundary.windings"),
 ])
 def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     # a misspelt or foreign key must not fall back to a default silently
@@ -107,6 +111,23 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     assert path in capsys.readouterr().err
     with pytest.raises(ConfigError, match=rf"^{path}: unknown key$"):
         ExperimentConfig.from_dict(cfg)
+    assert not (tmp_path / "out" / "solve.json").exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"solver": {"tol": "x"}}, "solver.tol: expected a number"),
+    ({"h": "0.1"}, "h: expected a number"),
+    ({"analysis": {"eps": [1]}}, "analysis.eps: expected a number"),
+    ({"solver": {"max_iter": True}}, "solver.max_iter: expected a number"),
+    ({"analysis": {"radii": [1.0, "2"]}},
+     "analysis.radii: expected a list of numbers"),
+    ({"boundary": {"tag": "unknown"}}, "boundary.tag: unknown tag"),
+])
+def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
+    # a value of the wrong type names its key path, not a comparison error
+    cfg = write_cfg(tmp_path, **overrides)
+    assert run_cli("minimize", cfg, tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "solve.json").exists()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ def test_grid_validation():
         Grid(2, -0.1, 1.0)
     with pytest.raises(GridError):
         Grid(2, 0.5, 1.0)  # r_max < 4h
+
+
+def test_stencil_matches_stacked_rows_and_builds_lean():
+    g = Grid(3, 0.2, 4.0)
+    tracemalloc.start()
+    try:
+        interior, ring, nbr = g.stencil
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flat = g.mask.ravel()
+    assert np.array_equal(interior, np.flatnonzero(flat == INTERIOR))
+    assert np.array_equal(ring, np.flatnonzero(flat == BOUNDARY))
+    pos = np.full(flat.size, -1, dtype=np.intp)
+    pos[interior] = np.arange(interior.size)
+    pos[ring] = interior.size + np.arange(ring.size)
+    strides = [g.axis.size ** (g.n - 1 - ax) for ax in range(g.n)]
+    ref = np.stack([pos[interior + s] for s in strides]
+                   + [pos[interior - s] for s in strides])
+    assert nbr.dtype == np.intp and np.array_equal(nbr, ref)
+    # 1.8 MB is kept; stacking a list of rows peaked at 4.0 MB
+    assert peak <= 3.2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 
 def test_laplacian_constant_and_quadratic(small_grid):
