@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
-from numbers import Real
+from numbers import Integral, Real
 
 import yaml
 
@@ -32,6 +32,10 @@ def _reject_unknown(path: str, block: dict, known) -> None:
 
 
 _SOLVER_DEFAULTS = {"tol": 1e-5, "max_iter": 50_000}
+# read as integers (with the boundary keys cast to int); a fractional value
+# would be truncated silently
+_INTEGER_KEYS = ("n", "m", "seed", "solver.max_iter", "analysis.samples",
+                 "analysis.sphere_points")
 _ANALYSIS_DEFAULTS = {
     "radii": [],
     "eps": 0.1,
@@ -81,7 +85,16 @@ class ExperimentConfig:
         family = self.potential["family"]
         need(isinstance(family, str) and family in POTENTIAL_KEYS,
              "potential.family", f"unknown family {family!r}")
-        _reject_unknown("potential", self.potential, POTENTIAL_KEYS[family])
+        kinds = POTENTIAL_KEYS[family]
+        _reject_unknown("potential", self.potential, {"family", *kinds})
+        for key in (k for k in kinds if k in self.potential):
+            value = self.potential[key]
+            if kinds[key] == "number":
+                need(number(value), f"potential.{key}", "expected a number")
+            else:
+                need(number(value) or isinstance(value, (list, tuple))
+                     and len(value) > 0 and all(map(number, value)),
+                     f"potential.{key}", "expected a list of numbers")
         need(isinstance(self.boundary, dict) and "tag" in self.boundary,
              "boundary.tag", "is required")
         tag = self.boundary["tag"]
@@ -96,10 +109,15 @@ class ExperimentConfig:
                   **{f"boundary.{k}": v for k, v in self.boundary.items()
                      if casts.get(k)}}
         radii = values.pop("analysis.radii")
+        integers = {*_INTEGER_KEYS,
+                    *(f"boundary.{k}" for k, cast in casts.items()
+                      if cast is int)}
         for path, value in values.items():
             # a null analysis.tau or analysis.r is derived by the CLI
             need(number(value) or value is None and path in (
                 "analysis.tau", "analysis.r"), path, "expected a number")
+            need(path not in integers or isinstance(value, Integral)
+                 or float(value).is_integer(), path, "expected an integer")
         need(isinstance(radii, (list, tuple)) and all(map(number, radii)),
              "analysis.radii", "expected a list of numbers")
         need(self.n in (2, 3), "n", "must be 2 or 3")
@@ -108,7 +126,7 @@ class ExperimentConfig:
         need(self.r_max > 0, "r_max", "must be > 0")
         need(self.r_max >= 4 * self.h, "r_max", "must be at least 4h")
         need(self.solver["tol"] > 0, "solver.tol", "must be > 0")
-        need(int(self.solver["max_iter"]) >= 1, "solver.max_iter", "must be >= 1")
+        need(self.solver["max_iter"] >= 1, "solver.max_iter", "must be >= 1")
         for r in self.analysis["radii"]:
             need(0 < r <= self.r_max, "analysis.radii",
                  f"radius {r} outside (0, r_max]")

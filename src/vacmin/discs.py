@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ScalarField, sample_sphere, sphere_area
+from .field import (ScalarField, interpolate, sample_sphere, sphere_area,
+                    sphere_points)
 
 
 class ClearingOutViolated(RuntimeError):
@@ -44,42 +45,60 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # cos[i, j] = unit_i . unit_j, computed _BLOCK rows at a time, so the working
 # memory is O(_BLOCK * K) for any K. Membership dist <= L, with
 # dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
-# only cosines within _BAND of it go through arccos, where the exact test
-# decides. Outside the band the angle differs from L / radius by more than
-# 1e-9, far beyond rounding, so the masks equal those of the exact test.
+# only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
+# where the exact test decides. Outside the band the angle differs from
+# L / radius by more than 1e-9, far beyond rounding, so the masks equal
+# those of the exact test.
 
-# 64 rows keep both 64 x K buffers in cache at K = 4096 (2 MB each); on a
-# 2-vCPU x86 machine three 3D sweeps at K = 4096 took 0.60 s, against
-# 1.14 s with 512 rows
+# 64 rows keep both 64 x K buffers in cache at K = 4096 (2 MB each). On a
+# 2-vCPU x86 machine (numpy 2.4.6) the three 3D triangle sweeps of one
+# analysis job at K = 4096 took a median 0.32-0.33 s with 64 rows, against
+# 0.29-0.33 s with 32, 0.34 s with 128 and 0.39 s with 256
 _BLOCK = 64
 _BAND = 1e-9
 
 
-def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None):
+def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None,
+                   upper: bool = False):
     """Yield (block, cos) for consecutive blocks of at most _BLOCK of the
     given rows (default: all samples): cos[a, j] is the cosine between
-    unit[block[a]] and unit[j], clipped to [-1, 1]. The buffer is reused, so
-    each cos is valid until the next block is drawn.
+    unit[block[a]] and unit[j]. With upper set the rows are all samples and
+    the block of rows r0..r1-1 is formed only against columns r0..K-1, so
+    cos[a, j] pairs unit[block[a]] with unit[r0 + j] and every unordered
+    pair of samples appears in exactly one block (pairs within a block in
+    both orders). The cosines are not clipped: rounding can leave them a
+    few ulps outside [-1, 1], so clip whatever goes to arccos.
 
     The products are summed coordinate by coordinate, not by a BLAS matrix
     product, so the cosines do not depend on the BLAS build or its thread
-    count, and a row's cosines are the same in every block it falls in."""
+    count, and since products commute, cos[i, j] and cos[j, i] agree bit
+    for bit in every block either falls in. Each cos is a C-contiguous view
+    of a reused buffer, valid until the next block is drawn."""
+    K = len(unit)
     if rows is None:
-        rows = np.arange(len(unit))
+        rows = np.arange(K)
     cols = unit.T.copy()
-    buf = np.empty((2, min(_BLOCK, len(rows)), len(unit)))
+    buf = np.empty((2, min(_BLOCK, len(rows)) * K))
     for start in range(0, len(rows), _BLOCK):
         block = rows[start:start + _BLOCK]
+        c0 = start if upper else 0
+        size = len(block) * (K - c0)
+        cos = buf[0, :size].reshape(len(block), K - c0)
+        tmp = buf[1, :size].reshape(cos.shape)
         sub = unit[block]
-        cos, tmp = buf[0, :len(block)], buf[1, :len(block)]
-        np.multiply.outer(sub[:, 0], cols[0], out=cos)
+        np.multiply.outer(sub[:, 0], cols[0, c0:], out=cos)
         for k in range(1, len(cols)):
-            cos += np.multiply.outer(sub[:, k], cols[k], out=tmp)
-        yield block, np.clip(cos, -1.0, 1.0, out=cos)
+            cos += np.multiply.outer(sub[:, k], cols[k, c0:], out=tmp)
+        yield block, cos
 
 
 def _threshold(radius: float, dist: float) -> float:
     return math.cos(min(dist / radius, math.pi))
+
+
+def _arc(cos: np.ndarray, idx: np.ndarray, radius: float) -> np.ndarray:
+    """Geodesic distances radius * arccos(cos) at the flat indices idx."""
+    return radius * np.arccos(np.clip(cos.ravel().take(idx), -1.0, 1.0))
 
 
 def _within(cos: np.ndarray, radius: float, dist: float) -> np.ndarray:
@@ -87,7 +106,7 @@ def _within(cos: np.ndarray, radius: float, dist: float) -> np.ndarray:
     t = _threshold(radius, dist)
     inside = cos >= t + _BAND
     edge = np.flatnonzero((cos > t - _BAND) ^ inside)
-    inside.flat[edge] = radius * np.arccos(cos.flat[edge]) <= dist
+    inside.ravel()[edge] = _arc(cos, edge, radius) <= dist
     return inside
 
 
@@ -98,7 +117,7 @@ def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
     1e-12 < dist <= max_dist; arccos only on cosines near or past the
     threshold."""
     idx = np.flatnonzero(cos >= _threshold(radius, max_dist) - _BAND)
-    dist = radius * np.arccos(cos.flat[idx])
+    dist = _arc(cos, idx, radius)
     sel = (dist > 1e-12) & (dist <= max_dist)
     if not np.any(sel):
         return 0.0
@@ -110,21 +129,26 @@ def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
 def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
            alpha: float | None = None, max_dist: float = 1.0,
            balls: bool = False):
-    """One pass over the sample cosines. Returns (c4, ball2): the Holder
-    ratio over pairs within max_dist when alpha is given (else 0.0), and
-    the geodesic 2-ball slice energy of every sample when balls is set
-    (else None)."""
+    """One pass over the upper triangle of the sample cosines, each pair
+    once. Returns (c4, ball2): the Holder ratio over pairs within max_dist
+    when alpha is given (else 0.0), and the geodesic 2-ball slice energy of
+    every sample when balls is set (else None). Both are symmetric in the
+    pair, so a block's 2-ball mask adds its row sums to its own rows and,
+    transposed, the part right of the block to the later rows."""
     ratios = [0.0]
-    ball2 = np.empty(len(values)) if balls else None
+    ball2 = np.zeros(len(values)) if balls else None
     w = sphere_area(unit.shape[1], radius) / len(values)
     weighted = values * w
-    for rows, cos in _cosine_blocks(unit):
+    for rows, cos in _cosine_blocks(unit, upper=True):
+        r0, r1 = rows[0], rows[-1] + 1
         if alpha is not None:
-            ratios.append(_holder_ratio(cos, values[rows], values, radius,
-                                        alpha, max_dist))
+            ratios.append(_holder_ratio(cos, values[r0:r1], values[r0:],
+                                        radius, alpha, max_dist))
         if balls:
-            ball2[rows] = np.einsum("ij,j->i", _within(cos, radius, 2.0),
-                                    weighted)
+            inside = _within(cos, radius, 2.0)
+            ball2[r0:r1] += np.einsum("ij,j->i", inside, weighted[r0:])
+            ball2[r1:] += np.einsum("i,ij->j", weighted[r0:r1],
+                                    inside[:, r1 - r0:])
     return float(np.max(ratios)), ball2
 
 
@@ -195,9 +219,11 @@ def select_good_radius(e: ScalarField, R: float, samples: int = 32,
     if 2.0 * R + g.h > g.r_max:
         raise ValueError(f"R={R} out of range: need 2R + h <= r_max")
     radii = R + (np.arange(samples) + 0.5) / samples * R
+    # r * (unit lattice) is the radius-r lattice bit for bit
+    unit = sphere_points(g.n, 1.0, K)
     best_r, best_val = radii[0], math.inf
     for r in radii:
-        _, vals = sample_sphere(e, float(r), K)
+        vals = interpolate(g, e.values, float(r) * unit)
         v = float(vals.mean() * sphere_area(g.n, float(r)))
         if v < best_val:
             best_r, best_val = float(r), v

@@ -184,13 +184,16 @@ def product_perturbed(zero, **kw) -> Potential:
     return Potential("product-perturbed", zero, exponent=2.0, lower_coef=1.0, **kw)
 
 
-# the keys from_config reads from a config block, per family
+# the keys from_config reads from a config block besides ``family``, per
+# family, each with its kind: a "number", or a "point" (a list of numbers,
+# or one number for m = 1)
+_SHARED_KEYS = {"zero": "point", "lower_radius": "number",
+                "monot_radius": "number"}
 CONFIG_KEYS = {
-    fam: frozenset(("family", "zero", "lower_radius", "monot_radius")
-                   + extra)
-    for fam, extra in (("quadratic", ()), ("power", ("q",)),
-                       ("anisotropic", ("coeffs", "powers")),
-                       ("product-perturbed", ()))
+    "quadratic": _SHARED_KEYS,
+    "power": {**_SHARED_KEYS, "q": "number"},
+    "anisotropic": {**_SHARED_KEYS, "coeffs": "point", "powers": "point"},
+    "product-perturbed": _SHARED_KEYS,
 }
 
 

@@ -122,6 +122,31 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     ({"analysis": {"radii": [1.0, "2"]}},
      "analysis.radii: expected a list of numbers"),
     ({"boundary": {"tag": "unknown"}}, "boundary.tag: unknown tag"),
+    # integer keys: a fractional value must not be truncated
+    ({"boundary": {"tag": "angular", "magnitude": 0.6, "windings": 1.5}},
+     "boundary.windings: expected an integer"),
+    ({"solver": {"max_iter": 2.5}}, "solver.max_iter: expected an integer"),
+    ({"analysis": {"sphere_points": 100.7}},
+     "analysis.sphere_points: expected an integer"),
+    ({"analysis": {"samples": 3.5}}, "analysis.samples: expected an integer"),
+    ({"boundary": {"tag": "random", "seed": 1.5}},
+     "boundary.seed: expected an integer"),
+    ({"seed": 0.5}, "seed: expected an integer"),
+    # potential values
+    ({"potential": {"family": "power", "q": "x"}},
+     "potential.q: expected a number"),
+    ({"potential": {"family": "quadratic", "zero": [0.0, "0"]}},
+     "potential.zero: expected a list of numbers"),
+    ({"potential": {"family": "quadratic", "monot_radius": [2.0]}},
+     "potential.monot_radius: expected a number"),
+    ({"potential": {"family": "power", "q": 4, "lower_radius": None}},
+     "potential.lower_radius: expected a number"),
+    ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
+                    "coeffs": {"a": 1}, "powers": [2, 4]}},
+     "potential.coeffs: expected a list of numbers"),
+    ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
+                    "coeffs": [1.0, 1.0], "powers": []}},
+     "potential.powers: expected a list of numbers"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     # a value of the wrong type names its key path, not a comparison error
@@ -129,6 +154,15 @@ def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     assert run_cli("minimize", cfg, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "solve.json").exists()
+
+
+def test_integral_float_is_accepted_as_integer():
+    # only a fractional part is rejected: 20000.0 is the integer 20000
+    cfg = json.loads(json.dumps(BASE))
+    cfg["solver"]["max_iter"] = 20000.0
+    cfg["analysis"]["sphere_points"] = 256.0
+    cfg["boundary"]["windings"] = 1.0
+    assert ExperimentConfig.from_dict(cfg).solver["max_iter"] == 20000
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from vacmin.discs import (BadDiscReport, ClearingOutViolated,
                           clearing_out_violations, find_bad_discs,
                           greedy_bad_discs, holder_constant,
                           select_good_radius, sphere_holder_constant)
-from vacmin.field import Grid, ScalarField, sphere_area, sphere_points
+from vacmin.field import (Grid, ScalarField, sample_sphere, sphere_area,
+                          sphere_points)
 
 
 def geodesic_distances(points: np.ndarray, radius: float) -> np.ndarray:
@@ -135,6 +136,27 @@ def test_good_radius_mean_value_bound():
     s_r, val = select_good_radius(e, R, samples=32)
     shell = integrate_ball(e, 2 * R) - integrate_ball(e, R)
     assert val <= shell / R + 0.05 * shell / R
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_good_radius_scan_scales_one_lattice(n):
+    # the scan interpolates at r * (unit lattice): that is the radius-r
+    # lattice bit for bit, so the scan agrees exactly with sampling each
+    # sphere afresh
+    for K in (8, 512, 4096):
+        unit = sphere_points(n, 1.0, K)
+        for r in (0.3, 1.0, 1.2345678901234567, 2.0 + 1 / 3, 7.5):
+            assert (r * unit).tobytes() == sphere_points(n, r, K).tobytes()
+    g = Grid(n, 0.2, 4.0)
+    rng = np.random.default_rng(n)
+    e = ScalarField(g, rng.random(g.shape))
+    R, samples, K = 1.2, 16, 1024
+    radii = R + (np.arange(samples) + 0.5) / samples * R
+    slices = [float(sample_sphere(e, float(r), K)[1].mean()
+                    * sphere_area(n, float(r))) for r in radii]
+    k = int(np.argmin(slices))
+    assert select_good_radius(e, R, samples=samples, K=K) == (
+        float(radii[k]), slices[k])
 
 
 def test_good_radius_range_check():
@@ -387,7 +409,8 @@ def dense_violations(points, values, radius, eps, mu):
 def _random_slice(rng, n, K):
     """A smooth random profile on K samples of a sphere of random radius,
     small enough for K samples to have neighbours within distance 1."""
-    R = float(rng.uniform(0.6, 1.5) if K < 100 else rng.uniform(2.0, 6.0))
+    lo, hi = (0.72, 0.86) if K < 16 else (0.6, 1.5) if K < 100 else (2.0, 6.0)
+    R = float(rng.uniform(lo, hi))
     pts = sphere_points(n, R, K)
     vals = np.full(K, rng.uniform(0.0, 0.2))
     for _ in range(int(rng.integers(1, 5))):
@@ -400,42 +423,85 @@ def _random_slice(rng, n, K):
 
 def _gap_threshold(ball2):
     """A level in the widest gap between the middle half of the sorted
-    2-ball energies, so no energy sits within rounding of it."""
+    2-ball energies (between all of them when the middle half is flat to
+    rounding, as when most 2-balls hold the whole sphere), so no energy
+    sits within rounding of it."""
     srt = np.sort(ball2)
     lo = len(srt) // 4
-    k = lo + int(np.argmax(np.diff(srt[lo:3 * lo + 1])))
+    for start, stop in ((lo, 3 * lo + 1), (0, len(srt))):
+        gaps = np.diff(srt[start:stop])
+        k = start + int(np.argmax(gaps))
+        if srt[k + 1] - srt[k] > 1e-9 * srt[-1]:
+            break
+    assert srt[k + 1] - srt[k] > 1e-9 * srt[-1], "no gap wider than rounding"
     return 0.5 * (srt[k] + srt[k + 1])
 
 
+def _matches_dense(n, R, pts, vals):
+    """Check the blocked sweep, covering and violation scan on one slice
+    against the dense references; returns (centers, violations) found."""
+    c4 = sphere_holder_constant(pts, vals, R, 1.0)
+    assert c4 == dense_holder(pts, vals, R, 1.0)
+    assert (sphere_holder_constant(pts, vals, R, 0.5, max_dist=1.5)
+            == dense_holder(pts, vals, R, 0.5, max_dist=1.5))
+    # the triangle sweep sums each 2-ball in another order than the dense
+    # matrix-vector product
+    ball2 = dense_ball2(pts, vals, R)
+    _, got = discs._sweep(pts / R, vals, R, balls=True)
+    np.testing.assert_allclose(got, ball2, rtol=1e-12, atol=0)
+    eps = 0.3 * float(vals.max())
+    mu = clearing_out_threshold(eps, c4, 1.0, n)
+    centers, covered = greedy_bad_discs(pts, vals, R, eps, mu)
+    ref_centers, ref_covered = dense_greedy(pts, vals, R, eps, mu)
+    assert centers.tolist() == ref_centers.tolist()
+    assert np.array_equal(covered, ref_covered)
+    # a level above the threshold so that violations exist
+    mu_high = _gap_threshold(ball2)
+    got = clearing_out_violations(pts, vals, R, eps, mu_high)
+    ref = dense_violations(pts, vals, R, eps, mu_high)
+    assert [(i, v) for i, _, v in got] == [(i, v) for i, _, v in ref]
+    assert [b for _, b, _ in got] == pytest.approx(
+        [b for _, b, _ in ref], rel=1e-12)
+    return len(centers), len(got)
+
+
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("K", [50, 1000])  # below / not a multiple of a block
+# below, at, just past and not a multiple of a block
+@pytest.mark.parametrize("K", [8, 50, discs._BLOCK, discs._BLOCK + 1, 1000])
 def test_blocked_sweep_matches_dense(n, K):
-    assert K < discs._BLOCK or K % discs._BLOCK
     rng = np.random.default_rng(100 * n + K)
     centers_seen = violations_seen = 0
     for _ in range(4):
         R, pts, vals = _random_slice(rng, n, K)
-        c4 = sphere_holder_constant(pts, vals, R, 1.0)
-        assert c4 == dense_holder(pts, vals, R, 1.0)
-        assert (sphere_holder_constant(pts, vals, R, 0.5, max_dist=1.5)
-                == dense_holder(pts, vals, R, 0.5, max_dist=1.5))
-        eps = 0.3 * float(vals.max())
-        mu = clearing_out_threshold(eps, c4, 1.0, n)
-        centers, covered = greedy_bad_discs(pts, vals, R, eps, mu)
-        ref_centers, ref_covered = dense_greedy(pts, vals, R, eps, mu)
-        assert centers.tolist() == ref_centers.tolist()
-        assert np.array_equal(covered, ref_covered)
-        centers_seen += len(centers)
-        # a level above the threshold so that violations exist
-        mu_high = _gap_threshold(dense_ball2(pts, vals, R))
-        got = clearing_out_violations(pts, vals, R, eps, mu_high)
-        ref = dense_violations(pts, vals, R, eps, mu_high)
-        assert [(i, v) for i, _, v in got] == [(i, v) for i, _, v in ref]
-        assert [b for _, b, _ in got] == pytest.approx(
-            [b for _, b, _ in ref], rel=1e-12)
-        violations_seen += len(got)
+        found = _matches_dense(n, R, pts, vals)
+        centers_seen += found[0]
+        violations_seen += found[1]
     assert centers_seen > 0 and violations_seen > 0
+    # duplicated samples: pairs at distance 0 drop out of the Holder ratio
+    # and count in each other's balls, across block boundaries too
+    R, pts, vals = _random_slice(rng, n, K)
+    dup = np.concatenate([np.arange(K), np.arange(0, K, 3)])
+    _matches_dense(n, R, pts[dup], vals[dup])
 
+
+def test_sweep_visits_each_pair_once(monkeypatch):
+    # the sweep forms only the upper triangle of the cosine table: with
+    # blocks of b rows, at most K (K + b) / 2 cosines, not K^2
+    sizes = []
+    blocks = discs._cosine_blocks
+
+    def counted(*args, **kw):
+        for rows, cos in blocks(*args, **kw):
+            sizes.append(cos.size)
+            yield rows, cos
+
+    monkeypatch.setattr(discs, "_cosine_blocks", counted)
+    for n, K in ((2, 1000), (3, 4 * discs._BLOCK), (3, discs._BLOCK + 1)):
+        R, pts, vals = _random_slice(np.random.default_rng(K), n, K)
+        sizes.clear()
+        discs._sweep(pts / R, vals, R, alpha=1.0, balls=True)
+        assert sum(sizes) <= K * (K + discs._BLOCK) / 2
+        assert sum(sizes) >= K * (K + 1) / 2
 
 
 @pytest.mark.parametrize("K", [200, 1000])
