@@ -143,9 +143,10 @@ def random_smooth(pot: Potential, magnitude: float, seed: int = 0,
 
 MAGNITUDE = 0.5  # the boundary modulus when a block leaves it out
 
-# per tag, the block keys make_boundary reads and their types (None: as
-# given); a key left out takes the generator's default. Every tag knows
-# ``magnitude``: the competitor suite caps its constructions at it.
+# per tag, the block keys make_boundary reads and their types (None: a
+# point, a list of numbers or one number for m = 1, passed as given); a key
+# left out takes the generator's default. Every tag knows ``magnitude``:
+# the competitor suite caps its constructions at it.
 CONFIG_KEYS = {
     "constant": {"magnitude": float},
     "angular": {"magnitude": float, "windings": int, "phase": float},

@@ -31,11 +31,8 @@ def _reject_unknown(path: str, block: dict, known) -> None:
         raise ConfigError(f"{path}.{sorted(unknown, key=str)[0]}: unknown key")
 
 
+# a key whose default is an int is read as an integer
 _SOLVER_DEFAULTS = {"tol": 1e-5, "max_iter": 50_000}
-# read as integers (with the boundary keys cast to int); a fractional value
-# would be truncated silently
-_INTEGER_KEYS = ("n", "m", "seed", "solver.max_iter", "analysis.samples",
-                 "analysis.sphere_points")
 _ANALYSIS_DEFAULTS = {
     "radii": [],
     "eps": 0.1,
@@ -85,39 +82,46 @@ class ExperimentConfig:
         family = self.potential["family"]
         need(isinstance(family, str) and family in POTENTIAL_KEYS,
              "potential.family", f"unknown family {family!r}")
-        kinds = POTENTIAL_KEYS[family]
-        _reject_unknown("potential", self.potential, {"family", *kinds})
-        for key in (k for k in kinds if k in self.potential):
-            value = self.potential[key]
-            if kinds[key] == "number":
-                need(number(value), f"potential.{key}", "expected a number")
-            else:
-                need(number(value) or isinstance(value, (list, tuple))
-                     and len(value) > 0 and all(map(number, value)),
-                     f"potential.{key}", "expected a list of numbers")
+        _reject_unknown("potential", self.potential,
+                        {"family", *POTENTIAL_KEYS[family]})
+        if family == "anisotropic":
+            for key in ("coeffs", "powers"):
+                need(key in self.potential, f"potential.{key}", "is required")
         need(isinstance(self.boundary, dict) and "tag" in self.boundary,
              "boundary.tag", "is required")
         tag = self.boundary["tag"]
         need(isinstance(tag, str) and tag in BOUNDARY_KEYS, "boundary.tag",
              "unknown tag")
-        casts = BOUNDARY_KEYS[tag]
-        _reject_unknown("boundary", self.boundary, {"tag", *casts})
+        _reject_unknown("boundary", self.boundary,
+                        {"tag", *BOUNDARY_KEYS[tag]})
+        # the type each value is read as: int, float, or None for a point
+        types = {"n": int, "m": int, "h": float, "r_max": float, "seed": int,
+                 **{f"{path}.{k}": int if isinstance(v, int) else float
+                    for path, defaults in (("solver", _SOLVER_DEFAULTS),
+                                           ("analysis", _ANALYSIS_DEFAULTS))
+                    for k, v in defaults.items()},
+                 **{f"potential.{k}": t
+                    for k, t in POTENTIAL_KEYS[family].items()},
+                 **{f"boundary.{k}": t for k, t in BOUNDARY_KEYS[tag].items()}}
         values = {"n": self.n, "m": self.m, "h": self.h, "r_max": self.r_max,
                   "seed": self.seed,
-                  **{f"solver.{k}": v for k, v in self.solver.items()},
-                  **{f"analysis.{k}": v for k, v in self.analysis.items()},
-                  **{f"boundary.{k}": v for k, v in self.boundary.items()
-                     if casts.get(k)}}
+                  **{f"{path}.{k}": v
+                     for path in ("solver", "analysis", "potential",
+                                  "boundary")
+                     for k, v in getattr(self, path).items()
+                     if k not in ("family", "tag")}}
         radii = values.pop("analysis.radii")
-        integers = {*_INTEGER_KEYS,
-                    *(f"boundary.{k}" for k, cast in casts.items()
-                      if cast is int)}
         for path, value in values.items():
+            if types[path] is None:
+                need(number(value) or isinstance(value, (list, tuple))
+                     and len(value) > 0 and all(map(number, value)),
+                     path, "expected a list of numbers")
+                continue
             # a null analysis.tau or analysis.r is derived by the CLI
             need(number(value) or value is None and path in (
                 "analysis.tau", "analysis.r"), path, "expected a number")
-            need(path not in integers or isinstance(value, Integral)
-                 or float(value).is_integer(), path, "expected an integer")
+            need(types[path] is not int or isinstance(value, Integral), path,
+                 "expected an integer")
         need(isinstance(radii, (list, tuple)) and all(map(number, radii)),
              "analysis.radii", "expected a list of numbers")
         need(self.n in (2, 3), "n", "must be 2 or 3")

@@ -58,16 +58,15 @@ _BLOCK = 64
 _BAND = 1e-9
 
 
-def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None,
-                   upper: bool = False):
+def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None):
     """Yield (block, cos) for consecutive blocks of at most _BLOCK of the
-    given rows (default: all samples): cos[a, j] is the cosine between
-    unit[block[a]] and unit[j]. With upper set the rows are all samples and
-    the block of rows r0..r1-1 is formed only against columns r0..K-1, so
-    cos[a, j] pairs unit[block[a]] with unit[r0 + j] and every unordered
-    pair of samples appears in exactly one block (pairs within a block in
-    both orders). The cosines are not clipped: rounding can leave them a
-    few ulps outside [-1, 1], so clip whatever goes to arccos.
+    given rows: cos[a, j] is the cosine between unit[block[a]] and unit[j].
+    With rows omitted the blocks form the upper triangle: the block of rows
+    r0..r1-1 is formed only against columns r0..K-1, so cos[a, j] pairs
+    unit[block[a]] with unit[r0 + j] and every unordered pair of samples
+    appears in exactly one block (pairs within a block in both orders).
+    The cosines are not clipped: rounding can leave them a few ulps outside
+    [-1, 1], so clip whatever goes to arccos.
 
     The products are summed coordinate by coordinate, not by a BLAS matrix
     product, so the cosines do not depend on the BLAS build or its thread
@@ -75,7 +74,8 @@ def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None,
     for bit in every block either falls in. Each cos is a C-contiguous view
     of a reused buffer, valid until the next block is drawn."""
     K = len(unit)
-    if rows is None:
+    upper = rows is None
+    if upper:
         rows = np.arange(K)
     cols = unit.T.copy()
     buf = np.empty((2, min(_BLOCK, len(rows)) * K))
@@ -139,7 +139,7 @@ def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
     ball2 = np.zeros(len(values)) if balls else None
     w = sphere_area(unit.shape[1], radius) / len(values)
     weighted = values * w
-    for rows, cos in _cosine_blocks(unit, upper=True):
+    for rows, cos in _cosine_blocks(unit):
         r0, r1 = rows[0], rows[-1] + 1
         if alpha is not None:
             ratios.append(_holder_ratio(cos, values[r0:r1], values[r0:],

@@ -184,15 +184,14 @@ def product_perturbed(zero, **kw) -> Potential:
     return Potential("product-perturbed", zero, exponent=2.0, lower_coef=1.0, **kw)
 
 
-# the keys from_config reads from a config block besides ``family``, per
-# family, each with its kind: a "number", or a "point" (a list of numbers,
-# or one number for m = 1)
-_SHARED_KEYS = {"zero": "point", "lower_radius": "number",
-                "monot_radius": "number"}
+# per family, the keys from_config reads from a config block besides
+# ``family`` and their types, as in boundary.CONFIG_KEYS (None: a point, a
+# list of numbers or one number for m = 1)
+_SHARED_KEYS = {"zero": None, "lower_radius": float, "monot_radius": float}
 CONFIG_KEYS = {
     "quadratic": _SHARED_KEYS,
-    "power": {**_SHARED_KEYS, "q": "number"},
-    "anisotropic": {**_SHARED_KEYS, "coeffs": "point", "powers": "point"},
+    "power": {**_SHARED_KEYS, "q": float},
+    "anisotropic": {**_SHARED_KEYS, "coeffs": None, "powers": None},
     "product-perturbed": _SHARED_KEYS,
 }
 
