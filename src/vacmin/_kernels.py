@@ -9,9 +9,10 @@ energy is the forward-difference edge sum
 
 over edges with at least one interior endpoint; its exact gradient with
 respect to interior values is h^n * (-lap_h(u) + gradW(u)).
-``InteriorOperator`` is the one implementation of both: it holds the
-field's boundary values pinned and evaluates E, its gradient and the
-solver's line search on the interior values alone. ``energy_only`` and
+``InteriorOperator`` is the one implementation of both and the one list
+of those edges (``edges``): it holds the field's boundary values pinned
+and evaluates E, its gradient and the solver's line search on the
+interior values alone. ``energy_only`` and
 ``energy_and_grad`` apply it to a full-cube field with that field's own
 boundary values. Every inner product is a single-threaded ``np.einsum``
 reduction, so results do not depend on the BLAS thread count.
@@ -135,23 +136,35 @@ class InteriorOperator:
         out *= -self.cell / self.h2
         return out
 
-    def energy(self, x: np.ndarray) -> float:
-        """E at interior values x: the edge sum over every edge with an
-        interior endpoint. Each interior node contributes its +axis edges,
-        and its -axis edges to ring nodes, the neighbours read from the
-        pinned buffer."""
-        buf = self._pinned
-        buf[:, :self.n_int] = x
+    def pinned(self, x: np.ndarray) -> np.ndarray:
+        """The buffer [x, pinned ring values] that ``edges`` indexes; the
+        next call overwrites it."""
+        self._pinned[:, :self.n_int] = x
+        return self._pinned
+
+    def edges(self):
+        """Yield (a, b): buffer positions of the edges of the discrete
+        energy, every edge with an interior endpoint, b one step along +axis
+        from a. Per axis: each interior node's +axis edge, then its -axis
+        edges to ring nodes."""
         n = len(self.nbr) // 2
+        every = np.arange(self.n_int)
+        for up, down in zip(self.nbr[:n], self.nbr[n:]):
+            yield every, up
+            at_ring = np.flatnonzero(down >= self.n_int)
+            yield down[at_ring], at_ring
+
+    def energy(self, x: np.ndarray) -> float:
+        """E at interior values x: 1/2 |u_b - u_a|^2 / h^2 summed over
+        ``edges``, plus W summed over the interior."""
+        buf = self.pinned(x)
         e = 0.0
         # overflow to inf is fine: the solver treats non-finite energy as
         # divergence
         with np.errstate(over="ignore"):
-            for up, down in zip(self.nbr[:n], self.nbr[n:]):
-                d = np.take(buf, up, axis=1, mode="clip") - x
-                e += 0.5 * float(np.sum(d * d)) / self.h2
-                at_ring = np.flatnonzero(down >= self.n_int)
-                d = x[:, at_ring] - buf[:, down[at_ring]]
+            for a, b in self.edges():
+                d = (np.take(buf, b, axis=1, mode="clip")
+                     - np.take(buf, a, axis=1, mode="clip"))
                 e += 0.5 * float(np.sum(d * d)) / self.h2
             e += float(np.sum(self.pot.value_field(x)))
         return e * self.cell

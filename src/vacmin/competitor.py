@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import edge_slices
+from ._kernels import InteriorOperator, edge_slices, norm2
 from .field import BOUNDARY, INTERIOR, VectorField
 from .growth import annulus_field
 from .minimizer import discrete_energy, minimize
@@ -54,21 +54,35 @@ def _boundary_deviation(u: VectorField, v: VectorField) -> float:
     return float(d[sel].max())
 
 
-def compare(u: VectorField, v: VectorField, pot: Potential, tag: str,
-            params: dict | None = None) -> CompetitorReport:
-    eu = discrete_energy(u, pot)
+def compare(u: VectorField, energy_u: float, v: VectorField, pot: Potential,
+            tag: str, params: dict | None = None) -> CompetitorReport:
+    """Compare the competitor v with u, whose discrete energy is
+    energy_u."""
     ev = discrete_energy(v, pot)
     dev = _boundary_deviation(u, v)
     # the shell construction renormalizes the direction, so allow roundoff
     return CompetitorReport(
         tag=tag,
-        energy_u=eu,
+        energy_u=energy_u,
         energy_competitor=ev,
-        difference=ev - eu,
+        difference=ev - energy_u,
         boundary_deviation=dev,
         admissible=bool(dev <= 1e-12),
         params=params or {},
     )
+
+
+def _polar(vals: np.ndarray, zero):
+    """(zero as a column, d = vals - zero, rho = |d|) for a channels-first
+    array of any trailing shape."""
+    a = np.asarray(zero, dtype=float).reshape((-1,) + (1,) * (vals.ndim - 1))
+    d = vals - a
+    return a, d, np.sqrt(np.sum(d * d, axis=0))
+
+
+def _direction(d: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """d / rho, and 0 where rho = 0."""
+    return np.where(rho > 0.0, d / np.where(rho > 0, rho, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +107,15 @@ def taper(tau, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def build_truncation(u: VectorField, zero, r: float,
-                     r0: float | None = None) -> VectorField:
+def build_truncation(u: VectorField, zero, r: float) -> VectorField:
     """Cap the modulus rho = |u - zero| at r and taper to the zero past 2r:
     u~ = zero + min(rho, r) * taper(rho) * direction. Idempotent; nodes with
     rho = 0 map to the zero."""
-    if r0 is not None and not 0 < r < r0 / 2:
-        raise ValueError("need r in (0, r0/2)")
     if r <= 0:
         raise ValueError("r must be positive")
-    zero = np.atleast_1d(np.asarray(zero, dtype=float))
-    a = zero.reshape((-1,) + (1,) * u.grid.n)
-    d = u.values - a
-    rho = np.sqrt(np.sum(d * d, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(rho > 0.0,
-                         np.minimum(rho, r) * taper(rho, r) / np.where(rho > 0, rho, 1.0),
-                         0.0)
-    return u.with_values(a + scale * d)
+    a, d, rho = _polar(u.values, zero)
+    return u.with_values(a + _direction(np.minimum(rho, r) * taper(rho, r),
+                                        rho) * d)
 
 
 def build_min_truncation(u: VectorField, level: float) -> VectorField:
@@ -136,13 +141,11 @@ def select_truncation_level(u: VectorField, zero: float, d: float,
 
 
 def modulus_gradient_ratio(u: VectorField, trunc: VectorField, zero) -> float:
-    """max over edges of |D rho~| / |D rho|: the truncation composes the
-    modulus with a 1-Lipschitz map, so this stays <= 1 up to roundoff.
-    Reported alongside the energy comparison, never asserted."""
-    zero = np.atleast_1d(np.asarray(zero, dtype=float))
-    a = zero.reshape((-1,) + (1,) * u.grid.n)
-    rho = np.sqrt(np.sum((u.values - a) ** 2, axis=0))
-    rho_t = np.sqrt(np.sum((trunc.values - a) ** 2, axis=0))
+    """max over the cube's grid edges of |D rho~| / |D rho|: the truncation
+    composes the modulus with a 1-Lipschitz map, so this stays <= 1 up to
+    roundoff. Reported alongside the energy comparison, never asserted."""
+    rho = _polar(u.values, zero)[2]
+    rho_t = _polar(trunc.values, zero)[2]
     worst = 0.0
     for ax in range(u.grid.n):
         lo, hi = edge_slices(u.grid.n, ax)
@@ -159,14 +162,9 @@ def build_shell(u: VectorField, zero, r: float) -> VectorField:
     coordinate direction."""
     if r <= 0:
         raise ValueError("r must be positive")
-    zero = np.atleast_1d(np.asarray(zero, dtype=float))
-    a = zero.reshape((-1,) + (1,) * u.grid.n)
-    d = u.values - a
-    rho = np.sqrt(np.sum(d * d, axis=0))
-    nu = np.where(rho > 0.0, d / np.where(rho > 0, rho, 1.0), 0.0)
-    fallback = np.zeros_like(nu)
-    fallback[0] = 1.0
-    nu = np.where(rho > 0.0, nu, fallback)
+    a, d, rho = _polar(u.values, zero)
+    nu = _direction(d, rho)
+    nu[0][~(rho > 0.0)] = 1.0
     return u.with_values(a + r * nu)
 
 
@@ -174,39 +172,32 @@ def build_shell(u: VectorField, zero, r: float) -> VectorField:
 # energy decomposition (modulus / direction / potential split)
 
 
-def energy_decomposition(u: VectorField, zero, pot: Potential):
-    """Split the discrete energy into the modulus-gradient, direction-gradient
-    and potential terms:
+def energy_decomposition(u: VectorField, pot: Potential):
+    """Split the discrete energy about the potential's zero into the
+    modulus-gradient, direction-gradient and potential terms:
 
         E = 1/2 sum_edges (D rho)^2 + 1/2 sum_edges rho_a rho_b |D nu|^2
             + sum_interior W
 
-    (volume-scaled). With the geometric-mean modulus weight the split is an
-    exact identity per edge; edges touching a rho = 0 node contribute
-    entirely to the modulus term.
+    (volume-scaled), summed over the edges of an ``InteriorOperator`` that
+    pins u's own boundary values, the edges ``discrete_energy`` sums over.
+    With the geometric-mean modulus weight the split is an exact identity
+    per edge; edges touching a rho = 0 node contribute entirely to the
+    modulus term.
     """
-    g = u.grid
-    zero = np.atleast_1d(np.asarray(zero, dtype=float))
-    a = zero.reshape((-1,) + (1,) * g.n)
-    d = u.values - a
-    rho = np.sqrt(np.sum(d * d, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = np.where(rho > 0.0, d / np.where(rho > 0, rho, 1.0), 0.0)
-    h, n = g.h, g.n
-    cell = h ** n
+    op = InteriorOperator(u.grid, u.values, pot)
+    x = op.gather(u.values)
+    _, d, rho = _polar(op.pinned(x), pot.zero)
+    nu = _direction(d, rho)
     t_rho = 0.0
     t_nu = 0.0
-    interior = g.mask == INTERIOR
-    for ax in range(n):
-        lo, hi = edge_slices(n, ax)
-        inc = (g.mask[lo] == INTERIOR) | (g.mask[hi] == INTERIOR)
-        drho = (rho[hi] - rho[lo]) * inc
-        t_rho += 0.5 * float(np.sum(drho * drho)) / (h * h)
-        dnu = (nu[(slice(None),) + hi] - nu[(slice(None),) + lo])
-        dnu2 = np.sum(dnu * dnu, axis=0)
-        t_nu += 0.5 * float(np.sum(rho[hi] * rho[lo] * dnu2 * inc)) / (h * h)
-    t_w = float(np.sum(pot.value_field(u.values)[interior]))
-    return t_rho * cell, t_nu * cell, t_w * cell
+    for a, b in op.edges():
+        drho = rho[b] - rho[a]
+        t_rho += 0.5 * float(np.sum(drho * drho)) / op.h2
+        dnu2 = norm2(nu[:, b] - nu[:, a])
+        t_nu += 0.5 * float(np.sum(rho[b] * rho[a] * dnu2)) / op.h2
+    t_w = float(np.sum(pot.value_field(x)))
+    return t_rho * op.cell, t_nu * op.cell, t_w * op.cell
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +248,9 @@ def max_principle_check(u0: VectorField, pot: Potential, r: float,
         raise ValueError(f"boundary data exceeds r: sup |g - zero| = "
                          f"{boundary_sup:.6g} > {r:.6g}")
     u, solve = minimize(u0, pot, tol=tol, max_iter=max_iter)
-    trunc = build_truncation(u, pot.zero, r, r0=r0)
-    eu = discrete_energy(u, pot)
-    et = discrete_energy(trunc, pot)
+    # the solver's reported energy is discrete_energy(u) bit for bit
+    eu = solve.energy
+    et = discrete_energy(build_truncation(u, pot.zero, r), pot)
     dq = quadrature_slack(grid)
     interior_sup = float(u.distance_from(pot.zero).values[grid.mask == INTERIOR].max())
     holds = interior_sup <= r + 2 * grid.h
@@ -295,15 +286,16 @@ def standard_suite(u: VectorField, pot: Potential,
     exceeds the boundary so that comparison is typically trivial.
     """
     g = u.grid
+    eu = discrete_energy(u, pot)
     s_r = g.r_max - 2 * g.h
-    reports = [compare(u, build_annulus_competitor(u, pot, s_r), pot,
+    reports = [compare(u, eu, build_annulus_competitor(u, pot, s_r), pot,
                        "annulus", {"s_r": s_r})]
     mag = float(boundary_magnitude)
     trunc = build_truncation(u, pot.zero, mag)
-    reports.append(compare(u, trunc, pot, "truncation", {
+    reports.append(compare(u, eu, trunc, pot, "truncation", {
         "r": mag,
         "grad_ratio": modulus_gradient_ratio(u, trunc, pot.zero)}))
-    shell = compare(u, build_shell(u, pot.zero, mag), pot,
+    shell = compare(u, eu, build_shell(u, pot.zero, mag), pot,
                     "constant-r-shell", {"r": mag})
     if not shell.admissible:
         shell.note = ("boundary modulus is not constant; shell competitor "
@@ -315,7 +307,7 @@ def standard_suite(u: VectorField, pot: Potential,
         umax = float(u.values[0].max())
         level = umax if umax <= bsup else select_truncation_level(
             u, zero, bsup - zero, pot)
-        rep = compare(u, build_min_truncation(u, level), pot,
+        rep = compare(u, eu, build_min_truncation(u, level), pot,
                       "min-truncation", {"level": level})
         if level >= umax:
             rep.note = "interior never exceeds boundary; comparison is trivial"

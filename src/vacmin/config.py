@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 
+import numpy as np
 import yaml
 
 from .boundary import CONFIG_KEYS as BOUNDARY_KEYS
@@ -137,6 +138,23 @@ class ExperimentConfig:
         need(self.analysis["eps"] > 0, "analysis.eps", "must be > 0")
         need(0 < self.analysis["alpha"] <= 1, "analysis.alpha",
              "must be in (0, 1]")
+        need(self.analysis["samples"] >= 1, "analysis.samples",
+             "must be >= 1")
+        need(self.analysis["sphere_points"] >= 8, "analysis.sphere_points",
+             "must be >= 8")
+        # the ranges Potential enforces, checked here to name their key
+        pot = self.potential
+        need(pot.get("q", 2) >= 2, "potential.q", "must be >= 2")
+        for key in ("lower_radius", "monot_radius"):
+            need(pot.get(key, 1.0) > 0, f"potential.{key}", "must be > 0")
+        if family == "anisotropic":
+            for key in ("coeffs", "powers"):
+                need(np.size(pot[key]) == np.size(pot.get("zero", 0.0)),
+                     f"potential.{key}",
+                     "must match the dimension of potential.zero")
+            powers = np.asarray(pot["powers"])
+            need(np.all(powers >= 2) and np.allclose(powers % 2, 0),
+                 "potential.powers", "must be even integers >= 2")
 
     # -- construction helpers ------------------------------------------------
 

@@ -310,43 +310,6 @@ def _cover(unit: np.ndarray, values: np.ndarray, radius: float, eps: float,
     return np.array(centers, dtype=int), covered
 
 
-def _report(points: np.ndarray, values: np.ndarray, centers_idx: np.ndarray,
-            covered: np.ndarray, good_radius: float, eps: float, mu: float,
-            c4: float, alpha: float, R: float) -> BadDiscReport:
-    n = points.shape[1]
-    off = values[~covered]
-    offdisc_sup = float(off.max()) if off.size else 0.0
-    if offdisc_sup > eps:
-        raise ClearingOutViolated("uncovered sample above eps after covering")
-    slice_energy = float(values.mean() * sphere_area(n, good_radius))
-    return BadDiscReport(
-        R=R if R else good_radius / 1.5,
-        good_radius=good_radius,
-        eps=eps,
-        c4=c4,
-        alpha=alpha,
-        mu=mu,
-        centers=points[centers_idx] if centers_idx.size else np.empty((0, n)),
-        count=int(centers_idx.size),
-        offdisc_sup=offdisc_sup,
-        slice_energy=slice_energy,
-        points=points,
-        values=values,
-        covered=covered,
-    )
-
-
-def find_bad_discs(e: ScalarField, good_radius: float, eps: float, mu: float,
-                   K: int = 1024, c4: float = 0.0, alpha: float = 1.0,
-                   R: float = 0.0) -> BadDiscReport:
-    """Sample e on the sphere |x| = good_radius and cover the region where
-    e > eps by geodesic unit discs of slice energy >= mu."""
-    points, values = sample_sphere(e, good_radius, K)
-    centers_idx, covered = greedy_bad_discs(points, values, good_radius, eps, mu)
-    return _report(points, values, centers_idx, covered, good_radius, eps,
-                   mu, c4, alpha, R)
-
-
 def clearing_out_violations(points: np.ndarray, values: np.ndarray,
                             radius: float, eps: float, mu: float) -> list:
     """Exhaustive soundness check of the threshold on explicit samples:
@@ -377,5 +340,13 @@ def bad_disc_pipeline(e: ScalarField, R: float, eps: float, alpha: float = 1.0,
     c4 = max(c4_grid, c4_sphere, 1e-12)
     mu = clearing_out_threshold(eps, c4, alpha, n)
     centers_idx, covered = _cover(unit, vals, s_r, eps, mu, ball2)
-    return _report(pts, vals, centers_idx, covered, s_r, eps, mu, c4, alpha,
-                   R)
+    off = vals[~covered]
+    offdisc_sup = float(off.max()) if off.size else 0.0
+    if offdisc_sup > eps:
+        raise ClearingOutViolated("uncovered sample above eps after covering")
+    return BadDiscReport(
+        R=R, good_radius=s_r, eps=eps, c4=c4, alpha=alpha, mu=mu,
+        centers=pts[centers_idx], count=int(centers_idx.size),
+        offdisc_sup=offdisc_sup,
+        slice_energy=float(vals.mean() * sphere_area(n, s_r)),
+        points=pts, values=vals, covered=covered)

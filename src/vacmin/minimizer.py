@@ -15,7 +15,7 @@ tries to defeat it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 
 import numpy as np
 
@@ -47,18 +47,9 @@ class SolveReport:
     energy_trace: list = dfield(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "energy": self.energy,
-            "residual": self.residual,
-            "converged": self.converged,
-            "tol": self.tol,
-            "step_min": self.step_min,
-            "step_max": self.step_max,
-            "step_last": self.step_last,
-            "backtracks": self.backtracks,
-            "note": self.note,
-        }
+        """Every field but the energy trace, which stays in memory."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "energy_trace"}
 
 
 def discrete_energy(u: VectorField, pot: Potential) -> float:

@@ -157,13 +157,35 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     ({"seed": 1.0}, "seed: expected an integer"),
     ({"solver": {"max_iter": 20000.0}},
      "solver.max_iter: expected an integer"),
+    # values out of range
+    ({"analysis": {"sphere_points": 4}},
+     "analysis.sphere_points: must be >= 8"),
+    ({"analysis": {"samples": 0}}, "analysis.samples: must be >= 1"),
+    ({"potential": {"family": "power", "zero": [0.0, 0.0], "q": 1}},
+     "potential.q: must be >= 2"),
+    ({"potential": {"family": "power", "zero": [0.0, 0.0], "q": 4,
+                    "lower_radius": -1.0}},
+     "potential.lower_radius: must be > 0"),
+    ({"potential": {"family": "quadratic", "zero": [0.0, 0.0],
+                    "monot_radius": 0}},
+     "potential.monot_radius: must be > 0"),
+    ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
+                    "coeffs": [1.0, 1.0], "powers": [3, 2]}},
+     "potential.powers: must be even integers >= 2"),
+    ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
+                    "coeffs": [1.0], "powers": [2, 4]}},
+     "potential.coeffs: must match the dimension of potential.zero"),
+    ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
+                    "coeffs": [1.0, 1.0], "powers": [2, 4, 4]}},
+     "potential.powers: must match the dimension of potential.zero"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
-    # a value of the wrong type names its key path, not a comparison error
+    # a bad value names its key path, not a comparison error, and is
+    # rejected before anything is solved or written
     cfg = write_cfg(tmp_path, **overrides)
     assert run_cli("minimize", cfg, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "solve.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

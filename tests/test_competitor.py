@@ -9,7 +9,7 @@ from vacmin.competitor import (build_annulus_competitor, build_min_truncation,
                                energy_decomposition, max_principle_check,
                                quadrature_slack, select_truncation_level,
                                standard_suite, taper)
-from vacmin.field import Grid, VectorField
+from vacmin.field import BOUNDARY, Grid, VectorField
 from vacmin.minimizer import discrete_energy, minimize
 from vacmin.potentials import anisotropic, excursion_bound, power, quadratic
 
@@ -72,17 +72,19 @@ def test_truncation_idempotent(small_grid, rng):
 
 
 def test_truncation_hypothesis_check():
+    # the cap must be positive; r < r0/2 is max_principle_check's to test
     g = Grid(2, 0.1, 1.0)
     u = VectorField.constant(g, [0.0])
-    with pytest.raises(ValueError):
-        build_truncation(u, [0.0], 0.6, r0=1.0)  # r >= r0/2
+    for r in (0.0, -0.2):
+        with pytest.raises(ValueError):
+            build_truncation(u, [0.0], r)
 
 
 def test_truncation_never_increases_potential_term(small_grid, rng):
     # pointwise W comparison under nondecreasing radial sections
     pot = power([0.0, 0.0], 4)
     u = VectorField(small_grid, rng.uniform(-0.4, 0.4, (2,) + small_grid.shape))
-    t = build_truncation(u, pot.zero, 0.2, r0=1.0)
+    t = build_truncation(u, pot.zero, 0.2)
     w_u = pot.value_field(u.values)
     w_t = pot.value_field(t.values)
     assert (w_t <= w_u + 1e-15).all()
@@ -114,7 +116,7 @@ def test_shell_construction(small_grid, rng):
 def test_decomposition_zero(small_grid):
     pot = quadratic([0.0, 0.0])
     u = VectorField.constant(small_grid, [0.0, 0.0])
-    assert energy_decomposition(u, pot.zero, pot) == (0.0, 0.0, 0.0)
+    assert energy_decomposition(u, pot) == (0.0, 0.0, 0.0)
 
 
 def test_decomposition_fixed_direction_has_no_angular_term(small_grid):
@@ -126,24 +128,35 @@ def test_decomposition_fixed_direction_has_no_angular_term(small_grid):
         return np.stack([amp * nu0[0], amp * nu0[1]])
 
     u = VectorField.from_function(small_grid, radial)
-    t_rho, t_nu, t_w = energy_decomposition(u, pot.zero, pot)
+    t_rho, t_nu, t_w = energy_decomposition(u, pot)
     assert t_nu == pytest.approx(0.0, abs=1e-14)
     assert t_rho > 0 and t_w > 0
 
 
-def test_decomposition_sums_to_energy(small_grid, rng):
+def test_decomposition_sums_to_energy(rng):
     pot = power([0.0, 0.0], 4)
-    vals = rng.uniform(-1, 1, (2,) + small_grid.shape)
-    u = VectorField(small_grid, vals)
-    t_rho, t_nu, t_w = energy_decomposition(u, pot.zero, pot)
-    total = discrete_energy(u, pot)
-    assert t_rho + t_nu + t_w == pytest.approx(total, rel=1e-12)
-    # with zero-modulus nodes present the identity still holds exactly
-    vals2 = vals.copy()
-    vals2[:, 20:25, 20:25] = 0.0
-    u2 = VectorField(small_grid, vals2)
-    parts = energy_decomposition(u2, pot.zero, pot)
-    assert sum(parts) == pytest.approx(discrete_energy(u2, pot), rel=1e-12)
+    for g in (Grid(2, 0.1, 2.0), Grid(3, 0.2, 1.2)):
+        vals = rng.uniform(-1, 1, (2,) + g.shape)
+        u = VectorField(g, vals)
+        t_rho, t_nu, t_w = energy_decomposition(u, pot)
+        total = discrete_energy(u, pot)
+        assert t_rho + t_nu + t_w == pytest.approx(total, rel=1e-12)
+        # with zero-modulus nodes present the identity still holds exactly
+        vals2 = vals.copy()
+        mid = g.shape[0] // 2
+        vals2[(slice(None),) + (slice(mid - 2, mid + 3),) * g.n] = 0.0
+        u2 = VectorField(g, vals2)
+        parts = energy_decomposition(u2, pot)
+        assert sum(parts) == pytest.approx(discrete_energy(u2, pot),
+                                           rel=1e-12)
+        # a non-admissible field: the shell's ring values differ from u's,
+        # and the split still sums to its own energy
+        shell = build_shell(u, pot.zero, 0.5)
+        ring = g.mask == BOUNDARY
+        assert not np.array_equal(shell.values[:, ring], vals[:, ring])
+        parts = energy_decomposition(shell, pot)
+        assert sum(parts) == pytest.approx(discrete_energy(shell, pot),
+                                           rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +225,32 @@ def test_competitors_never_beat_minimizers(standard_runs):
             assert rep.difference >= -dq, (run.label, rep.tag, rep.difference)
 
 
+def test_suite_evaluates_energy_u_once(standard_runs, monkeypatch):
+    # one discrete energy for u plus one per competitor, for m = 1 and 2
+    import vacmin._kernels as kernels
+    real = kernels.energy_only
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "energy_only", counting)
+    for run in (standard_runs[0], standard_runs[4]):
+        calls.clear()
+        reports = standard_suite(run.u, run.pot, run.magnitude)
+        assert len(reports) == (4 if run.u.m == 1 else 3)
+        assert len(calls) == len(reports) + 1
+        eu = discrete_energy(run.u, run.pot)
+        assert all(r.energy_u == eu for r in reports)
+
+
 def test_annulus_competitor_agrees_on_boundary(standard_runs):
     run = standard_runs[0]
     s_r = run.grid.r_max - 2 * run.grid.h
     v = build_annulus_competitor(run.u, run.pot, s_r)
-    rep = compare(run.u, v, run.pot, "annulus")
+    rep = compare(run.u, discrete_energy(run.u, run.pot), v, run.pot,
+                  "annulus")
     assert rep.boundary_deviation == 0.0
     assert rep.admissible
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from vacmin import discs
-from vacmin.discs import (BadDiscReport, ClearingOutViolated,
-                          bad_disc_pipeline, clearing_out_threshold,
-                          clearing_out_violations, find_bad_discs,
+from vacmin.discs import (ClearingOutViolated, bad_disc_pipeline,
+                          clearing_out_threshold, clearing_out_violations,
                           greedy_bad_discs, holder_constant,
                           select_good_radius, sphere_holder_constant)
 from vacmin.field import (Grid, ScalarField, sample_sphere, sphere_area,
@@ -269,21 +268,19 @@ def test_covering_violation_error():
         greedy_bad_discs(pts, vals, R, eps=0.5, mu=1.0)
 
 
-def test_find_bad_discs_field_pipeline():
+def test_sampled_field_covering():
+    # a field's samples on one sphere, covered at a given threshold
     g = Grid(2, 0.05, 5.0)
     hot = ScalarField.from_function(
         g, lambda x: np.exp(-((x[0] - 3.0) ** 2 + x[1] ** 2) / 0.1))
     eps = 0.05
     c4 = holder_constant(hot, 1.0)
     mu = clearing_out_threshold(eps, c4, 1.0, 2)
-    rep = find_bad_discs(hot, 3.0, eps, mu, K=1024, c4=c4, alpha=1.0, R=2.0)
-    assert isinstance(rep, BadDiscReport)
-    assert rep.count >= 1
-    assert rep.offdisc_sup <= eps
+    points, values = sample_sphere(hot, 3.0, 1024)
+    centers, covered = greedy_bad_discs(points, values, 3.0, eps, mu)
+    assert centers.size >= 1
     # every uncovered sample with e > eps would be a bug
-    assert (rep.values[~rep.covered] <= eps).all()
-    d = rep.to_dict()
-    assert d["count"] == rep.count
+    assert (values[~covered] <= eps).all()
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,23 @@ def test_operator_arrays_are_planar(n, h, r):
     for a in (x, grad, grad_d, ag, trial, w_t):
         assert a.flags.c_contiguous
     assert x.shape == (2, op.n_int)
+
+
+@pytest.mark.parametrize("n,h,r", GRIDS)
+def test_edges_are_the_mask_edges(n, h, r):
+    # every cube edge with an interior endpoint, each exactly once, as
+    # (lower, upper) flat cube indices, against a mask-based enumeration
+    g = Grid(n, h, r)
+    interior, ring, _ = g.stencil
+    op = K.InteriorOperator(g, np.zeros((1,) + g.shape), power([0.0], 4))
+    flat = np.concatenate([interior, ring])
+    seen = [(int(a), int(b)) for pa, pb in op.edges()
+            for a, b in zip(flat[pa], flat[pb])]
+    index = np.arange(g.mask.size).reshape(g.shape)
+    expected = set()
+    for ax in range(n):
+        lo, hi = K.edge_slices(n, ax)
+        inc = (g.mask[lo] == INTERIOR) | (g.mask[hi] == INTERIOR)
+        expected |= set(zip(index[lo][inc].tolist(), index[hi][inc].tolist()))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == expected
