@@ -121,6 +121,13 @@ def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
+    # the good radius is scanned in (R, 2R), so R needs 2R + h <= r_max;
+    # energy-profile takes radii up to r_max, so validate() cannot check it
+    radii = cfg.analysis["radii"] or [cfg.r_max / 4.0]
+    for R in radii:
+        if 2.0 * R + cfg.h > cfg.r_max:
+            raise ConfigError(f"analysis.radii: R={R} out of range for "
+                              f"bad-discs: need 2R + h <= r_max")
     grid, pot, u, rep = _solve(cfg)
     if not rep.converged:
         return _not_converged("bad-discs", rep)
@@ -128,7 +135,6 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
     eps = cfg.analysis["eps"]
     alpha = cfg.analysis["alpha"]
     K = int(cfg.analysis["sphere_points"])
-    radii = cfg.analysis["radii"] or [grid.r_max / 4.0]
     reports = []
     for i, R in enumerate(radii):
         rep_i = bad_disc_pipeline(e, float(R), eps, alpha=alpha,

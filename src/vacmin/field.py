@@ -231,23 +231,27 @@ def sphere_points(n: int, R: float, K: int) -> np.ndarray:
 
 def interpolate(grid: Grid, stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a (..., *grid.shape) stack at pts (K, n);
-    returns (..., K)."""
+    returns (..., K). Each cell corner is one flat gather from the cube."""
     pts = np.asarray(pts, dtype=float)
     n = grid.n
+    size = grid.axis.size
     t = (pts - grid.axis[0]) / grid.h
     i0 = np.floor(t).astype(np.int64)
-    i0 = np.clip(i0, 0, grid.axis.size - 2)
+    i0 = np.clip(i0, 0, size - 2)
     frac = t - i0
+    strides = [size ** (n - 1 - ax) for ax in range(n)]
+    base = i0 @ np.array(strides, dtype=np.int64)
     lead = stack.shape[:-n]
+    flat = stack.reshape(lead + (-1,))
     out = np.zeros(lead + (pts.shape[0],))
     for corner in range(2 ** n):
-        idx = []
-        w = np.ones(pts.shape[0])
+        offset, w = 0, None
         for ax in range(n):
             bit = (corner >> ax) & 1
-            idx.append(i0[:, ax] + bit)
-            w = w * (frac[:, ax] if bit else 1.0 - frac[:, ax])
-        out += stack[(Ellipsis,) + tuple(idx)] * w
+            offset += bit * strides[ax]
+            f = frac[:, ax] if bit else 1.0 - frac[:, ax]
+            w = f if w is None else w * f
+        out += np.take(flat, base + offset, axis=-1) * w
     return out
 
 
@@ -259,12 +263,6 @@ def sample_sphere(s: ScalarField, R: float, K: int):
         raise ValueError(f"R={R} too close to the grid edge (r_max={g.r_max})")
     pts = sphere_points(g.n, R, K)
     return pts, interpolate(g, s.values, pts)
-
-
-def sphere_integral(s: ScalarField, R: float, K: int) -> float:
-    """Slice integral over the sphere |x| = R from interpolated samples."""
-    _, vals = sample_sphere(s, R, K)
-    return float(vals.mean() * sphere_area(s.grid.n, R))
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,18 @@ def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
     # so interpolation at radius R <= r_max never leaves the value array
     if R < 1.0 + g.h or R > g.r_max:
         raise ValueError("need 1 + h <= R <= r_max")
-    a = pot.zero.reshape((-1,) + (1,) * g.n)
+    # only the ramp shell R - 1 < |x| <= R reads the trace; R - 1 > 0, so
+    # no shell node sits at the origin
+    a = pot.zero[:, None]
     rad = g.radius
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(rad > 1e-12, g.coords / rad, 0.0)
-    pts = np.moveaxis(unit * R, 0, -1).reshape(-1, g.n)
-    trace = interpolate(g, u.values, pts).reshape((u.m,) + g.shape)
-    lam = np.clip(rad - (R - 1.0), 0.0, 1.0)
-    vals = a + lam * (trace - a)
-    outside = rad > R
-    vals[:, outside] = u.values[:, outside]
+    vals = u.values.copy()
+    vals[:, rad <= R - 1.0] = a
+    shell = (rad > R - 1.0) & (rad <= R)
+    rad_s = rad[shell]
+    pts = (g.coords[:, shell] / rad_s * R).T
+    trace = interpolate(g, u.values, pts)
+    lam = np.clip(rad_s - (R - 1.0), 0.0, 1.0)
+    vals[:, shell] = a + lam * (trace - a)
     return u.with_values(vals)
 
 

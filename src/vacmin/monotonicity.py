@@ -99,14 +99,15 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     trace = np.einsum("ii...->...", T.values)
     nq = min(256, max(48, int(16 * R)))
     nodes, weights = np.polynomial.legendre.leggauss(nq)
+    # r * (unit lattice) is the radius-r lattice bit for bit
+    unit = sphere_points(g.n, 1.0, K)
     volume_side = 0.0
     for t, w in zip(nodes, weights):
         r_i = 0.5 * R * (t + 1.0)
-        pts_i = sphere_points(g.n, r_i, K)
-        vals_i = interpolate(g, trace, pts_i)
+        vals_i = interpolate(g, trace, r_i * unit)
         volume_side += 0.5 * R * w * float(vals_i.mean()) * sphere_area(g.n, r_i)
 
-    pts = sphere_points(g.n, R, K)
+    pts = R * unit
     nu = pts / R
     tvals = interpolate(g, T.values, pts)  # (n, n, K)
     nn = np.einsum("ki,ijk,kj->k", nu, tvals, nu)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vacmin.boundary import angular, initial_field
-from vacmin.field import Grid, VectorField
+from vacmin.field import Grid, VectorField, sample_sphere, sphere_area
 from vacmin.minimizer import minimize
 from vacmin.potentials import power, quadratic
 
@@ -66,3 +66,10 @@ def random_interior_field(grid, m, seed, scale=0.3):
     vals = scale * r.standard_normal((m,) + grid.shape)
     vals[:, grid.mask != 1] = 0.0
     return VectorField(grid, vals)
+
+
+def sphere_integral(s, R, K):
+    """Slice integral of the scalar field s over |x| = R from K interpolated
+    samples: the brute-force oracle for the good-radius scan."""
+    _, vals = sample_sphere(s, R, K)
+    return float(vals.mean() * sphere_area(s.grid.n, R))

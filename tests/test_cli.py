@@ -251,6 +251,21 @@ def test_bad_discs_artifacts(tmp_path):
     assert (out / "sphere_samples_0.csv").exists()
 
 
+def test_bad_discs_rejects_radius_before_solving(tmp_path, capsys,
+                                                 monkeypatch):
+    # R = 1.5 is a valid profile radius (<= r_max = 3) but the good-radius
+    # scan needs 2R + h <= r_max; the first radius alone would pass
+    def no_solve(cfg):
+        raise AssertionError("solved before checking the radii")
+
+    monkeypatch.setattr("vacmin.cli._solve", no_solve)
+    cfg = write_cfg(tmp_path, analysis={"radii": [0.75, 1.5]})
+    out = tmp_path / "out"
+    assert run_cli("bad-discs", cfg, out) == 2
+    assert "analysis.radii" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_monotonicity_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, analysis={"radii": [0.5, 1.0, 1.5, 2.0, 2.5]})
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sphere_integral
 from vacmin import discs
 from vacmin.discs import (ClearingOutViolated, bad_disc_pipeline,
                           clearing_out_threshold, clearing_out_violations,
@@ -120,7 +121,6 @@ def test_good_radius_avoids_hot_shell():
     samples = 32
     s_r, val = select_good_radius(e, R, samples=samples)
     radii = R + (np.arange(samples) + 0.5) / samples * R
-    from vacmin.field import sphere_integral
     brute = [sphere_integral(e, float(r), 512) for r in radii]
     assert s_r == pytest.approx(radii[int(np.argmin(brute))])
     assert abs(s_r - 3.0) > 0.5

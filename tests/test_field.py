@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sphere_integral
 from vacmin._kernels import InteriorOperator
 from vacmin.field import (BOUNDARY, INTERIOR, Grid, GridError,
                           ScalarField, VectorField, energy_density,
                           export_sphere_csv, integrate_ball, interpolate,
                           load_field, sample_sphere, save_field,
-                          sphere_integral, sphere_points)
+                          sphere_points)
 from vacmin.potentials import quadratic
 
 
@@ -191,6 +192,46 @@ def test_interpolation_exact_on_linear(small_grid):
     out = interpolate(small_grid, s.values, pts)
     ref = 2 * pts[:, 0] - pts[:, 1] + 0.5
     assert np.abs(out - ref).max() < 1e-12
+
+
+def fancy_index_interpolate(grid, stack, pts):
+    """Multilinear interpolation with one n-array fancy index per cell
+    corner: the reference the flat-gather ``interpolate`` must match bit for
+    bit."""
+    pts = np.asarray(pts, dtype=float)
+    n = grid.n
+    t = (pts - grid.axis[0]) / grid.h
+    i0 = np.floor(t).astype(np.int64)
+    i0 = np.clip(i0, 0, grid.axis.size - 2)
+    frac = t - i0
+    lead = stack.shape[:-n]
+    out = np.zeros(lead + (pts.shape[0],))
+    for corner in range(2 ** n):
+        idx = []
+        w = np.ones(pts.shape[0])
+        for ax in range(n):
+            bit = (corner >> ax) & 1
+            idx.append(i0[:, ax] + bit)
+            w = w * (frac[:, ax] if bit else 1.0 - frac[:, ax])
+        out += stack[(Ellipsis,) + tuple(idx)] * w
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lead", ["scalar", "vector", "tensor"])
+def test_interpolate_matches_fancy_index_oracle(n, lead):
+    g = Grid(n, 0.25, 1.5)
+    r = np.random.default_rng(7 + n)
+    lead_shape = {"scalar": (), "vector": (3,), "tensor": (n, n)}[lead]
+    stack = r.standard_normal(lead_shape + g.shape)
+    # points past the cube faces (|x| up to 1.4 L) exercise the i0 clip
+    L = -g.axis[0]
+    pts = r.uniform(-1.4 * L, 1.4 * L, (500, n))
+    pts[:8] = g.axis[0]           # exactly on the low faces
+    pts[8:16] = g.axis[-1]        # exactly on the high faces
+    out = interpolate(g, stack, pts)
+    assert out.shape == lead_shape + (500,)
+    assert np.array_equal(out, fancy_index_interpolate(g, stack, pts))
 
 
 def test_field_io_roundtrip(tmp_path, small_grid, rng):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vacmin.field import Grid, VectorField, energy_density, integrate_ball
+from vacmin.field import (Grid, VectorField, energy_density, integrate_ball,
+                          interpolate)
 from vacmin.growth import (EnergyProfile, annulus_field, balance_exponent,
                            bootstrap_fixed_point, bootstrap_map,
                            comparison_bound, energy_profile, growth_diagnostic)
@@ -167,6 +168,36 @@ def test_annulus_field_structure(small_grid):
     d = np.sqrt(np.sum((v.values - pot.zero[:, None, None]) ** 2, axis=0))
     assert d[inner].max() < 1e-12
     assert np.array_equal(v.values[:, outer], u.values[:, outer])
+
+
+def full_cube_annulus_field(u, pot, R):
+    """The annulus comparison field built by interpolating u's trace at
+    every cube node: the reference the shell-only ``annulus_field`` must
+    match bit for bit."""
+    g = u.grid
+    a = pot.zero.reshape((-1,) + (1,) * g.n)
+    rad = g.radius
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(rad > 1e-12, g.coords / rad, 0.0)
+    pts = np.moveaxis(unit * R, 0, -1).reshape(-1, g.n)
+    trace = interpolate(g, u.values, pts).reshape((u.m,) + g.shape)
+    lam = np.clip(rad - (R - 1.0), 0.0, 1.0)
+    vals = a + lam * (trace - a)
+    outside = rad > R
+    vals[:, outside] = u.values[:, outside]
+    return vals
+
+
+@pytest.mark.parametrize("n,h,r_max", [(2, 0.1, 3.0), (3, 0.25, 2.5)])
+def test_annulus_field_matches_full_cube_oracle(n, h, r_max):
+    g = Grid(n, h, r_max)
+    pot = quadratic([0.3, -0.1])
+    rng = np.random.default_rng(n)
+    u = VectorField(g, rng.standard_normal((2,) + g.shape))
+    # the smallest radius, the competitor suite's r_max - 2h, and r_max
+    for R in (1.0 + h, r_max - 2 * h, r_max):
+        v = annulus_field(u, pot, R)
+        assert np.array_equal(v.values, full_cube_annulus_field(u, pot, R))
 
 
 def test_converged_minimizer_beats_comparison_bound(standard_runs):
