@@ -1,5 +1,6 @@
 """Hot numeric kernels: the interior operator that forms every discrete
-energy, gradient and residual, and the one first-derivative pass.
+energy, gradient and residual, the solver's preconditioner, and the one
+first-derivative pass.
 
 Grid arrays are channels-first: field values have shape (m, *grid.shape),
 masks are int8 with 0=exterior, 1=interior, 2=boundary. The discrete
@@ -15,7 +16,10 @@ and evaluates E, its gradient and the solver's line search on the
 interior values alone. ``energy_only`` and
 ``energy_and_grad`` apply it to a full-cube field with that field's own
 boundary values. Every inner product is a single-threaded ``np.einsum``
-reduction, so results do not depend on the BLAS thread count.
+reduction and makes no BLAS call. ``DirichletInverse``, the solver's
+preconditioner, is the one BLAS user: its sine transforms are float32
+GEMMs small enough that OpenBLAS runs each on one thread, so its bits do
+not depend on the thread count, though they may depend on the BLAS build.
 
 First derivatives come from one centered-difference pass, ``derivatives``,
 which returns the (n, m, *shape) stack; ``gradient_sq`` reduces it to
@@ -194,6 +198,91 @@ class InteriorOperator:
             return t * (0.5 * t * quad - lin) + cell * dw, trial, w_t
 
         return decrement, ag
+
+
+# OpenBLAS runs a GEMM of at most 64^3 multiply-adds on one thread (its
+# multithreading threshold), so calls no larger give the same bits at any
+# thread count
+_GEMM_MACS = 64 ** 3
+
+
+def sine_matrix(size: int) -> np.ndarray:
+    """The orthonormal DST-I matrix S[j, k] = sqrt(2/(size+1))
+    sin(pi (j+1)(k+1)/(size+1)): symmetric, and S S = I."""
+    k = np.arange(1, size + 1)
+    return (np.sqrt(2.0 / (size + 1))
+            * np.sin(np.pi * np.outer(k, k) / (size + 1)))
+
+
+def _spans(total: int, width: int) -> list:
+    """Slices cutting range(total) into ceil(total/width) near-equal parts."""
+    parts = -(-total // width)
+    cuts = [i * total // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+class DirichletInverse:
+    """C = (h^n (-lap_h))^-1 on the cube's inner box, zero on the cube
+    faces, applied to interior (m, N) arrays: extend by zero to the box,
+    sine-transform, divide by the eigenvalues, transform back, restrict.
+    It is symmetric positive definite on the interior, and close to the
+    inverse of the interior operator's Hessian A = -h^n lap_0 away from the
+    ball's edge. One code path serves n=2 and n=3.
+
+    Each transform is a product with the sine matrix along the last box
+    axis, written with that axis first, so n transforms return the axes to
+    their order. The products are float32 GEMMs cut into blocks of at most
+    ``_GEMM_MACS`` multiply-adds and at least two rows and two columns
+    (a one-column product would be a GEMV, which OpenBLAS threads from a
+    smaller size), so the result does not depend on the BLAS thread
+    count; it may depend on the BLAS build. Two box buffers are reused
+    across calls.
+    """
+
+    def __init__(self, grid):
+        n, size = grid.n, grid.axis.size - 2
+        self.n = n
+        self._sine = sine_matrix(size).astype(np.float32)
+        # eigenvalues of -lap_h on the box: a sum of one per axis
+        theta = 0.5 * np.pi * np.arange(1, size + 1) / (size + 1)
+        lam = 4.0 / (grid.h * grid.h) * np.sin(theta) ** 2
+        eig = sum(lam.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
+        self._inv_eig = (1.0 / (grid.cell * eig)).astype(np.float32)
+        cube = np.unravel_index(grid.stencil[0], grid.shape)
+        self._pos = np.ravel_multi_index(tuple(i - 1 for i in cube),
+                                         (size,) * n)
+        self._a = np.empty((size,) * n, dtype=np.float32)
+        self._b = np.empty_like(self._a)
+        width = max(8, _GEMM_MACS // (size * size))
+        height = max(2, _GEMM_MACS // (size * width))
+        self._blocks = [(r, c) for r in _spans(size, height)
+                        for c in _spans(size ** (n - 1), width)]
+
+    def _rotate(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """dst[k, ...] = sum_l S[k, l] src[..., l]."""
+        size = self._sine.shape[0]
+        a = src.reshape(-1, size)
+        b = dst.reshape(size, -1)
+        for r, c in self._blocks:
+            np.matmul(self._sine[r], a[c].T, out=b[r, c])
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        """C g for interior values g, shape (m, N); a new float64 array."""
+        # a power of two brings g into float32's range without rounding it
+        scale = 2.0 ** np.frexp(np.abs(g).max())[1]
+        out = np.empty_like(g)
+        for c in range(g.shape[0]):
+            src, dst = self._a, self._b
+            src.fill(0.0)
+            src.reshape(-1)[self._pos] = g[c] / scale
+            for step in range(2 * self.n):
+                if step == self.n:
+                    src *= self._inv_eig
+                self._rotate(src, dst)
+                src, dst = dst, src
+            out[c] = src.reshape(-1)[self._pos]
+        out *= scale
+        return out
 
 
 def energy_only(grid, vals: np.ndarray, pot) -> float:

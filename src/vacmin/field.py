@@ -49,9 +49,11 @@ class Grid:
         half = int(math.ceil(r_max / h)) + 2
         self.axis = h * np.arange(-half, half + 1)
         self.shape = (self.axis.size,) * n
-        coords = np.meshgrid(*([self.axis] * n), indexing="ij")
-        self.coords = np.stack(coords)  # (n, *shape)
-        self.radius = np.sqrt(np.sum(self.coords ** 2, axis=0))
+        # squared coordinates summed axis by axis from broadcast axes, so the
+        # (n, *shape) coordinate stack is never stored
+        sq = self.axis ** 2
+        self.radius = np.sqrt(sum(sq.reshape((-1,) + (1,) * (n - 1 - ax))
+                                  for ax in range(n)))
         inside = self.radius <= self.r_max * (1 + 1e-12)
         mask = np.zeros(self.shape, dtype=np.int8)
         mask[inside] = INTERIOR
@@ -78,6 +80,11 @@ class Grid:
             ok &= np.roll(nonext, 1, axis=ax) & np.roll(nonext, -1, axis=ax)
         if not ok[interior].all():
             raise GridError("interior node lacking a neighbor in the mask")
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Node coordinates, shape (n, *shape); built anew on every read."""
+        return np.stack(np.meshgrid(*([self.axis] * self.n), indexing="ij"))
 
     @cached_property
     def stencil(self):

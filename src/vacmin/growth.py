@@ -52,12 +52,12 @@ def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
     rad = g.radius
     vals = u.values.copy()
     vals[:, rad <= R - 1.0] = a
-    shell = (rad > R - 1.0) & (rad <= R)
+    shell = np.nonzero((rad > R - 1.0) & (rad <= R))
     rad_s = rad[shell]
-    pts = (g.coords[:, shell] / rad_s * R).T
+    pts = (np.stack([g.axis[i] for i in shell]) / rad_s * R).T
     trace = interpolate(g, u.values, pts)
     lam = np.clip(rad_s - (R - 1.0), 0.0, 1.0)
-    vals[:, shell] = a + lam * (trace - a)
+    vals[(slice(None),) + shell] = a + lam * (trace - a)
     return u.with_values(vals)
 
 

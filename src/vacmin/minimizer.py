@@ -1,16 +1,21 @@
 """Energy minimization under pinned Dirichlet data.
 
-Steepest descent with the second Barzilai-Borwein step size (BB2,
-t = <s, y>/<y, y>) and an Armijo backtracking safeguard, so the energy is
-nonincreasing iterate to iterate. The Dirichlet gradient is carried from
-iterate to iterate by the exact recurrence of the quadratic part and
-re-evaluated directly before any claim is made on it. Convergence is
-declared on the sup-norm of the directly evaluated discrete
-Euler-Lagrange residual lap(u) - gradW(u), not on energy stall: the
-residual is the checkable certificate that the output solves the
-system. Global minimality over all perturbations is not certifiable
-numerically; reports state that limitation and the competitor module
-tries to defeat it.
+Preconditioned steepest descent: the direction is C g, C the exact
+inverse of the Dirichlet Hessian on the cube's inner box (a sine-transform
+solve), with the preconditioned second Barzilai-Borwein step size
+(BB2, t = <s, y>/<y, C y>; Molina and Raydan 1996) and an Armijo
+backtracking safeguard (Raydan 1997), so the energy is nonincreasing
+iterate to iterate. The Dirichlet gradient is carried from iterate to
+iterate by the exact recurrence of the quadratic part and re-evaluated
+directly before any claim is made on it. Convergence is declared on the
+sup-norm of the directly evaluated discrete Euler-Lagrange residual
+lap(u) - gradW(u), not on energy stall: the residual is the checkable
+certificate that the output solves the system, and C enters only the
+direction, never the residual. Inner products and the residual make no
+BLAS call; the transforms in C are BLAS calls small enough to run on one
+thread, so iterates do not depend on the thread count. Global minimality
+over all perturbations is not certifiable numerically; reports state that
+limitation and the competitor module tries to defeat it.
 """
 
 from __future__ import annotations
@@ -91,12 +96,15 @@ def modica_check(u: VectorField, pot: Potential) -> float:
                    u.grid.mask)
 
 
-def _bb2(t: float, g_prev: np.ndarray, grad: np.ndarray) -> float:
-    """The BB2 step <s, y>/<y, y> after the step s = -t g_prev, with
-    y = grad - g_prev; t itself when <s, y> <= 0."""
+def _bb2(t: float, d_prev: np.ndarray, g_prev: np.ndarray,
+         d: np.ndarray, grad: np.ndarray) -> float:
+    """The preconditioned BB2 step <s, y>/<y, C y> after the step
+    s = -t d_prev, with y = grad - g_prev and C y = d - d_prev (d = C grad);
+    t itself when <s, y> <= 0."""
     y = grad - g_prev
-    sy = -t * _kernels.dot(g_prev, y)
-    return sy / _kernels.dot(y, y) if sy > 0.0 else t
+    sy = -t * _kernels.dot(d_prev, y)
+    ycy = _kernels.dot(y, d - d_prev)
+    return sy / ycy if sy > 0.0 and ycy > 0.0 else t
 
 
 def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
@@ -104,14 +112,17 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     """Descend from u0 (which carries the boundary data) until the EL
     residual drops below tol. Returns (VectorField, SolveReport).
 
-    The iteration runs on interior values only, with the BB2 step
-    t = <s, y>/<y, y> (s the last step, y the change of the gradient),
-    clamped and halved, at most 60 times, until the Armijo test with
-    constant 1e-4 holds. Each Armijo trial is judged on the exact energy
-    change along the search direction (``InteriorOperator.line``), which
-    also applies the operator once for A g. Since the Dirichlet part is
-    quadratic, the Dirichlet gradient at the accepted iterate is updated as
-    grad_d - t A g, so an iteration applies the stencil once. The updated
+    The iteration runs on interior values only. The search direction is
+    d = C g, C the exact inverse of the Dirichlet Hessian on the cube's
+    inner box (``_kernels.DirichletInverse``), and the step is the
+    preconditioned BB2 step t = <s, y>/<y, C y> (s the last step, y the
+    change of the gradient, C y the change of d), starting from t = 1,
+    halved, at most 60 times, until the Armijo test with constant 1e-4 and
+    slope <g, d> holds. Each Armijo trial is judged on the exact energy
+    change along d (``InteriorOperator.line``), which also applies the
+    operator once for A d. Since the Dirichlet part is quadratic, the
+    Dirichlet gradient at the accepted iterate is updated as grad_d - t A d,
+    so an iteration applies the stencil once and C once. The updated
     residual only decides when to look: once it reaches tol, and on every
     exit, the gradient is evaluated directly, and ``converged`` and the
     reported ``residual`` come from that direct gradient alone, so the
@@ -122,9 +133,10 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = u0.grid
-    h, cell = grid.h, grid.cell
+    cell = grid.cell
 
     op = _kernels.InteriorOperator(grid, u0.values, pot)
+    precondition = _kernels.DirichletInverse(grid)
     x = op.gather(u0.values)
     energy = op.energy(x)
     if not np.isfinite(energy):
@@ -133,10 +145,8 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     direct = True
     w = pot.value_field(x)
 
-    # spectral bound of the quadratic part fixes a safe first step
-    t_init = 1.0 / (cell * (4.0 * grid.n / (h * h) + 1.0))
-    t = t_init
-    g_prev = None
+    t = 1.0
+    g_prev = d_prev = None
     steps = []
     energies = [energy]
     backtracks = 0
@@ -152,12 +162,12 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
         if residual <= tol:
             converged = True
             break
-        gg = _kernels.dot(grad, grad)
+        d = precondition(grad)
+        gd = _kernels.dot(grad, d)
         if g_prev is not None:
-            t = _bb2(t, g_prev, grad)
-        t = min(max(t, 1e-8 * t_init), 1e8 * t_init)
+            t = _bb2(t, d_prev, g_prev, d, grad)
 
-        decrement, ag = op.line(x, grad, grad_d, w)
+        decrement, ad = op.line(x, d, grad_d, w)
         accepted = False
         tt = t
         # roundoff slack keeps the line search alive once per-step decreases
@@ -167,7 +177,7 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
             de, trial, w_trial = decrement(tt)
             if not np.isfinite(de):
                 raise SolverDivergence(f"non-finite energy at step {tt:g}")
-            if de <= -1e-4 * tt * gg + slack:
+            if de <= -1e-4 * tt * gd + slack:
                 accepted = True
                 break
             tt *= 0.5
@@ -175,9 +185,9 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
         if not accepted:
             break  # stalled below machine precision; report non-convergence
 
-        g_prev = grad
+        g_prev, d_prev = grad, d
         x, w = trial, w_trial
-        grad_d -= tt * ag
+        grad_d -= tt * ad
         grad = grad_d + cell * pot.grad_field(x)
         direct = False
         energy += de

@@ -144,10 +144,13 @@ class Potential:
         if self.family == "quadratic":
             return d.copy()
         if self.family == "power":
+            # q rho2^(q/2 - 1) is 0 at rho = 0 for q > 2, and for q = 2 it
+            # multiplies d = 0 there, so no case split is needed
             q = self.exponent
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fac = np.where(rho2 > 0.0, q * rho2 ** (q / 2.0 - 1.0), 0.0)
-            return fac * d
+            fac = q * rho2 ** (q / 2.0 - 1.0)
+            for c in range(self.m):
+                d[c] *= fac
+            return d
         if self.family == "anisotropic":
             shape = (self.m,) + (1,) * (vals.ndim - 1)
             c = self.coeffs.reshape(shape)

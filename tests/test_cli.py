@@ -378,6 +378,31 @@ def test_minimize_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_minimize_3d_independent_of_blas_threads(tmp_path):
+    # the preconditioner's sine transforms are float32 GEMMs cut into
+    # blocks below OpenBLAS's threading threshold, so the thread count
+    # cannot change an iterate
+    cfg = write_cfg(tmp_path, n=3, h=0.2, r_max=4.0,
+                    solver={"tol": 1.0e-6})
+    outs = []
+    for name, threads in (("default", None), ("one", "1")):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / name
+        r = subprocess.run(
+            [sys.executable, "-m", "vacmin.cli", "minimize",
+             "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.append(out)
+    report = json.loads((outs[0] / "solve.json").read_text())["solve"]
+    assert report["converged"]
+    for name in ("field.bin", "solve.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_bad_discs_independent_of_blas_threads(tmp_path):
     # the covering's cosines and sums are numpy loops, not BLAS calls, so
     # the thread count cannot move a center or a covered flag

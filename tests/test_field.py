@@ -9,12 +9,13 @@ import pytest
 
 from conftest import sphere_integral
 from vacmin._kernels import InteriorOperator
+from vacmin.boundary import angular, initial_field
 from vacmin.field import (BOUNDARY, INTERIOR, Grid, GridError,
                           ScalarField, VectorField, energy_density,
                           export_sphere_csv, integrate_ball, interpolate,
                           load_field, sample_sphere, save_field,
                           sphere_points)
-from vacmin.potentials import quadratic
+from vacmin.potentials import power, quadratic
 
 
 def laplacian(u: VectorField) -> np.ndarray:
@@ -47,6 +48,34 @@ def test_grid_validation():
         Grid(2, -0.1, 1.0)
     with pytest.raises(GridError):
         Grid(2, 0.5, 1.0)  # r_max < 4h
+
+
+@pytest.mark.parametrize("n,h,r", [(2, 0.1, 2.0), (2, 0.07, 3.3),
+                                   (3, 0.2, 4.0), (3, 0.15, 1.2)])
+def test_grid_arrays_match_coordinate_stack_construction(n, h, r):
+    # the radius is summed from broadcast axes; it, the mask, the stencil
+    # and the initial field must equal the construction from the stored
+    # (n, *shape) coordinate stack bit for bit
+    g = Grid(n, h, r)
+    coords = np.stack(np.meshgrid(*([g.axis] * n), indexing="ij"))
+    assert np.array_equal(g.coords, coords)
+    radius = np.sqrt(np.sum(coords ** 2, axis=0))
+    assert np.array_equal(g.radius, radius)
+    inside = radius <= r * (1 + 1e-12)
+    near = np.zeros(g.shape, dtype=bool)
+    for ax in range(n):
+        near |= np.roll(inside, 1, axis=ax) | np.roll(inside, -1, axis=ax)
+    mask = np.where(inside, INTERIOR, np.where(near, BOUNDARY, 0))
+    assert np.array_equal(g.mask, mask)
+    interior, ring, _ = g.stencil
+    assert np.array_equal(interior, np.flatnonzero(mask == INTERIOR))
+    assert np.array_equal(ring, np.flatnonzero(mask == BOUNDARY))
+    pot = power([0.1, -0.2], 4)
+    fn = angular(pot, 0.6)
+    a = pot.zero.reshape((-1,) + (1,) * n)
+    lam = np.clip(radius - (r - 1.0), 0.0, 1.0)
+    ref = a + lam * (np.asarray(fn(coords), dtype=float) - a)
+    assert np.array_equal(initial_field(g, pot, fn).values, ref)
 
 
 def test_stencil_matches_stacked_rows_and_builds_lean():

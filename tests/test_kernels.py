@@ -136,3 +136,82 @@ def test_edges_are_the_mask_edges(n, h, r):
         expected |= set(zip(index[lo][inc].tolist(), index[hi][inc].tolist()))
     assert len(seen) == len(set(seen))
     assert set(seen) == expected
+
+
+@pytest.mark.parametrize("size", [5, 43, 124])
+def test_sine_matrix_is_its_own_inverse(size):
+    S = K.sine_matrix(size)
+    assert np.array_equal(S, S.T)
+    assert np.abs(S @ S - np.eye(size)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,h,r", [(2, 0.1, 1.5), (2, 0.05, 3.0),
+                                   (3, 0.2, 1.2), (3, 0.2, 4.0)])
+def test_dirichlet_inverse_matches_scipy_dst(n, h, r):
+    # reference: extend by zero to the inner box, orthonormal DST-I, divide
+    # by h^n times the eigenvalues of -lap_h, DST-I again, restrict
+    from scipy.fft import dstn
+    g = Grid(n, h, r)
+    C = K.DirichletInverse(g)
+    interior = g.stencil[0]
+    size = g.axis.size - 2
+    k = np.arange(1, size + 1)
+    lam = 4.0 / (h * h) * np.sin(0.5 * np.pi * k / (size + 1)) ** 2
+    eig = sum(lam.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
+    x = np.random.default_rng(7).standard_normal((2, interior.size))
+    ref = np.empty_like(x)
+    for c in range(2):
+        box = np.zeros(g.shape)
+        box.reshape(-1)[interior] = x[c]
+        box = box[(slice(1, -1),) * n]
+        box = dstn(dstn(box, type=1, norm="ortho") / (g.cell * eig), type=1,
+                   norm="ortho")
+        full = np.zeros(g.shape)
+        full[(slice(1, -1),) * n] = box
+        ref[c] = full.reshape(-1)[interior]
+    got = C(x)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    # the transform runs in float32
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+    assert np.array_equal(C(x), got)
+    # scaled by a power of two on the way in, so float32's range is no limit
+    for k in (-300, 300):
+        assert np.array_equal(C(x * 2.0 ** k), got * 2.0 ** k)
+
+
+def test_dirichlet_inverse_inverts_the_box_laplacian():
+    # on a ball that fills the inner box up to its corners, C applied to
+    # A y for y vanishing near the ball's edge returns y
+    g = Grid(2, 0.1, 1.5)
+    pot = quadratic([0.0])
+    op = K.InteriorOperator(g, np.zeros((1,) + g.shape), pot)
+    rad = g.radius.reshape(-1)[g.stencil[0]]
+    y = np.exp(-4.0 * rad ** 2)[None] * (rad < 1.0)
+    ay = op.gradient(y)[1]
+    assert np.abs(K.DirichletInverse(g)(ay) - y).max() <= 1e-5
+
+
+@pytest.mark.parametrize("n,h,r", [(3, 0.2, 4.0), (2, 0.05, 8.0),
+                                   (2, 0.02, 8.0)])
+def test_dirichlet_inverse_gemms_stay_single_threaded(n, h, r, monkeypatch):
+    # OpenBLAS threads a GEMM above 64^3 multiply-adds, and a one-row or
+    # one-column product is a GEMV, which it threads from a smaller size;
+    # every product C makes must stay below both, and together they must
+    # be the 2n full transforms per component
+    C = K.DirichletInverse(Grid(n, h, r))
+    size = C._sine.shape[0]
+    calls = []
+    matmul = np.matmul
+
+    def recording(a, b, **kw):
+        calls.append((a.shape, b.shape, a.dtype, b.dtype))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    C(np.ones((2, C._pos.size)))
+    macs = 0
+    for (rows, k), (k2, cols), da, db in calls:
+        assert k == k2 == size and da == db == np.float32
+        assert rows >= 2 and cols >= 2 and rows * k * cols <= 64 ** 3
+        macs += rows * k * cols
+    assert macs == 2 * 2 * n * size ** (n + 1)

@@ -226,9 +226,33 @@ def test_unconverged_residual_is_a_direct_certificate():
     assert discrete_energy(u, pot) == rep.energy
 
 
+def test_iterations_grow_sublinearly_in_inverse_h():
+    # the preconditioned iteration count must not grow like 1/h: halving h
+    # on the power-4 disc of radius 4 may raise the median count over
+    # three starts (perturbed by 1e-13 relative, since roundoff alone
+    # spreads single counts) by less than 1.5x
+    pot = power([0.0, 0.0], 4)
+    medians = []
+    for h in (0.1, 0.05):
+        g = Grid(2, h, 4.0)
+        u0 = initial_field(g, pot, angular(pot, 0.6))
+        inner = g.mask == INTERIOR
+        counts = []
+        for seed in range(3):
+            vals = u0.values.copy()
+            noise = np.random.default_rng(seed).standard_normal(
+                vals[:, inner].shape)
+            vals[:, inner] *= 1.0 + 1e-13 * noise
+            _, rep = minimize(u0.with_values(vals), pot, tol=1e-6)
+            assert rep.converged
+            counts.append(rep.iterations)
+        medians.append(float(np.median(counts)))
+    assert medians[1] < 1.5 * medians[0], medians
+
+
 def test_bb2_steps_rarely_backtrack():
-    # BB2 steps pass Armijo on the first trial most of the time; BB1 steps
-    # backtrack about once per iteration on this grid
+    # preconditioned BB2 steps pass Armijo on the first trial most of the
+    # time
     g = Grid(2, 0.1, 2.0)
     pot = power([0.0, 0.0], 4)
     u, rep = minimize(initial_field(g, pot, angular(pot, 0.7)), pot,

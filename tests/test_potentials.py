@@ -195,3 +195,33 @@ def test_field_evaluators_independent_of_layout(m, shape):
                               pot.value_field(pointwise)), pot.family
         assert np.array_equal(pot.grad_field(planar),
                               pot.grad_field(pointwise)), pot.family
+
+
+@pytest.mark.parametrize("zero", [[0.25, -0.5], [0.0, 0.0]])
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_power_grad_field_matches_case_split_formula(q, zero):
+    # the former body: the factor forced to 0 where rho = 0, broadcast
+    # over the components; the result must agree to the bit, signed
+    # zeros included (d = -0.0 needs u = -0.0 and a zero of +0.0)
+    pot = power(zero, q)
+    vals = np.random.default_rng(int(4 * q)).standard_normal((2, 5, 6))
+    vals[:, 0, :3] = pot.zero[:, None]                       # rho = 0
+    vals[:, 1, :3] = -0.0 if zero[0] == 0.0 else pot.zero[:, None]
+    vals[:, 2, 0] = [-0.0, 0.0]
+    vals[:, 3, 0] = np.nextafter(pot.zero, 1.0)              # rho tiny
+    d = vals - pot.zero[:, None, None]
+    rho2 = d[0] * d[0] + d[1] * d[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fac = np.where(rho2 > 0.0, q * rho2 ** (q / 2.0 - 1.0), 0.0)
+    ref = fac * d
+    got = pot.grad_field(vals)
+    if q == 2.0 and zero[0] == 0.0:
+        # rho^2 underflows to 0 at d = 5e-324: the case split gave 0 there,
+        # the gradient is 2 d
+        assert np.array_equal(got[:, 3, 0], 2.0 * d[:, 3, 0])
+        got[:, 3, 0] = ref[:, 3, 0]
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert (got[:, 0, :3] == 0.0).all()
+    if zero[0] == 0.0:
+        assert np.signbit(got[:, 1, :3]).all()
