@@ -52,12 +52,16 @@ def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
     rad = g.radius
     vals = u.values.copy()
     vals[:, rad <= R - 1.0] = a
-    shell = np.nonzero((rad > R - 1.0) & (rad <= R))
+    shell = (rad > R - 1.0) & (rad <= R)
     rad_s = rad[shell]
-    pts = (np.stack([g.axis[i] for i in shell]) / rad_s * R).T
+    # the shell nodes' coordinates, read from broadcast views of the axis
+    xs = np.stack([np.broadcast_to(
+        g.axis.reshape((-1,) + (1,) * (g.n - 1 - ax)), g.shape)[shell]
+        for ax in range(g.n)])
+    pts = (xs / rad_s * R).T
     trace = interpolate(g, u.values, pts)
     lam = np.clip(rad_s - (R - 1.0), 0.0, 1.0)
-    vals[(slice(None),) + shell] = a + lam * (trace - a)
+    vals[:, shell] = a + lam * (trace - a)
     return u.with_values(vals)
 
 
