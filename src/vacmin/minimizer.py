@@ -145,6 +145,8 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     direct = True
     w = pot.value_field(x)
 
+    # C inverts the Dirichlet Hessian on the box, so t = 1 is the Newton
+    # step of the quadratic part
     t = 1.0
     g_prev = d_prev = None
     steps = []
