@@ -14,6 +14,7 @@ of the artifacts for that reason). Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,14 +22,14 @@ import sys
 import numpy as np
 
 from . import boundary as bdata
-from .competitor import (max_principle_check, quadrature_slack,
-                         standard_suite)
+from .competitor import (max_principle_assumptions, max_principle_check,
+                         quadrature_slack, standard_suite)
 from .config import ConfigError, ExperimentConfig
 from .discs import ClearingOutViolated, bad_disc_pipeline
-from .field import energy_density, export_sphere_csv, save_field
+from .field import energy_density, export_sphere_csv, load_field, save_field
 from .growth import (bootstrap_fixed_point, bootstrap_map, energy_profile,
                      growth_diagnostic, rescaled_l2_smallness)
-from .minimizer import SolverDivergence, minimize
+from .minimizer import SolveReport, SolverDivergence, minimize
 from .monotonicity import NotASolution, monotone_quantities
 from .potentials import verify_assumptions
 
@@ -48,22 +49,38 @@ def _report(cfg: ExperimentConfig, body: dict) -> dict:
     return {"config_sha256": cfg.sha256(), **body}
 
 
-def _initial_field(cfg: ExperimentConfig, grid, pot, **defaults):
-    """The config's boundary data extended into the ball; ``defaults`` fill
-    boundary parameters the config leaves out."""
+def _minimize(cfg: ExperimentConfig, pot, out=None, **defaults):
+    """Solve from the config's boundary data (``defaults`` fill what it
+    leaves out); with ``out``, save the field and solve.json there."""
+    grid = cfg.make_grid()
     params = {"seed": cfg.seed, **defaults, **cfg.boundary}
     tag = params.pop("tag")
-    return bdata.initial_field(grid, pot,
-                               bdata.make_boundary(tag, pot, grid, params))
-
-
-def _solve(cfg: ExperimentConfig):
-    grid = cfg.make_grid()
-    pot = cfg.make_potential()
-    u0 = _initial_field(cfg, grid, pot)
+    u0 = bdata.initial_field(grid, pot,
+                             bdata.make_boundary(tag, pot, grid, params))
     u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                       max_iter=int(cfg.solver["max_iter"]))
-    return grid, pot, u, rep
+    if out is not None:
+        save_field(os.path.join(out, "field.bin"), u,
+                   config_sha256=cfg.sha256(), solve=rep.to_dict())
+        _write_json(os.path.join(out, "solve.json"), _report(cfg, {
+            "solve": rep.to_dict(),
+            "units": {"energy": "energy",
+                      "residual": "energy density slope"}}))
+    return u, rep
+
+
+def _solve(cfg: ExperimentConfig, out: str):
+    """out/field.bin if its sidecar has this config's sha256 and its payload
+    checks out, else a fresh solve saved there as ``minimize`` saves it."""
+    pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
+    with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
+        with open(path + ".json") as f:
+            side = json.load(f)
+        if side["config_sha256"] == cfg.sha256():
+            u = load_field(path)
+            return u.grid, pot, u, SolveReport(**side["solve"])
+    u, rep = _minimize(cfg, pot, out)
+    return u.grid, pot, u, rep
 
 
 def _not_converged(command: str, rep) -> int:
@@ -81,19 +98,14 @@ def _default_radii(cfg: ExperimentConfig, margin: float = 0.0):
 
 
 def cmd_minimize(cfg: ExperimentConfig, out: str) -> int:
-    grid, pot, u, rep = _solve(cfg)
-    save_field(os.path.join(out, "field.bin"), u)
-    _write_json(os.path.join(out, "solve.json"),
-                _report(cfg, {"solve": rep.to_dict(),
-                              "units": {"energy": "energy",
-                                        "residual": "energy density slope"}}))
+    u, rep = _minimize(cfg, cfg.make_potential(), out)
     print(f"minimize: converged={rep.converged} iterations={rep.iterations} "
           f"energy={rep.energy:.12g} residual={rep.residual:.3g}")
     return EXIT_OK if rep.converged else EXIT_SOLVER
 
 
 def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
-    grid, pot, u, rep = _solve(cfg)
+    grid, pot, u, rep = _solve(cfg, out)
     radii = _default_radii(cfg)
     prof = energy_profile(u, pot, radii)
     n = grid.n
@@ -128,7 +140,7 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
         if 2.0 * R + cfg.h > cfg.r_max:
             raise ConfigError(f"analysis.radii: R={R} out of range for "
                               f"bad-discs: need 2R + h <= r_max")
-    grid, pot, u, rep = _solve(cfg)
+    grid, pot, u, rep = _solve(cfg, out)
     if not rep.converged:
         return _not_converged("bad-discs", rep)
     e = energy_density(u, pot)
@@ -150,7 +162,7 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
-    grid, pot, u, rep = _solve(cfg)
+    grid, pot, u, rep = _solve(cfg, out)
     if not rep.converged:
         return _not_converged("monotonicity", rep)
     margin = 2 * grid.h
@@ -174,15 +186,14 @@ def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
-    grid = cfg.make_grid()
     pot = cfg.make_potential()
     r = cfg.analysis["r"]
-    if r is None:
-        r = pot.monot_radius / 4.0
-    u0 = _initial_field(cfg, grid, pot, magnitude=r)
-    verdict = max_principle_check(u0, pot, float(r), tol=cfg.solver["tol"],
-                                  max_iter=int(cfg.solver["max_iter"]),
-                                  seed=cfg.seed)
+    r = pot.monot_radius / 4.0 if r is None else float(r)
+    max_principle_assumptions(pot, r, seed=cfg.seed)
+    # data of magnitude r, when the config sets none: solved apart, unsaved
+    u, rep = (_solve(cfg, out)[2:] if "magnitude" in cfg.boundary
+              else _minimize(cfg, pot, magnitude=r))
+    verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)
     _write_json(os.path.join(out, "max_principle.json"),
                 _report(cfg, {"verdict": verdict.to_dict(),
                               "units": {"r": "field modulus",
@@ -193,7 +204,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
-    grid, pot, u, rep = _solve(cfg)
+    grid, pot, u, rep = _solve(cfg, out)
     if not rep.converged:
         return _not_converged("competitor", rep)
     mag = float(cfg.boundary.get("magnitude", bdata.MAGNITUDE))

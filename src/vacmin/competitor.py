@@ -12,7 +12,8 @@ in its intended usage:
 
 Since a converged discrete minimizer cannot be beaten by any field sharing
 its boundary values, each admissible competitor's energy must come out at
-least E(u) - delta_q; the reports record exactly that comparison.
+least E(u) - delta_q; the reports record exactly that comparison. Nothing
+here solves: every check takes a minimizer its caller has solved.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ._kernels import InteriorOperator, edge_slices, norm2
 from .field import BOUNDARY, INTERIOR, VectorField
 from .growth import annulus_field
-from .minimizer import discrete_energy, minimize
+from .minimizer import SolveReport, discrete_energy
 from .potentials import Potential, verify_assumptions
 
 
@@ -224,16 +225,9 @@ class MaxPrincipleReport:
         return dict(self.__dict__)
 
 
-def max_principle_check(u0: VectorField, pot: Potential, r: float,
-                        tol: float = 1e-6, max_iter: int = 50_000,
-                        seed: int = 0) -> MaxPrincipleReport:
-    """Minimize from boundary data with |g - zero| <= r < r0/2, build the
-    truncation competitor, and compare interior excursion against r.
-
-    Preconditions: the potential's radial sections must be nondecreasing up
-    to its monot_radius (verified on 128 seeded directions), and the
-    boundary data must actually stay within r of the zero.
-    """
+def max_principle_assumptions(pot: Potential, r: float, seed: int = 0):
+    """The assumption report (128 seeded directions), once it shows
+    nondecreasing radial sections and r in (0, r0/2); else ValueError."""
     rep = verify_assumptions(pot, samples=128, seed=seed)
     if not rep.radial_monotone_ok:
         raise ValueError("potential lacks nondecreasing radial sections; "
@@ -241,18 +235,28 @@ def max_principle_check(u0: VectorField, pot: Potential, r: float,
     r0 = pot.monot_radius
     if not 0 < r < r0 / 2:
         raise ValueError(f"need r in (0, r0/2) = (0, {r0 / 2:.6g})")
-    grid = u0.grid
-    dist0 = u0.distance_from(pot.zero).values
-    boundary_sup = float(dist0[grid.mask == BOUNDARY].max())
+    return rep
+
+
+def max_principle_check(u: VectorField, pot: Potential, r: float,
+                        solve: SolveReport,
+                        seed: int = 0) -> MaxPrincipleReport:
+    """Compare the interior excursion of u, the minimizer that ``solve``
+    reports for boundary data within r of the zero, against r, and its
+    truncation competitor's energy against E(u). Preconditions: those of
+    ``max_principle_assumptions``, and u's boundary values within r."""
+    rep = max_principle_assumptions(pot, r, seed)
+    grid = u.grid
+    dist = u.distance_from(pot.zero).values
+    boundary_sup = float(dist[grid.mask == BOUNDARY].max())
     if boundary_sup > r * (1 + 1e-12):
         raise ValueError(f"boundary data exceeds r: sup |g - zero| = "
                          f"{boundary_sup:.6g} > {r:.6g}")
-    u, solve = minimize(u0, pot, tol=tol, max_iter=max_iter)
     # the solver's reported energy is discrete_energy(u) bit for bit
     eu = solve.energy
     et = discrete_energy(build_truncation(u, pot.zero, r), pot)
     dq = quadrature_slack(grid)
-    interior_sup = float(u.distance_from(pot.zero).values[grid.mask == INTERIOR].max())
+    interior_sup = float(dist[grid.mask == INTERIOR].max())
     holds = interior_sup <= r + 2 * grid.h
     note = ("interior excursion within r + 2h" if holds
             else "interior excursion exceeded r + 2h")

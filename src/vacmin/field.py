@@ -276,9 +276,9 @@ def sample_sphere(s: ScalarField, R: float, K: int):
 # serialization
 
 
-def save_field(path: str, u: VectorField) -> None:
+def save_field(path: str, u: VectorField, **meta) -> None:
     """Flat binary layout: header (magic, version, n, m, axis size, h, r_max)
-    then node-major component-minor float64 payload; JSON sidecar alongside."""
+    then node-major component-minor float64 payload; JSON sidecar with meta."""
     g = u.grid
     payload = np.moveaxis(u.values, 0, -1).astype("<f8").tobytes(order="C")
     header = _HEADER.pack(_MAGIC, _VERSION, g.n, u.m, g.axis.size, g.h,
@@ -294,7 +294,7 @@ def save_field(path: str, u: VectorField) -> None:
         "h": g.h,
         "r_max": g.r_max,
         "axis_size": g.axis.size,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(), **meta,
     }
     with open(path + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)

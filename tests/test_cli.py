@@ -9,7 +9,7 @@ import sys
 import pytest
 import yaml
 
-from vacmin.cli import main
+from vacmin.cli import _COMMANDS, main
 from vacmin.config import ConfigError, ExperimentConfig
 
 BASE = {
@@ -255,7 +255,7 @@ def test_bad_discs_rejects_radius_before_solving(tmp_path, capsys,
                                                  monkeypatch):
     # R = 1.5 is a valid profile radius (<= r_max = 3) but the good-radius
     # scan needs 2R + h <= r_max; the first radius alone would pass
-    def no_solve(cfg):
+    def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the radii")
 
     monkeypatch.setattr("vacmin.cli._solve", no_solve)
@@ -263,6 +263,26 @@ def test_bad_discs_rejects_radius_before_solving(tmp_path, capsys,
     out = tmp_path / "out"
     assert run_cli("bad-discs", cfg, out) == 2
     assert "analysis.radii" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("potential,analysis,message", [
+    (BASE["potential"], {"r": 0.6}, "need r in (0, r0/2)"),
+    (BASE["potential"], {"r": 0.0}, "need r in (0, r0/2)"),
+    ({"family": "anisotropic", "zero": [0.0, 0.0], "coeffs": [-1.0, 1.0],
+      "powers": [2, 4]}, {}, "nondecreasing radial sections"),
+])
+def test_max_principle_rejects_bad_input_before_solving(
+        tmp_path, capsys, monkeypatch, potential, analysis, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("read or solved before checking the input")
+
+    for name in ("_solve", "minimize", "load_field"):
+        monkeypatch.setattr(f"vacmin.cli.{name}", no_solve)
+    cfg = write_cfg(tmp_path, potential=potential, analysis=analysis)
+    out = tmp_path / "out"
+    assert run_cli("max-principle", cfg, out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -423,7 +443,8 @@ def test_bad_discs_independent_of_blas_threads(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
-    assert names == ["bad_discs.json", "sphere_samples_0.csv",
+    assert names == ["bad_discs.json", "field.bin", "field.bin.json",
+                     "solve.json", "sphere_samples_0.csv",
                      "sphere_samples_1.csv"]
     reports = json.loads((outs[0] / "bad_discs.json").read_text())["reports"]
     assert all(r["count"] > 0 for r in reports)
@@ -440,4 +461,98 @@ def test_unconverged_solve_says_why(tmp_path, capsys, cmd):
     assert len(err) == 1
     assert err[0].startswith(f"{cmd}: solve did not converge: iterations=3 ")
     assert "residual=" in err[0] and "tol=1e-05" in err[0]
-    assert list(out.iterdir()) == []
+    # the unconverged solve is saved as minimize saves it
+    assert sorted(p.name for p in out.iterdir()) == [
+        "field.bin", "field.bin.json", "solve.json"]
+    assert json.loads((out / "solve.json").read_text())["solve"][
+        "converged"] is False
+
+
+# ---------------------------------------------------------------------------
+# one solve per experiment
+
+# boundary.magnitude is set, so max-principle reads the saved field too
+EXPERIMENT = {"potential": {"family": "power", "zero": [0.0, 0.0], "q": 4,
+                            "monot_radius": 2.0},
+              "analysis": {"r": 0.6}}
+
+
+def count_solves(monkeypatch):
+    import vacmin.cli
+    calls = []
+    solve = vacmin.cli.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("vacmin.cli.minimize", counted)
+    return calls
+
+
+def test_experiment_solves_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, **EXPERIMENT)
+    out = tmp_path / "experiment"
+    calls = count_solves(monkeypatch)
+    for cmd in _COMMANDS:
+        assert run_cli(cmd, cfg, out) == 0, cmd
+    assert len(calls) == 1
+    side = json.loads((out / "field.bin.json").read_text())
+    report = json.loads((out / "solve.json").read_text())
+    assert side["config_sha256"] == report["config_sha256"]
+    assert side["solve"] == report["solve"]
+    # each subcommand alone solves for itself and writes the same bytes
+    tree = _tree_digest(out)
+    for cmd in list(_COMMANDS)[1:]:
+        alone = tmp_path / cmd
+        assert run_cli(cmd, cfg, alone) == 0, cmd
+        for name, digest in _tree_digest(alone).items():
+            assert tree.get(name) == digest, (cmd, name)
+
+
+@pytest.mark.parametrize("spoil", ["foreign", "pre-change", "flipped-byte",
+                                   "unknown-solve-key"])
+def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
+    cfg = write_cfg(tmp_path)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli("energy-profile", cfg, fresh) == 0
+    if spoil == "foreign":
+        # its sidecar carries the sha256 of the config with seed 99
+        assert run_cli("minimize", cfg, out, "--seed", "99") == 0
+    else:
+        assert run_cli("minimize", cfg, out) == 0
+        side_path = out / "field.bin.json"
+        side = json.loads(side_path.read_text())
+        if spoil == "pre-change":
+            del side["config_sha256"], side["solve"]
+        elif spoil == "unknown-solve-key":
+            side["solve"]["iterations_total"] = side["solve"]["iterations"]
+        else:
+            blob = bytearray((out / "field.bin").read_bytes())
+            blob[-1] ^= 1
+            (out / "field.bin").write_bytes(bytes(blob))
+        side_path.write_text(json.dumps(side))
+    calls = count_solves(monkeypatch)
+    assert run_cli("energy-profile", cfg, out) == 0
+    assert len(calls) == 1
+    assert _tree_digest(out) == _tree_digest(fresh)
+
+
+def test_only_the_cli_calls_minimize():
+    import ast
+    import inspect
+    import pathlib
+
+    import vacmin
+    from vacmin.competitor import max_principle_check
+
+    callers = []
+    for path in sorted(pathlib.Path(vacmin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "minimize" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.append(path.name)
+    assert set(callers) == {"cli.py"}
+    params = inspect.signature(max_principle_check).parameters
+    assert "tol" not in params and "max_iter" not in params

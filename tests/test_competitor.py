@@ -291,8 +291,8 @@ def test_truncation_radius_from_excursion_bound(standard_runs):
 def test_max_principle_constant_boundary():
     g = Grid(2, 0.1, 2.0)
     pot = power([0.0, 0.0], 4, monot_radius=1.0)
-    u0 = VectorField.constant(g, [0.0, 0.0])
-    rep = max_principle_check(u0, pot, 0.25)
+    u, solve = minimize(VectorField.constant(g, [0.0, 0.0]), pot)
+    rep = max_principle_check(u, pot, 0.25, solve)
     assert rep.holds
     assert rep.interior_sup == 0.0
     assert rep.positivity_redundancy_ok
@@ -309,7 +309,8 @@ def test_max_principle_quadratic_cross_checked_with_linear_solve():
     r = 0.25
     fn = random_smooth(pot, r, seed=11)
     u0 = initial_field(g, pot, fn)
-    rep = max_principle_check(u0, pot, r, tol=1e-8)
+    u_solver, solve = minimize(u0, pot, tol=1e-8, max_iter=60_000)
+    rep = max_principle_check(u_solver, pot, r, solve)
     assert rep.solver_converged
     assert rep.interior_sup <= r + 2 * g.h
     assert rep.truncation_difference <= quadrature_slack(g)
@@ -336,7 +337,6 @@ def test_max_principle_quadratic_cross_checked_with_linear_solve():
     A = sp.csr_matrix((data, (rows, cols)), shape=(interior.size,) * 2)
     direct = spla.spsolve(A, rhs)
 
-    u_solver, _ = minimize(u0, pot, tol=1e-8, max_iter=60_000)
     mine = u_solver.values[0].ravel()[interior]
     assert np.abs(mine - direct).max() < 1e-6
     assert np.abs(direct).max() <= r + 1e-9  # linear maximum principle
@@ -348,7 +348,8 @@ def test_max_principle_power4_vector():
     r = 0.25
     fn = angular(pot, r, windings=2)
     u0 = initial_field(g, pot, fn)
-    rep = max_principle_check(u0, pot, r, tol=1e-7)
+    u, solve = minimize(u0, pot, tol=1e-7)
+    rep = max_principle_check(u, pot, r, solve)
     assert rep.holds
     assert rep.interior_sup <= r + 2 * g.h
     assert rep.truncation_difference <= quadrature_slack(g)
@@ -357,8 +358,9 @@ def test_max_principle_power4_vector():
 def test_max_principle_preconditions():
     g = Grid(2, 0.1, 2.0)
     pot = power([0.0, 0.0], 4, monot_radius=1.0)
-    with pytest.raises(ValueError):
-        max_principle_check(VectorField.constant(g, [0.0, 0.0]), pot, 0.6)
-    big = initial_field(g, pot, angular(pot, 0.5))
-    with pytest.raises(ValueError):
-        max_principle_check(big, pot, 0.25)  # boundary exceeds r
+    u, solve = minimize(VectorField.constant(g, [0.0, 0.0]), pot)
+    with pytest.raises(ValueError, match=r"r0/2"):
+        max_principle_check(u, pot, 0.6, solve)
+    big, solve = minimize(initial_field(g, pot, angular(pot, 0.5)), pot)
+    with pytest.raises(ValueError, match="boundary data exceeds r"):
+        max_principle_check(big, pot, 0.25, solve)
