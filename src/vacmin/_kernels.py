@@ -36,16 +36,6 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def edge_slices(n: int, ax: int):
-    """(lo, hi): index tuples of the lower and the upper endpoints of the
-    edges along axis ax of an n-dimensional grid."""
-    lo = [slice(None)] * n
-    hi = [slice(None)] * n
-    lo[ax] = slice(None, -1)
-    hi[ax] = slice(1, None)
-    return tuple(lo), tuple(hi)
-
-
 def derivatives(vals: np.ndarray, h: float) -> np.ndarray:
     """All first derivatives, shape (n, m, *shape): centered differences
     with one-sided stencils at the cube faces."""

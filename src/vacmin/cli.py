@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -49,38 +50,40 @@ def _report(cfg: ExperimentConfig, body: dict) -> dict:
     return {"config_sha256": cfg.sha256(), **body}
 
 
-def _minimize(cfg: ExperimentConfig, pot, out=None, **defaults):
-    """Solve from the config's boundary data (``defaults`` fill what it
-    leaves out); with ``out``, save the field and solve.json there."""
-    grid = cfg.make_grid()
+def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
+    """Solve the config's boundary data, ``defaults`` filling what it leaves
+    out. With ``reuse``, out/field.bin stands in for the solve when its
+    sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads
+    and its payload checks out. A solve of the config's own data (its
+    boundary block overrides every default) is saved there with solve.json.
+    """
+    pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
     params = {"seed": cfg.seed, **defaults, **cfg.boundary}
+    inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
+              "potential": cfg.potential, "boundary": params,
+              "solver": cfg.solver}
+    key = hashlib.sha256(
+        json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    if reuse:
+        with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
+            with open(path + ".json") as f:
+                side = json.load(f)
+            if side["solve_sha256"] == key:
+                u = load_field(path)
+                return u.grid, pot, u, SolveReport(**side["solve"])
+    grid = cfg.make_grid()
     tag = params.pop("tag")
     u0 = bdata.initial_field(grid, pot,
                              bdata.make_boundary(tag, pot, grid, params))
     u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                       max_iter=int(cfg.solver["max_iter"]))
-    if out is not None:
-        save_field(os.path.join(out, "field.bin"), u,
-                   config_sha256=cfg.sha256(), solve=rep.to_dict())
+    if defaults.keys() <= cfg.boundary.keys():
+        save_field(path, u, solve_sha256=key, solve=rep.to_dict())
         _write_json(os.path.join(out, "solve.json"), _report(cfg, {
             "solve": rep.to_dict(),
             "units": {"energy": "energy",
                       "residual": "energy density slope"}}))
-    return u, rep
-
-
-def _solve(cfg: ExperimentConfig, out: str):
-    """out/field.bin if its sidecar has this config's sha256 and its payload
-    checks out, else a fresh solve saved there as ``minimize`` saves it."""
-    pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
-    with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
-        with open(path + ".json") as f:
-            side = json.load(f)
-        if side["config_sha256"] == cfg.sha256():
-            u = load_field(path)
-            return u.grid, pot, u, SolveReport(**side["solve"])
-    u, rep = _minimize(cfg, pot, out)
-    return u.grid, pot, u, rep
+    return grid, pot, u, rep
 
 
 def _not_converged(command: str, rep) -> int:
@@ -98,7 +101,7 @@ def _default_radii(cfg: ExperimentConfig, margin: float = 0.0):
 
 
 def cmd_minimize(cfg: ExperimentConfig, out: str) -> int:
-    u, rep = _minimize(cfg, cfg.make_potential(), out)
+    rep = _solve(cfg, out, reuse=False)[3]
     print(f"minimize: converged={rep.converged} iterations={rep.iterations} "
           f"energy={rep.energy:.12g} residual={rep.residual:.3g}")
     return EXIT_OK if rep.converged else EXIT_SOLVER
@@ -190,9 +193,8 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
     r = cfg.analysis["r"]
     r = pot.monot_radius / 4.0 if r is None else float(r)
     max_principle_assumptions(pot, r, seed=cfg.seed)
-    # data of magnitude r, when the config sets none: solved apart, unsaved
-    u, rep = (_solve(cfg, out)[2:] if "magnitude" in cfg.boundary
-              else _minimize(cfg, pot, magnitude=r))
+    # data of magnitude r where the config sets none
+    u, rep = _solve(cfg, out, magnitude=r)[2:]
     verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)
     _write_json(os.path.join(out, "max_principle.json"),
                 _report(cfg, {"verdict": verdict.to_dict(),

@@ -499,7 +499,7 @@ def test_experiment_solves_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     side = json.loads((out / "field.bin.json").read_text())
     report = json.loads((out / "solve.json").read_text())
-    assert side["config_sha256"] == report["config_sha256"]
+    assert len(side["solve_sha256"]) == 64 and "config_sha256" not in side
     assert side["solve"] == report["solve"]
     # each subcommand alone solves for itself and writes the same bytes
     tree = _tree_digest(out)
@@ -517,14 +517,14 @@ def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     assert run_cli("energy-profile", cfg, fresh) == 0
     if spoil == "foreign":
-        # its sidecar carries the sha256 of the config with seed 99
+        # its sidecar carries the sha256 of the solve with seed 99
         assert run_cli("minimize", cfg, out, "--seed", "99") == 0
     else:
         assert run_cli("minimize", cfg, out) == 0
         side_path = out / "field.bin.json"
         side = json.loads(side_path.read_text())
         if spoil == "pre-change":
-            del side["config_sha256"], side["solve"]
+            del side["solve_sha256"], side["solve"]
         elif spoil == "unknown-solve-key":
             side["solve"]["iterations_total"] = side["solve"]["iterations"]
         else:
@@ -536,6 +536,58 @@ def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
     assert run_cli("energy-profile", cfg, out) == 0
     assert len(calls) == 1
     assert _tree_digest(out) == _tree_digest(fresh)
+
+
+@pytest.mark.parametrize("overrides,solves", [
+    ({"h": 0.15}, 1),
+    ({"r_max": 2.5}, 1),
+    ({"potential": {"family": "power", "zero": [0.0, 0.0], "q": 6}}, 1),
+    ({"boundary": {"tag": "angular", "magnitude": 0.6, "windings": 2}}, 1),
+    ({"solver": {"tol": 1.0e-6}}, 1),
+    ({"seed": 4}, 1),
+    # the solve reads no analysis key and not the config's out
+    ({"analysis": {"radii": [0.5, 1.0, 1.5]}}, 0),
+    ({"analysis": {"eps": 0.05}}, 0),
+    ({"out": "elsewhere"}, 0),
+], ids=["h", "r_max", "potential.q", "boundary.windings", "solver.tol",
+        "seed", "analysis.radii", "analysis.eps", "out"])
+def test_saved_field_is_keyed_by_the_solve_inputs(tmp_path, monkeypatch,
+                                                  overrides, solves):
+    out = tmp_path / "out"
+    assert run_cli("minimize", write_cfg(tmp_path), out) == 0
+    edited = write_cfg(tmp_path, name="edited.yaml", **overrides)
+    calls = count_solves(monkeypatch)
+    assert run_cli("energy-profile", edited, out) == 0
+    assert len(calls) == solves
+
+
+def test_max_principle_reads_a_field_of_its_own_data(tmp_path, monkeypatch):
+    # without boundary.magnitude, max-principle solves data of magnitude
+    # analysis.r: a saved field of exactly those data is read, and a solve
+    # of other data is not saved over it
+    own = write_cfg(tmp_path, **EXPERIMENT)
+    out = tmp_path / "out"
+    assert run_cli("minimize", own, out) == 0
+    assert run_cli("max-principle", own, tmp_path / "own") == 0
+    saved = {name: (out / name).read_bytes()
+             for name in ("field.bin", "field.bin.json", "solve.json")}
+    calls = count_solves(monkeypatch)
+    unset = {"tag": "angular", "windings": 1}
+    same = write_cfg(tmp_path, name="same.yaml", **EXPERIMENT, boundary=unset)
+    assert run_cli("max-principle", same, out) == 0
+    assert len(calls) == 0
+
+    def verdict(root):
+        return json.loads((root / "max_principle.json").read_text())["verdict"]
+
+    assert verdict(out) == verdict(tmp_path / "own")
+    other = write_cfg(tmp_path, name="other.yaml", boundary=unset,
+                      **{**EXPERIMENT, "analysis": {"r": 0.5}})
+    assert run_cli("max-principle", other, out) == 0
+    assert len(calls) == 1
+    assert verdict(out)["r"] == 0.5
+    for name, blob in saved.items():
+        assert (out / name).read_bytes() == blob, name
 
 
 def test_only_the_cli_calls_minimize():

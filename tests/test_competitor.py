@@ -7,9 +7,9 @@ from vacmin.boundary import angular, initial_field, random_smooth
 from vacmin.competitor import (build_annulus_competitor, build_min_truncation,
                                build_shell, build_truncation, compare,
                                energy_decomposition, max_principle_check,
-                               quadrature_slack, select_truncation_level,
+                               modulus_gradient_ratio, quadrature_slack, select_truncation_level,
                                standard_suite, taper)
-from vacmin.field import BOUNDARY, Grid, VectorField
+from vacmin.field import BOUNDARY, EXTERIOR, Grid, VectorField
 from vacmin.minimizer import discrete_energy, minimize
 from vacmin.potentials import anisotropic, excursion_bound, power, quadratic
 
@@ -88,6 +88,21 @@ def test_truncation_never_increases_potential_term(small_grid, rng):
     w_u = pot.value_field(u.values)
     w_t = pot.value_field(t.values)
     assert (w_t <= w_u + 1e-15).all()
+
+
+def test_modulus_gradient_ratio_reads_the_energy_edges(small_grid, rng):
+    # the ratio runs over the edges of the discrete energy: twice the
+    # modulus reads 2, a truncation at most 1, and a change confined to
+    # nodes no such edge reaches reads nothing
+    pot = power([0.0, 0.0], 4)
+    u = VectorField(small_grid, rng.standard_normal((2,) + small_grid.shape))
+    assert modulus_gradient_ratio(u, u.with_values(2.0 * u.values),
+                                  pot) == pytest.approx(2.0, rel=1e-14)
+    trunc = build_truncation(u, pot.zero, 0.5)
+    assert modulus_gradient_ratio(u, trunc, pot) <= 1.0 + 1e-12
+    far = u.values.copy()
+    far[:, small_grid.mask == EXTERIOR] *= 10.0
+    assert modulus_gradient_ratio(u, u.with_values(far), pot) == 1.0
 
 
 def test_shell_construction(small_grid, rng):
