@@ -50,13 +50,17 @@ def _report(cfg: ExperimentConfig, body: dict) -> dict:
     return {"config_sha256": cfg.sha256(), **body}
 
 
+class _NotConverged(Exception):
+    """A solve stopped short of its tolerance; ``main`` exits 3."""
+
+
 def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     """Solve the config's boundary data, ``defaults`` filling what it leaves
     out. With ``reuse``, out/field.bin stands in for the solve when its
     sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads
     and its payload checks out. A solve of the config's own data (its
     boundary block overrides every default) is saved there with solve.json.
-    """
+    A solve short of its tolerance, saved or not, raises ``_NotConverged``."""
     pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
     params = {"seed": cfg.seed, **defaults, **cfg.boundary}
     inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
@@ -64,32 +68,31 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
               "solver": cfg.solver}
     key = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    u = None
     if reuse:
         with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
             with open(path + ".json") as f:
                 side = json.load(f)
             if side["solve_sha256"] == key:
-                u = load_field(path)
-                return u.grid, pot, u, SolveReport(**side["solve"])
-    grid = cfg.make_grid()
-    tag = params.pop("tag")
-    u0 = bdata.initial_field(grid, pot,
-                             bdata.make_boundary(tag, pot, grid, params))
-    u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
-                      max_iter=int(cfg.solver["max_iter"]))
-    if defaults.keys() <= cfg.boundary.keys():
-        save_field(path, u, solve_sha256=key, solve=rep.to_dict())
-        _write_json(os.path.join(out, "solve.json"), _report(cfg, {
-            "solve": rep.to_dict(),
-            "units": {"energy": "energy",
-                      "residual": "energy density slope"}}))
-    return grid, pot, u, rep
-
-
-def _not_converged(command: str, rep) -> int:
-    print(f"{command}: solve did not converge: iterations={rep.iterations} "
-          f"residual={rep.residual:.6g} tol={rep.tol:.6g}", file=sys.stderr)
-    return EXIT_SOLVER
+                u, rep = load_field(path), SolveReport(**side["solve"])
+    if u is None:
+        grid = cfg.make_grid()
+        tag = params.pop("tag")
+        u0 = bdata.initial_field(grid, pot,
+                                 bdata.make_boundary(tag, pot, grid, params))
+        u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
+                          max_iter=int(cfg.solver["max_iter"]))
+        if defaults.keys() <= cfg.boundary.keys():
+            save_field(path, u, solve_sha256=key, solve=rep.to_dict())
+            _write_json(os.path.join(out, "solve.json"), _report(cfg, {
+                "solve": rep.to_dict(),
+                "units": {"energy": "energy",
+                          "residual": "energy density slope"}}))
+    if not rep.converged:
+        raise _NotConverged(f"solve did not converge: iterations="
+                            f"{rep.iterations} residual={rep.residual:.6g} "
+                            f"tol={rep.tol:.6g}")
+    return u.grid, pot, u, rep
 
 
 def _default_radii(cfg: ExperimentConfig, margin: float = 0.0):
@@ -102,9 +105,9 @@ def _default_radii(cfg: ExperimentConfig, margin: float = 0.0):
 
 def cmd_minimize(cfg: ExperimentConfig, out: str) -> int:
     rep = _solve(cfg, out, reuse=False)[3]
-    print(f"minimize: converged={rep.converged} iterations={rep.iterations} "
+    print(f"minimize: iterations={rep.iterations} "
           f"energy={rep.energy:.12g} residual={rep.residual:.3g}")
-    return EXIT_OK if rep.converged else EXIT_SOLVER
+    return EXIT_OK
 
 
 def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
@@ -132,7 +135,7 @@ def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
     _write_json(os.path.join(out, "energy_profile.json"), _report(cfg, body))
     print(f"energy-profile: {len(radii)} radii, E({radii[-1]:g})="
           f"{prof.energies[-1]:.12g}")
-    return EXIT_OK if rep.converged else EXIT_SOLVER
+    return EXIT_OK
 
 
 def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
@@ -144,8 +147,6 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
             raise ConfigError(f"analysis.radii: R={R} out of range for "
                               f"bad-discs: need 2R + h <= r_max")
     grid, pot, u, rep = _solve(cfg, out)
-    if not rep.converged:
-        return _not_converged("bad-discs", rep)
     e = energy_density(u, pot)
     eps = cfg.analysis["eps"]
     alpha = cfg.analysis["alpha"]
@@ -166,8 +167,6 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg, out)
-    if not rep.converged:
-        return _not_converged("monotonicity", rep)
     margin = 2 * grid.h
     radii = _default_radii(cfg, margin=margin)
     mono = monotone_quantities(u, pot, radii,
@@ -190,9 +189,16 @@ def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
     pot = cfg.make_potential()
-    r = cfg.analysis["r"]
-    r = pot.monot_radius / 4.0 if r is None else float(r)
-    max_principle_assumptions(pot, r, seed=cfg.seed)
+    r, r0 = cfg.analysis["r"], pot.monot_radius
+    r = r0 / 4.0 if r is None else float(r)
+    # the default r0/4 is in range, so only a set analysis.r fails here
+    if not 0 < r < r0 / 2:
+        raise ConfigError(f"analysis.r: need r in (0, r0/2) = "
+                          f"(0, {r0 / 2:.6g})")
+    try:
+        max_principle_assumptions(pot, r, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"potential: {exc}") from None
     # data of magnitude r where the config sets none
     u, rep = _solve(cfg, out, magnitude=r)[2:]
     verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)
@@ -206,9 +212,12 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
+    # standard_suite puts its annulus competitor at s_r = r_max - 2h, and
+    # build_annulus_competitor needs s_r >= 1 + 2h
+    if cfg.r_max - 2 * cfg.h < 1.0 + 2 * cfg.h:
+        raise ConfigError("r_max: too small for competitor: "
+                          "need r_max - 2h >= 1 + 2h")
     grid, pot, u, rep = _solve(cfg, out)
-    if not rep.converged:
-        return _not_converged("competitor", rep)
     mag = float(cfg.boundary.get("magnitude", bdata.MAGNITUDE))
     reports = standard_suite(u, pot, mag)
     dq = quadrature_slack(grid, scale=cfg.analysis["delta_q_scale"])
@@ -286,6 +295,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _NotConverged as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except SolverDivergence as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -135,6 +135,8 @@ class ExperimentConfig:
         for r in self.analysis["radii"]:
             need(0 < r <= self.r_max, "analysis.radii",
                  f"radius {r} outside (0, r_max]")
+        need(all(a < b for a, b in zip(radii, radii[1:])), "analysis.radii",
+             "must be strictly increasing")
         need(self.analysis["eps"] > 0, "analysis.eps", "must be > 0")
         need(0 < self.analysis["alpha"] <= 1, "analysis.alpha",
              "must be in (0, 1]")

@@ -178,6 +178,8 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     ({"potential": {"family": "anisotropic", "zero": [0.0, 0.0],
                     "coeffs": [1.0, 1.0], "powers": [2, 4, 4]}},
      "potential.powers: must match the dimension of potential.zero"),
+    ({"analysis": {"radii": [1.0, 0.5, 0.75]}},
+     "analysis.radii: must be strictly increasing"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     # a bad value names its key path, not a comparison error, and is
@@ -282,7 +284,27 @@ def test_max_principle_rejects_bad_input_before_solving(
     cfg = write_cfg(tmp_path, potential=potential, analysis=analysis)
     out = tmp_path / "out"
     assert run_cli("max-principle", cfg, out) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # the default r is in range, so a bad r is always a set analysis.r
+    path = "analysis.r" if analysis else "potential"
+    assert err.startswith(f"config error: {path}: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_competitor_rejects_small_ball_before_solving(tmp_path, capsys,
+                                                      monkeypatch):
+    # the annulus competitor sits at s_r = r_max - 2h and needs
+    # s_r >= 1 + 2h: 1.0 < 1.2 here
+    def no_solve(*args, **kwargs):
+        raise AssertionError("read or solved before checking r_max")
+
+    for name in ("_solve", "minimize", "load_field"):
+        monkeypatch.setattr(f"vacmin.cli.{name}", no_solve)
+    cfg = write_cfg(tmp_path, r_max=1.2, analysis={"radii": [0.5, 1.0]})
+    out = tmp_path / "out"
+    assert run_cli("competitor", cfg, out) == 2
+    assert capsys.readouterr().err.startswith("config error: r_max: ")
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -452,12 +474,17 @@ def test_bad_discs_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("cmd", ["bad-discs", "monotonicity", "competitor"])
+@pytest.mark.parametrize("cmd", ["bad-discs", "monotonicity", "competitor",
+                                 "minimize", "energy-profile",
+                                 "max-principle"])
 def test_unconverged_solve_says_why(tmp_path, capsys, cmd):
+    # max-principle solves the config's own data (magnitude 0.6) here
     cfg = write_cfg(tmp_path, solver={"max_iter": 3})
     out = tmp_path / "out"
     assert run_cli(cmd, cfg, out) == 3
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"{cmd}: solve did not converge: iterations=3 ")
     assert "residual=" in err[0] and "tol=1e-05" in err[0]
@@ -466,6 +493,19 @@ def test_unconverged_solve_says_why(tmp_path, capsys, cmd):
         "field.bin", "field.bin.json", "solve.json"]
     assert json.loads((out / "solve.json").read_text())["solve"][
         "converged"] is False
+
+
+def test_unconverged_solve_of_default_data_leaves_no_field(tmp_path, capsys):
+    # without boundary.magnitude, max-principle solves data of magnitude
+    # analysis.r, which is not the config's own and is not saved
+    cfg = write_cfg(tmp_path, boundary={"tag": "angular", "windings": 1},
+                    solver={"max_iter": 3})
+    out = tmp_path / "out"
+    assert run_cli("max-principle", cfg, out) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("max-principle: solve did not converge: ")
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +576,23 @@ def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
     assert run_cli("energy-profile", cfg, out) == 0
     assert len(calls) == 1
     assert _tree_digest(out) == _tree_digest(fresh)
+
+
+def test_saved_unconverged_field_exits_3(tmp_path, capsys, monkeypatch):
+    # a saved field whose sidecar records an unconverged solve is read, not
+    # solved again, and fails as a fresh unconverged solve does
+    cfg = write_cfg(tmp_path, solver={"max_iter": 3})
+    out = tmp_path / "out"
+    assert run_cli("minimize", cfg, out) == 3
+    capsys.readouterr()
+    calls = count_solves(monkeypatch)
+    assert run_cli("energy-profile", cfg, out) == 3
+    assert len(calls) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("energy-profile: solve did not converge: "
+                             "iterations=3 ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "field.bin", "field.bin.json", "solve.json"]
 
 
 @pytest.mark.parametrize("overrides,solves", [
