@@ -17,7 +17,9 @@ interior values alone. ``energy_only`` and
 ``energy_and_grad`` apply it to a full-cube field with that field's own
 boundary values. Every inner product is a single-threaded ``np.einsum``
 reduction and makes no BLAS call. ``DirichletInverse``, the solver's
-preconditioner, is the one BLAS user: its sine transforms are float32
+preconditioner, inverts h^n (-lap_h + shift) on the cube's inner box, the
+shift a constant >= 0 standing in for W's curvature; it is the one BLAS
+user: its sine transforms are float32
 GEMMs small enough that OpenBLAS runs each on one thread, so its bits do
 not depend on the thread count, though they may depend on the BLAS build.
 
@@ -105,9 +107,9 @@ class InteriorOperator:
         self.n_int = N
         self._pinned = np.empty((m, N + ring.size))
         self._pinned[:, N:] = vals.reshape(m, -1)[:, ring]
-        self._zero = np.zeros((m, N + ring.size))
         self._tmp = np.empty((m, N))
-        self._ag = np.empty((m, N))
+        # line()'s buffers, allocated on its first call
+        self._zero = self._ag = None
 
     def gather(self, vals: np.ndarray) -> np.ndarray:
         """Interior values of a full-cube array, shape (m, N), C-contiguous."""
@@ -176,6 +178,9 @@ class InteriorOperator:
         quadratic -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is
         re-evaluated. A g lives in a buffer the next call overwrites."""
         lin = dot(grad_d, g)
+        if self._ag is None:
+            self._zero = np.zeros_like(self._pinned)
+            self._ag = np.empty(g.shape)
         ag = self._apply(self._zero, g, out=self._ag)  # A g = -h^n lap_0(g)
         quad = dot(g, ag)
         cell, value_field = self.cell, self.pot.value_field
@@ -212,12 +217,15 @@ def _spans(total: int, width: int) -> list:
 
 
 class DirichletInverse:
-    """C = (h^n (-lap_h))^-1 on the cube's inner box, zero on the cube
-    faces, applied to interior (m, N) arrays: extend by zero to the box,
-    sine-transform, divide by the eigenvalues, transform back, restrict.
-    It is symmetric positive definite on the interior, and close to the
-    inverse of the interior operator's Hessian A = -h^n lap_0 away from the
-    ball's edge. One code path serves n=2 and n=3.
+    """C = (h^n (-lap_h + shift))^-1 on the cube's inner box, zero on the
+    cube faces, applied to interior (m, N) arrays: extend by zero to the
+    box, sine-transform, divide by h^n (eigenvalue + shift), transform
+    back, restrict. It is symmetric positive definite on the interior for
+    any shift >= 0. With shift 0 it is close to the inverse of the interior
+    operator's Hessian A = -h^n lap_0 away from the ball's edge; a shift
+    stands in for the potential's curvature, the D^2W part of the energy's
+    Hessian h^n (-lap_0 + D^2W), which the sine basis cannot hold unless it
+    is constant. One code path serves n=2 and n=3.
 
     Each transform is a product with the sine matrix along the last box
     axis, written with that axis first, so n transforms return the axes to
@@ -229,7 +237,7 @@ class DirichletInverse:
     across calls.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, shift: float = 0.0):
         n, size = grid.n, grid.axis.size - 2
         self.n = n
         self._sine = sine_matrix(size).astype(np.float32)
@@ -237,7 +245,7 @@ class DirichletInverse:
         theta = 0.5 * np.pi * np.arange(1, size + 1) / (size + 1)
         lam = 4.0 / (grid.h * grid.h) * np.sin(theta) ** 2
         eig = sum(lam.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
-        self._inv_eig = (1.0 / (grid.cell * eig)).astype(np.float32)
+        self._inv_eig = (1.0 / (grid.cell * (eig + shift))).astype(np.float32)
         cube = np.unravel_index(grid.stencil[0], grid.shape)
         self._pos = np.ravel_multi_index(tuple(i - 1 for i in cube),
                                          (size,) * n)

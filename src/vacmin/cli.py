@@ -30,7 +30,7 @@ from .discs import ClearingOutViolated, bad_disc_pipeline
 from .field import energy_density, export_sphere_csv, load_field, save_field
 from .growth import (bootstrap_fixed_point, bootstrap_map, energy_profile,
                      growth_diagnostic, rescaled_l2_smallness)
-from .minimizer import SolveReport, SolverDivergence, minimize
+from .minimizer import SOLVER_VERSION, SolveReport, SolverDivergence, minimize
 from .monotonicity import NotASolution, monotone_quantities
 from .potentials import verify_assumptions
 
@@ -58,14 +58,15 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     """Solve the config's boundary data, ``defaults`` filling what it leaves
     out. With ``reuse``, out/field.bin stands in for the solve when its
     sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads
-    and its payload checks out. A solve of the config's own data (its
-    boundary block overrides every default) is saved there with solve.json.
+    and of ``SOLVER_VERSION``, and its payload checks out. A solve of the
+    config's own data (its boundary block overrides every default) is saved
+    there with solve.json.
     A solve short of its tolerance, saved or not, raises ``_NotConverged``."""
     pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
     params = {"seed": cfg.seed, **defaults, **cfg.boundary}
     inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
               "potential": cfg.potential, "boundary": params,
-              "solver": cfg.solver}
+              "solver": cfg.solver, "solver_version": SOLVER_VERSION}
     key = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
     u = None
@@ -199,6 +200,14 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
         max_principle_assumptions(pot, r, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
+    # these data have modulus exactly boundary.magnitude on the boundary,
+    # which max_principle_check requires to be within r
+    tag, mag = cfg.boundary["tag"], cfg.boundary.get("magnitude", r)
+    if (tag == "radial-profile" or tag == "angular" and cfg.m >= 2) \
+            and float(mag) > r * (1 + 1e-12):
+        raise ConfigError(f"boundary.magnitude: {float(mag):.6g} exceeds "
+                          f"r = {r:.6g}; the maximum principle needs data "
+                          f"within r of the zero")
     # data of magnitude r where the config sets none
     u, rep = _solve(cfg, out, magnitude=r)[2:]
     verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)

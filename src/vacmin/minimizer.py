@@ -1,8 +1,10 @@
 """Energy minimization under pinned Dirichlet data.
 
 Preconditioned steepest descent: the direction is C g, C the exact
-inverse of the Dirichlet Hessian on the cube's inner box (a sine-transform
-solve), with the preconditioned second Barzilai-Borwein step size
+inverse of h^n (-lap_h + sigma) on the cube's inner box (a sine-transform
+solve), sigma >= 0 a constant stand-in for the potential's curvature taken
+once from the starting field, with the preconditioned second
+Barzilai-Borwein step size
 (BB2, t = <s, y>/<y, C y>; Molina and Raydan 1996) and an Armijo
 backtracking safeguard (Raydan 1997), so the energy is nonincreasing
 iterate to iterate. The Dirichlet gradient is carried from iterate to
@@ -33,6 +35,11 @@ MINIMALITY_NOTE = ("stationarity certified via the Euler-Lagrange residual; "
                    "checked only against constructed competitors")
 
 
+# part of the CLI's key for a saved solve: raise it whenever a change moves
+# what minimize returns, so that fields saved before are solved again
+SOLVER_VERSION = 2
+
+
 class SolverDivergence(RuntimeError):
     """Non-finite energy during the line search."""
 
@@ -48,6 +55,7 @@ class SolveReport:
     step_max: float
     step_last: float
     backtracks: int
+    shift: float
     note: str = MINIMALITY_NOTE
     energy_trace: list = dfield(default_factory=list, repr=False)
 
@@ -107,14 +115,43 @@ def _bb2(t: float, d_prev: np.ndarray, g_prev: np.ndarray,
     return sy / ycy if sy > 0.0 and ycy > 0.0 else t
 
 
+def _curvature_shift(pot: Potential, x: np.ndarray,
+                     eps: float = 2.0 ** -10) -> float:
+    """max(0, mean over the nodes of x, shape (m, N), of tr D^2W / m), the
+    trace from central second differences of W with step eps. It is formed
+    from whole-field sums, sum W(x + eps e_c) + sum W(x - eps e_c)
+    - 2 sum W(x), perturbing one row of x in place and restoring it from a
+    copy, so no field-sized array outlives a ``value_field`` call."""
+    m, N = x.shape
+
+    def w_sum() -> float:
+        return float(np.sum(pot.value_field(x)))
+
+    total = -2.0 * m * w_sum()
+    for c in range(m):
+        row = x[c].copy()
+        for step in (eps, -eps):
+            np.add(row, step, out=x[c])
+            total += w_sum()
+        x[c] = row
+    mean = total / (eps * eps * m * N)
+    return mean if 0.0 < mean < np.inf else 0.0
+
+
 def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
              max_iter: int = 50_000):
     """Descend from u0 (which carries the boundary data) until the EL
     residual drops below tol. Returns (VectorField, SolveReport).
 
     The iteration runs on interior values only. The search direction is
-    d = C g, C the exact inverse of the Dirichlet Hessian on the cube's
-    inner box (``_kernels.DirichletInverse``), and the step is the
+    d = C g, C the exact inverse of h^n (-lap_h + sigma) on the cube's
+    inner box (``_kernels.DirichletInverse``). The shift sigma stands in
+    for the D^2W part of the Hessian h^n (-lap_0 + D^2W), which a sine
+    basis can hold only as a constant: it is the mean over the interior
+    nodes of u0 of tr D^2W / m, from central second differences of W,
+    clamped at 0 (``_curvature_shift``; 1 up to rounding for the quadratic
+    family), computed once and reported as ``shift``. Fixed for the
+    solve, it keeps BB2's secant pair exact. The step is the
     preconditioned BB2 step t = <s, y>/<y, C y> (s the last step, y the
     change of the gradient, C y the change of d), starting from t = 1,
     halved, at most 60 times, until the Armijo test with constant 1e-4 and
@@ -123,7 +160,9 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     operator once for A d. Since the Dirichlet part is quadratic, the
     Dirichlet gradient at the accepted iterate is updated as grad_d - t A d,
     so an iteration applies the stencil once and C once. The updated
-    residual only decides when to look: once it reaches tol, and on every
+    residual only decides when to look (its sup is not taken while the sum
+    of squares over the N interior nodes exceeds 2 N (tol h^n)^2, since the
+    sup then exceeds tol): once it reaches tol, and on every
     exit, the gradient is evaluated directly, and ``converged`` and the
     reported ``residual`` come from that direct gradient alone, so the
     residual stays a certificate. The initial and final energies are the
@@ -136,11 +175,12 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     cell = grid.cell
 
     op = _kernels.InteriorOperator(grid, u0.values, pot)
-    precondition = _kernels.DirichletInverse(grid)
     x = op.gather(u0.values)
     energy = op.energy(x)
     if not np.isfinite(energy):
         raise SolverDivergence("initial energy is not finite")
+    shift = _curvature_shift(pot, x)
+    precondition = _kernels.DirichletInverse(grid, shift)
     grad, grad_d = op.gradient(x)
     direct = True
     w = pot.value_field(x)
@@ -154,16 +194,20 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     backtracks = 0
     iterations = 0
     converged = False
+    # sum_i |g_i|^2 <= N max_i |g_i|^2, so above this bound the sup residual
+    # exceeds tol; the factor 2 is far beyond the rounding of either side
+    sq_sum_max = 2.0 * op.n_int * (tol * cell) ** 2
 
     for _ in range(max_iter):
-        residual = _residual_from_grad(grad, cell)
-        if residual <= tol and not direct:
-            grad, grad_d = op.gradient(x)
-            direct = True
+        if _kernels.dot(grad, grad) <= sq_sum_max:
             residual = _residual_from_grad(grad, cell)
-        if residual <= tol:
-            converged = True
-            break
+            if residual <= tol and not direct:
+                grad, grad_d = op.gradient(x)
+                direct = True
+                residual = _residual_from_grad(grad, cell)
+            if residual <= tol:
+                converged = True
+                break
         d = precondition(grad)
         gd = _kernels.dot(grad, d)
         if g_prev is not None:
@@ -211,6 +255,7 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
         step_max=float(max(steps)) if steps else 0.0,
         step_last=float(steps[-1]) if steps else 0.0,
         backtracks=backtracks,
+        shift=shift,
         energy_trace=energies,
     )
     return u0.with_values(op.scatter(u0.values, x)), report

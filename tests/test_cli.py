@@ -308,6 +308,28 @@ def test_competitor_rejects_small_ball_before_solving(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("boundary", [
+    {"tag": "angular", "magnitude": 0.6, "windings": 1},
+    {"tag": "radial-profile", "magnitude": 0.3},
+], ids=lambda b: b["tag"])
+def test_max_principle_rejects_data_beyond_r_before_solving(
+        tmp_path, capsys, monkeypatch, boundary):
+    # these data have modulus exactly boundary.magnitude on the boundary,
+    # above the default r = r0/4 = 0.25
+    def no_solve(*args, **kwargs):
+        raise AssertionError("read or solved before checking the data")
+
+    for name in ("_solve", "minimize", "load_field"):
+        monkeypatch.setattr(f"vacmin.cli.{name}", no_solve)
+    cfg = write_cfg(tmp_path, boundary=boundary)
+    out = tmp_path / "out"
+    assert run_cli("max-principle", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: boundary.magnitude: ")
+    assert "exceeds r = 0.25" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_monotonicity_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, analysis={"radii": [0.5, 1.0, 1.5, 2.0, 2.5]})
     out = tmp_path / "out"
@@ -478,8 +500,9 @@ def test_bad_discs_independent_of_blas_threads(tmp_path):
                                  "minimize", "energy-profile",
                                  "max-principle"])
 def test_unconverged_solve_says_why(tmp_path, capsys, cmd):
-    # max-principle solves the config's own data (magnitude 0.6) here
-    cfg = write_cfg(tmp_path, solver={"max_iter": 3})
+    # with r = 0.6, max-principle solves the config's own data (magnitude
+    # 0.6) here
+    cfg = write_cfg(tmp_path, solver={"max_iter": 3}, **EXPERIMENT)
     out = tmp_path / "out"
     assert run_cli(cmd, cfg, out) == 3
     captured = capsys.readouterr()
@@ -576,6 +599,40 @@ def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
     assert run_cli("energy-profile", cfg, out) == 0
     assert len(calls) == 1
     assert _tree_digest(out) == _tree_digest(fresh)
+
+
+@pytest.mark.parametrize("saved_by", ["unversioned", "older-solver"])
+def test_field_of_another_solver_is_solved_again(tmp_path, monkeypatch,
+                                                 saved_by):
+    # the key hashes the solver version with the solve inputs, so a field
+    # saved under a key without it, or by a solver of another version, is
+    # solved again, and the result is what a fresh directory gets
+    import vacmin.cli
+    cfg = write_cfg(tmp_path)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli("energy-profile", cfg, fresh) == 0
+    if saved_by == "older-solver":
+        monkeypatch.setattr(vacmin.cli, "SOLVER_VERSION",
+                            vacmin.cli.SOLVER_VERSION - 1)
+    assert run_cli("minimize", cfg, out) == 0
+    monkeypatch.undo()
+    if saved_by == "unversioned":
+        c = ExperimentConfig.from_yaml(cfg)
+        inputs = {"n": c.n, "m": c.m, "h": c.h, "r_max": c.r_max,
+                  "potential": c.potential,
+                  "boundary": {"seed": c.seed, **c.boundary},
+                  "solver": c.solver}
+        side_path = out / "field.bin.json"
+        side = json.loads(side_path.read_text())
+        side["solve_sha256"] = hashlib.sha256(
+            json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+        side_path.write_text(json.dumps(side))
+    calls = count_solves(monkeypatch)
+    assert run_cli("energy-profile", cfg, out) == 0
+    assert len(calls) == 1
+    assert _tree_digest(out) == _tree_digest(fresh)
+    assert run_cli("energy-profile", cfg, out) == 0
+    assert len(calls) == 1
 
 
 def test_saved_unconverged_field_exits_3(tmp_path, capsys, monkeypatch):

@@ -128,6 +128,23 @@ def test_operator_arrays_are_planar(n, h, r):
     assert x.shape == (2, op.n_int)
 
 
+def test_line_buffers_wait_for_the_first_line_call():
+    # the energy and the gradient read neither of line()'s buffers, so an
+    # operator that only evaluates them never allocates one
+    g = Grid(3, 0.2, 1.2)
+    pot = power([0.0, 0.0], 4)
+    vals = np.random.default_rng(5).standard_normal((2,) + g.shape)
+    op = K.InteriorOperator(g, vals, pot)
+    x = op.gather(vals)
+    op.energy(x)
+    grad, grad_d = op.gradient(x)
+    assert op._zero is None and op._ag is None
+    w = pot.value_field(x)
+    ag = op.line(x, grad, grad_d, w)[1]
+    assert ag.shape == x.shape and ag.flags.c_contiguous
+    assert op.line(x, grad, grad_d, w)[1] is ag
+
+
 @pytest.mark.parametrize("n,h,r", GRIDS)
 def test_edges_are_the_mask_edges(n, h, r):
     # every cube edge with an interior endpoint, each exactly once, as
@@ -159,34 +176,36 @@ def test_sine_matrix_is_its_own_inverse(size):
                                    (3, 0.2, 1.2), (3, 0.2, 4.0)])
 def test_dirichlet_inverse_matches_scipy_dst(n, h, r):
     # reference: extend by zero to the inner box, orthonormal DST-I, divide
-    # by h^n times the eigenvalues of -lap_h, DST-I again, restrict
+    # by h^n times (the eigenvalues of -lap_h + shift), DST-I again, restrict
     from scipy.fft import dstn
     g = Grid(n, h, r)
-    C = K.DirichletInverse(g)
     interior = g.stencil[0]
     size = g.axis.size - 2
     k = np.arange(1, size + 1)
     lam = 4.0 / (h * h) * np.sin(0.5 * np.pi * k / (size + 1)) ** 2
     eig = sum(lam.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
     x = np.random.default_rng(7).standard_normal((2, interior.size))
-    ref = np.empty_like(x)
-    for c in range(2):
-        box = np.zeros(g.shape)
-        box.reshape(-1)[interior] = x[c]
-        box = box[(slice(1, -1),) * n]
-        box = dstn(dstn(box, type=1, norm="ortho") / (g.cell * eig), type=1,
-                   norm="ortho")
-        full = np.zeros(g.shape)
-        full[(slice(1, -1),) * n] = box
-        ref[c] = full.reshape(-1)[interior]
-    got = C(x)
-    assert got.dtype == np.float64 and got.flags.c_contiguous
-    # the transform runs in float32
-    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
-    assert np.array_equal(C(x), got)
-    # scaled by a power of two on the way in, so float32's range is no limit
-    for k in (-300, 300):
-        assert np.array_equal(C(x * 2.0 ** k), got * 2.0 ** k)
+    for shift in (0.0, 0.627, 40.0):
+        C = K.DirichletInverse(g, shift)
+        ref = np.empty_like(x)
+        for c in range(2):
+            box = np.zeros(g.shape)
+            box.reshape(-1)[interior] = x[c]
+            box = box[(slice(1, -1),) * n]
+            box = dstn(dstn(box, type=1, norm="ortho")
+                       / (g.cell * (eig + shift)), type=1, norm="ortho")
+            full = np.zeros(g.shape)
+            full[(slice(1, -1),) * n] = box
+            ref[c] = full.reshape(-1)[interior]
+        got = C(x)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        # the transform runs in float32
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.array_equal(C(x), got)
+        # scaled by a power of two on the way in, so float32's range is no
+        # limit
+        for k in (-300, 300):
+            assert np.array_equal(C(x * 2.0 ** k), got * 2.0 ** k)
 
 
 def test_dirichlet_inverse_inverts_the_box_laplacian():

@@ -1,16 +1,21 @@
 """Discrete energy, its gradient oracle, and the descent solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_interior_field
 from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, INTERIOR
+from vacmin import _kernels
 from vacmin._kernels import InteriorOperator
-from vacmin.minimizer import (SolverDivergence, _residual_from_grad,
-                              discrete_energy, discrete_energy_gradient,
-                              el_residual, minimize, modica_check)
-from vacmin.potentials import power, quadratic
+from vacmin.minimizer import (SolverDivergence, _curvature_shift,
+                              _residual_from_grad, discrete_energy,
+                              discrete_energy_gradient, el_residual, minimize,
+                              modica_check)
+from vacmin.potentials import (anisotropic, power, product_perturbed,
+                               quadratic)
 
 
 def test_energy_of_constant_zero(small_grid):
@@ -156,6 +161,113 @@ def test_solver_divergence_error(small_grid):
     u0 = VectorField(small_grid, vals)
     with pytest.raises(SolverDivergence):
         minimize(u0, pot, tol=1e-6, max_iter=10)
+
+
+@pytest.mark.parametrize("nodes", ["all", "one"])
+def test_overflowing_start_raises_divergence_without_warnings(small_grid,
+                                                              nodes):
+    # a field holds only finite values, but W overflows at 1e160: the
+    # initial energy is checked before anything else reads u0, the
+    # curvature shift included, so such a start is reported as divergence,
+    # with no RuntimeWarning on the way
+    pot = quadratic([0.0])
+    vals = np.zeros((1,) + small_grid.shape)
+    inner = np.flatnonzero(small_grid.mask.reshape(-1) == INTERIOR)
+    vals.reshape(-1)[inner if nodes == "all" else inner[3]] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergence, match="initial energy"):
+            minimize(VectorField(small_grid, vals), pot, tol=1e-6)
+
+
+SHIFT_POTS = [
+    quadratic([0.1, -0.2]),
+    power([0.0, 0.0], 4),
+    power([0.0, 0.0], 3),
+    power([0.0, 0.0], 6),
+    anisotropic([0.0, 0.1], [1.0, 2.0], [2, 4]),
+    product_perturbed([0.3, -0.2]),
+]
+
+
+@pytest.mark.parametrize("pot", SHIFT_POTS,
+                         ids=lambda p: f"{p.family}-{p.exponent:g}")
+def test_curvature_shift_is_the_mean_hessian_trace(pot):
+    # sigma = max(0, mean over the interior of tr D^2W(u0) / m), from
+    # second differences of W: finite, >= 0, the mean of the closed-form
+    # Hessian traces, exactly 1 for the quadratic, and it leaves u0 as it
+    # was; minimize reports the value it used
+    g = Grid(2, 0.1, 2.0)
+    u0 = initial_field(g, pot, angular(pot, 0.6))
+    op = InteriorOperator(g, u0.values, pot)
+    x = op.gather(u0.values)
+    before = x.copy()
+    shift = _curvature_shift(pot, x)
+    assert np.array_equal(x, before)
+    assert np.isfinite(shift) and shift >= 0.0
+    # |u|^3 is only C^2 at its zero, where a second difference of step
+    # eps is off by O(eps)
+    traces = [np.trace(pot.hessian(p)) for p in x.T]
+    assert shift == pytest.approx(max(0.0, np.mean(traces) / pot.m),
+                                  rel=1e-3)
+    if pot.family == "quadratic":
+        assert shift == pytest.approx(1.0, abs=1e-6)
+    _, rep = minimize(u0, pot, tol=1e-6, max_iter=2)
+    assert rep.shift == shift
+
+
+def test_curvature_shift_is_clamped_at_zero():
+    # a negative coefficient makes W concave: tr D^2W / m = -2 everywhere
+    pot = anisotropic([0.0, 0.0], [-1.0, -1.0], [2, 2])
+    g = Grid(2, 0.1, 2.0)
+    x = np.random.default_rng(2).standard_normal((2, g.stencil[0].size))
+    assert _curvature_shift(quadratic([0.0, 0.0]), x) == pytest.approx(1.0)
+    assert _curvature_shift(pot, x) == 0.0
+
+
+def test_quadratic_iterations_barely_grow_with_the_ball():
+    # the shift (1 for this W) puts W's curvature into C, so on 2D h=0.1
+    # the count may grow at most 1.25x per doubling of R; with C inverting
+    # h^n(-lap_h) alone it went 28, 40, 80 at R = 4, 8, 16
+    pot = quadratic([0.0, 0.0])
+    counts = []
+    for r in (4.0, 8.0, 16.0):
+        g = Grid(2, 0.1, r)
+        _, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
+                          tol=1e-6)
+        assert rep.converged
+        counts.append(rep.iterations)
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 1.25 * small, counts
+
+
+def test_sup_residual_is_skipped_only_where_it_cannot_pass(monkeypatch):
+    # the solve takes the sup residual only once sum |g|^2 <= 2 N (tol
+    # h^n)^2; taking it on every iteration (dot(g, g) read as 0) must give
+    # the same field and report, with more sup passes
+    g = Grid(3, 0.2, 2.0)
+    pot = power([0.0, 0.0], 4)
+    u0 = initial_field(g, pot, angular(pot, 0.6))
+    calls = []
+    norm2 = _kernels.norm2
+
+    def counting(d):
+        calls.append(1)
+        return norm2(d)
+
+    monkeypatch.setattr(_kernels, "norm2", counting)
+    u, rep = minimize(u0, pot, tol=1e-6)
+    skipping = len(calls)
+    dot = _kernels.dot
+    monkeypatch.setattr(_kernels, "dot",
+                        lambda a, b: 0.0 if a is b else dot(a, b))
+    del calls[:]
+    u_every, rep_every = minimize(u0, pot, tol=1e-6)
+    assert rep.converged
+    assert np.array_equal(u.values, u_every.values)
+    assert rep.to_dict() == rep_every.to_dict()
+    assert rep.energy_trace == rep_every.energy_trace
+    assert skipping < len(calls)
 
 
 def test_el_residual_examples(small_grid):
