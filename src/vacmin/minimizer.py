@@ -121,7 +121,8 @@ def _curvature_shift(pot: Potential, x: np.ndarray,
     trace from central second differences of W with step eps. It is formed
     from whole-field sums, sum W(x + eps e_c) + sum W(x - eps e_c)
     - 2 sum W(x), perturbing one row of x in place and restoring it from a
-    copy, so no field-sized array outlives a ``value_field`` call."""
+    copy, so that copy is the only array kept across ``value_field``
+    calls."""
     m, N = x.shape
 
     def w_sum() -> float:

@@ -195,7 +195,7 @@ SHIFT_POTS = [
 def test_curvature_shift_is_the_mean_hessian_trace(pot):
     # sigma = max(0, mean over the interior of tr D^2W(u0) / m), from
     # second differences of W: finite, >= 0, the mean of the closed-form
-    # Hessian traces, exactly 1 for the quadratic, and it leaves u0 as it
+    # Hessian traces, 1 to 1e-6 for the quadratic, and it leaves u0 as it
     # was; minimize reports the value it used
     g = Grid(2, 0.1, 2.0)
     u0 = initial_field(g, pot, angular(pot, 0.6))
