@@ -209,6 +209,18 @@ def sine_matrix(size: int) -> np.ndarray:
             * np.sin(np.pi * np.outer(k, k) / (size + 1)))
 
 
+def lowest_mode(grid) -> np.ndarray:
+    """The lowest eigenvector of -lap_h on the cube's inner box, the product
+    over the axes of sin(pi i / (size + 1)) at cube index i, unnormalized,
+    at the interior nodes in ``InteriorOperator.gather`` order: the mode on
+    which ``DirichletInverse`` is largest."""
+    size = grid.axis.size - 2
+    phi = np.ones(grid.stencil[0].size)
+    for i in np.unravel_index(grid.stencil[0], grid.shape):
+        phi *= np.sin(np.pi / (size + 1) * i)
+    return phi
+
+
 def _spans(total: int, width: int) -> list:
     """Slices cutting range(total) into ceil(total/width) near-equal parts."""
     parts = -(-total // width)

@@ -23,11 +23,13 @@ import sys
 import numpy as np
 
 from . import boundary as bdata
-from .competitor import (max_principle_assumptions, max_principle_check,
-                         quadrature_slack, standard_suite)
+from .competitor import (boundary_within, max_principle_assumptions,
+                         max_principle_check, quadrature_slack,
+                         standard_suite)
 from .config import ConfigError, ExperimentConfig
 from .discs import ClearingOutViolated, bad_disc_pipeline
-from .field import energy_density, export_sphere_csv, load_field, save_field
+from .field import (VectorField, energy_density, export_sphere_csv,
+                    load_field, save_field)
 from .growth import (bootstrap_fixed_point, bootstrap_map, energy_profile,
                      growth_diagnostic, rescaled_l2_smallness)
 from .minimizer import SOLVER_VERSION, SolveReport, SolverDivergence, minimize
@@ -54,6 +56,12 @@ class _NotConverged(Exception):
     """A solve stopped short of its tolerance; ``main`` exits 3."""
 
 
+def _boundary_params(cfg: ExperimentConfig, defaults: dict) -> dict:
+    """The boundary block a solve reads: the config's own keys over
+    ``defaults`` over the config's seed."""
+    return {"seed": cfg.seed, **defaults, **cfg.boundary}
+
+
 def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     """Solve the config's boundary data, ``defaults`` filling what it leaves
     out. With ``reuse``, out/field.bin stands in for the solve when its
@@ -63,7 +71,7 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     there with solve.json.
     A solve short of its tolerance, saved or not, raises ``_NotConverged``."""
     pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
-    params = {"seed": cfg.seed, **defaults, **cfg.boundary}
+    params = _boundary_params(cfg, defaults)
     inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
               "potential": cfg.potential, "boundary": params,
               "solver": cfg.solver, "solver_version": SOLVER_VERSION}
@@ -78,9 +86,8 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
                 u, rep = load_field(path), SolveReport(**side["solve"])
     if u is None:
         grid = cfg.make_grid()
-        tag = params.pop("tag")
-        u0 = bdata.initial_field(grid, pot,
-                                 bdata.make_boundary(tag, pot, grid, params))
+        u0 = bdata.initial_field(grid, pot, bdata.make_boundary(
+            params["tag"], pot, grid, params))
         u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                           max_iter=int(cfg.solver["max_iter"]))
         if defaults.keys() <= cfg.boundary.keys():
@@ -200,15 +207,16 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
         max_principle_assumptions(pot, r, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
-    # these data have modulus exactly boundary.magnitude on the boundary,
-    # which max_principle_check requires to be within r
-    tag, mag = cfg.boundary["tag"], cfg.boundary.get("magnitude", r)
-    if (tag == "radial-profile" or tag == "angular" and cfg.m >= 2) \
-            and float(mag) > r * (1 + 1e-12):
-        raise ConfigError(f"boundary.magnitude: {float(mag):.6g} exceeds "
-                          f"r = {r:.6g}; the maximum principle needs data "
-                          f"within r of the zero")
-    # data of magnitude r where the config sets none
+    # data of magnitude r where the config sets none; checked on the grid's
+    # boundary nodes, as max_principle_check checks the solve's, before it
+    params = _boundary_params(cfg, {"magnitude": r})
+    grid = cfg.make_grid()
+    g = VectorField.from_function(grid, bdata.make_boundary(
+        params["tag"], pot, grid, params), m=pot.m)
+    try:
+        boundary_within(g, pot.zero, r)
+    except ValueError as exc:
+        raise ConfigError(f"boundary.magnitude: {exc}") from None
     u, rep = _solve(cfg, out, magnitude=r)[2:]
     verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)
     _write_json(os.path.join(out, "max_principle.json"),

@@ -241,6 +241,17 @@ def max_principle_assumptions(pot: Potential, r: float, seed: int = 0):
     return rep
 
 
+def boundary_within(u: VectorField, zero, r: float) -> float:
+    """sup over the BOUNDARY nodes of |u - zero|, which the maximum
+    principle needs within r (up to rounding); ValueError when it exceeds
+    r."""
+    sup = float(u.distance_from(zero).values[u.grid.mask == BOUNDARY].max())
+    if sup > r * (1 + 1e-12):
+        raise ValueError(f"boundary data exceeds r: sup |g - zero| = "
+                         f"{sup:.6g} > {r:.6g}")
+    return sup
+
+
 def max_principle_check(u: VectorField, pot: Potential, r: float,
                         solve: SolveReport,
                         seed: int = 0) -> MaxPrincipleReport:
@@ -250,11 +261,8 @@ def max_principle_check(u: VectorField, pot: Potential, r: float,
     ``max_principle_assumptions``, and u's boundary values within r."""
     rep = max_principle_assumptions(pot, r, seed)
     grid = u.grid
+    boundary_sup = boundary_within(u, pot.zero, r)
     dist = u.distance_from(pot.zero).values
-    boundary_sup = float(dist[grid.mask == BOUNDARY].max())
-    if boundary_sup > r * (1 + 1e-12):
-        raise ValueError(f"boundary data exceeds r: sup |g - zero| = "
-                         f"{boundary_sup:.6g} > {r:.6g}")
     # the solver's reported energy is discrete_energy(u) bit for bit
     eu = solve.energy
     et = discrete_energy(build_truncation(u, pot.zero, r), pot)

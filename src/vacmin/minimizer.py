@@ -115,18 +115,24 @@ def _bb2(t: float, d_prev: np.ndarray, g_prev: np.ndarray,
     return sy / ycy if sy > 0.0 and ycy > 0.0 else t
 
 
-def _curvature_shift(pot: Potential, x: np.ndarray,
-                     eps: float = 2.0 ** -10) -> float:
-    """max(0, mean over the nodes of x, shape (m, N), of tr D^2W / m), the
-    trace from central second differences of W with step eps. It is formed
-    from whole-field sums, sum W(x + eps e_c) + sum W(x - eps e_c)
-    - 2 sum W(x), perturbing one row of x in place and restoring it from a
-    copy, so that copy is the only array kept across ``value_field``
-    calls."""
-    m, N = x.shape
+def _curvature_shift(pot: Potential, grid, x: np.ndarray) -> float:
+    """max(0, <phi, k phi>/<phi, phi>) for the interior values x, shape
+    (m, N): k is tr D^2W(x) / m per node, from central second differences
+    of W with step 2^-10, and phi is the lowest mode of C's box
+    (``_kernels.lowest_mode``), on which C is largest. So the shift is the
+    curvature that mode sees, and C and the Hessian agree on it. phi is
+    small at the ball's edge, where u0 carries its data and where the
+    curvature of a degenerate W (power q > 2) is far above what the
+    minimizer's interior keeps; an unweighted mean let that layer inflate
+    the shift. It is formed from weighted sums, sum phi^2 W(x + eps e_c)
+    + sum phi^2 W(x - eps e_c) - 2 sum phi^2 W(x), perturbing one row of x
+    in place and restoring it from a copy."""
+    m = x.shape[0]
+    eps = 2.0 ** -10
+    weight = _kernels.lowest_mode(grid) ** 2
 
     def w_sum() -> float:
-        return float(np.sum(pot.value_field(x)))
+        return float(np.einsum("i,i->", weight, pot.value_field(x)))
 
     total = -2.0 * m * w_sum()
     for c in range(m):
@@ -135,7 +141,7 @@ def _curvature_shift(pot: Potential, x: np.ndarray,
             np.add(row, step, out=x[c])
             total += w_sum()
         x[c] = row
-    mean = total / (eps * eps * m * N)
+    mean = total / (eps * eps * m * float(np.sum(weight)))
     return mean if 0.0 < mean < np.inf else 0.0
 
 
@@ -148,10 +154,11 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     d = C g, C the exact inverse of h^n (-lap_h + sigma) on the cube's
     inner box (``_kernels.DirichletInverse``). The shift sigma stands in
     for the D^2W part of the Hessian h^n (-lap_0 + D^2W), which a sine
-    basis can hold only as a constant: it is the mean over the interior
-    nodes of u0 of tr D^2W / m, from central second differences of W,
-    clamped at 0 (``_curvature_shift``; 1 up to rounding for the quadratic
-    family), computed once and reported as ``shift``. Fixed for the
+    basis can hold only as a constant: it is the mean of tr D^2W(u0) / m
+    over the interior, from central second differences of W, weighted by
+    the square of C's lowest mode and clamped at 0 (``_curvature_shift``;
+    1 up to rounding for the quadratic family), computed once and
+    reported as ``shift``. Fixed for the
     solve, it keeps BB2's secant pair exact. The step is the
     preconditioned BB2 step t = <s, y>/<y, C y> (s the last step, y the
     change of the gradient, C y the change of d), starting from t = 1,
@@ -180,7 +187,7 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     energy = op.energy(x)
     if not np.isfinite(energy):
         raise SolverDivergence("initial energy is not finite")
-    shift = _curvature_shift(pot, x)
+    shift = _curvature_shift(pot, grid, x)
     precondition = _kernels.DirichletInverse(grid, shift)
     grad, grad_d = op.gradient(x)
     direct = True

@@ -9,8 +9,11 @@ import sys
 import pytest
 import yaml
 
+from vacmin.boundary import random_smooth
 from vacmin.cli import _COMMANDS, main
+from vacmin.competitor import boundary_within
 from vacmin.config import ConfigError, ExperimentConfig
+from vacmin.field import VectorField
 
 BASE = {
     "n": 2,
@@ -308,26 +311,51 @@ def test_competitor_rejects_small_ball_before_solving(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("boundary", [
-    {"tag": "angular", "magnitude": 0.6, "windings": 1},
-    {"tag": "radial-profile", "magnitude": 0.3},
-], ids=lambda b: b["tag"])
+M1 = {"m": 1, "potential": {"family": "power", "zero": [0.0], "q": 4}}
+
+
+@pytest.mark.parametrize("boundary,extra", [
+    ({"tag": "angular", "magnitude": 0.6, "windings": 1}, {}),
+    ({"tag": "angular", "magnitude": -0.6, "windings": 1}, {}),
+    ({"tag": "angular", "magnitude": 0.6, "windings": 1}, M1),
+    ({"tag": "radial-profile", "magnitude": 0.3}, {}),
+    ({"tag": "radial-profile", "magnitude": -0.3}, {}),
+    ({"tag": "random", "magnitude": 2.0}, {}),
+], ids=["angular", "angular-negative", "angular-m1", "radial-profile",
+        "radial-profile-negative", "random"])
 def test_max_principle_rejects_data_beyond_r_before_solving(
-        tmp_path, capsys, monkeypatch, boundary):
-    # these data have modulus exactly boundary.magnitude on the boundary,
-    # above the default r = r0/4 = 0.25
+        tmp_path, capsys, monkeypatch, boundary, extra):
+    # the data's modulus on the boundary nodes exceeds the default
+    # r = r0/4 = 0.25 (a negative magnitude flips the data's sign, not its
+    # modulus), so the command stops before it reads, solves or writes
     def no_solve(*args, **kwargs):
         raise AssertionError("read or solved before checking the data")
 
     for name in ("_solve", "minimize", "load_field"):
         monkeypatch.setattr(f"vacmin.cli.{name}", no_solve)
-    cfg = write_cfg(tmp_path, boundary=boundary)
+    cfg = write_cfg(tmp_path, boundary=boundary, **extra)
     out = tmp_path / "out"
     assert run_cli("max-principle", cfg, out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: boundary.magnitude: ")
-    assert "exceeds r = 0.25" in err
+    assert err.startswith("config error: boundary.magnitude: boundary data "
+                          "exceeds r: sup |g - zero| = ")
+    assert err.rstrip().endswith("> 0.25")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_max_principle_checks_the_data_not_the_magnitude(tmp_path):
+    # random data stay below their magnitude, here under r = 0.25 although
+    # the magnitude is not: the check reads the data on the boundary nodes
+    cfg = write_cfg(tmp_path, boundary={"tag": "random", "magnitude": 0.3})
+    c = ExperimentConfig.from_yaml(cfg)
+    grid, pot = c.make_grid(), c.make_potential()
+    g = VectorField.from_function(grid, random_smooth(pot, 0.3, seed=c.seed),
+                                  m=pot.m)
+    assert boundary_within(g, pot.zero, 0.25) <= 0.25
+    out = tmp_path / "out"
+    assert run_cli("max-principle", cfg, out) in (0, 4)
+    report = json.loads((out / "max_principle.json").read_text())
+    assert report["verdict"]["boundary_sup"] <= 0.25
 
 
 def test_monotonicity_subcommand(tmp_path):

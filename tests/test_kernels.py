@@ -208,6 +208,29 @@ def test_dirichlet_inverse_matches_scipy_dst(n, h, r):
             assert np.array_equal(C(x * 2.0 ** k), got * 2.0 ** k)
 
 
+@pytest.mark.parametrize("n,h,r", [(2, 0.1, 2.0), (3, 0.2, 1.2)])
+def test_lowest_mode_is_the_first_sine_of_the_box(n, h, r):
+    # the box's faces are the cube's, at +-a with a the last axis value, so
+    # its lowest mode is prod cos(pi x / (2 a)) at the interior nodes in
+    # gather order: the first row of the sine matrix along every axis
+    g = Grid(n, h, r)
+    phi = K.lowest_mode(g)
+    coords = g.coords.reshape(n, -1)[:, g.stencil[0]]
+    ref = np.prod(np.cos(0.5 * np.pi * coords / g.axis[-1]), axis=0)
+    assert np.allclose(phi, ref, rtol=0, atol=1e-14)
+    assert phi.min() > 0.0
+    size = g.axis.size - 2
+    S = K.sine_matrix(size)
+    first = np.sqrt(0.5 * (size + 1)) * S[0]
+    box = np.ones((size,) * n)
+    for ax in range(n):
+        box = box * first.reshape((-1,) + (1,) * (n - 1 - ax))
+    cube = np.zeros(g.shape)
+    cube[(slice(1, -1),) * n] = box
+    assert np.allclose(phi, cube.reshape(-1)[g.stencil[0]], rtol=0,
+                       atol=1e-14)
+
+
 def test_dirichlet_inverse_inverts_the_box_laplacian():
     # on a ball that fills the inner box up to its corners, C applied to
     # A y for y vanishing near the ball's edge returns y

@@ -10,7 +10,8 @@ from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, INTERIOR
 from vacmin import _kernels
 from vacmin._kernels import InteriorOperator
-from vacmin.minimizer import (SolverDivergence, _curvature_shift,
+from vacmin.minimizer import (SOLVER_VERSION, SolverDivergence,
+                              _curvature_shift,
                               _residual_from_grad, discrete_energy,
                               discrete_energy_gradient, el_residual, minimize,
                               modica_check)
@@ -192,24 +193,27 @@ SHIFT_POTS = [
 
 @pytest.mark.parametrize("pot", SHIFT_POTS,
                          ids=lambda p: f"{p.family}-{p.exponent:g}")
-def test_curvature_shift_is_the_mean_hessian_trace(pot):
-    # sigma = max(0, mean over the interior of tr D^2W(u0) / m), from
-    # second differences of W: finite, >= 0, the mean of the closed-form
-    # Hessian traces, 1 to 1e-6 for the quadratic, and it leaves u0 as it
-    # was; minimize reports the value it used
+def test_curvature_shift_is_the_weighted_hessian_trace(pot):
+    # sigma = max(0, <phi, k phi>/<phi, phi>), k = tr D^2W(u0) / m from
+    # second differences of W and phi the lowest mode of C's box: finite,
+    # >= 0, the phi^2-weighted mean of the closed-form Hessian traces, 1 to
+    # 1e-6 for the quadratic, and it leaves u0 as it was; minimize reports
+    # the value it used
     g = Grid(2, 0.1, 2.0)
     u0 = initial_field(g, pot, angular(pot, 0.6))
     op = InteriorOperator(g, u0.values, pot)
     x = op.gather(u0.values)
     before = x.copy()
-    shift = _curvature_shift(pot, x)
+    shift = _curvature_shift(pot, g, x)
     assert np.array_equal(x, before)
     assert np.isfinite(shift) and shift >= 0.0
     # |u|^3 is only C^2 at its zero, where a second difference of step
-    # eps is off by O(eps)
-    traces = [np.trace(pot.hessian(p)) for p in x.T]
-    assert shift == pytest.approx(max(0.0, np.mean(traces) / pot.m),
-                                  rel=1e-3)
+    # eps = 2^-10 reads 2 eps for a Hessian trace of 0
+    traces = np.array([np.trace(pot.hessian(p)) for p in x.T])
+    weight = _kernels.lowest_mode(g) ** 2
+    assert shift == pytest.approx(
+        max(0.0, np.sum(weight * traces) / np.sum(weight) / pot.m),
+        rel=1e-3, abs=2.0 ** -9)
     if pot.family == "quadratic":
         assert shift == pytest.approx(1.0, abs=1e-6)
     _, rep = minimize(u0, pot, tol=1e-6, max_iter=2)
@@ -221,8 +225,48 @@ def test_curvature_shift_is_clamped_at_zero():
     pot = anisotropic([0.0, 0.0], [-1.0, -1.0], [2, 2])
     g = Grid(2, 0.1, 2.0)
     x = np.random.default_rng(2).standard_normal((2, g.stencil[0].size))
-    assert _curvature_shift(quadratic([0.0, 0.0]), x) == pytest.approx(1.0)
-    assert _curvature_shift(pot, x) == 0.0
+    assert _curvature_shift(quadratic([0.0, 0.0]), g, x) == pytest.approx(1.0)
+    assert _curvature_shift(pot, g, x) == 0.0
+
+
+@pytest.mark.parametrize("q,mag", [(4, 2.0), (6, 1.0), (6, 2.0)])
+def test_curvature_shift_discounts_the_boundary_layer(q, mag):
+    # for power q > 2 the curvature of u0 sits in the layer at the ball's
+    # edge where u0 is ramped to its data; the minimizer's interior keeps
+    # far less. The weighted shift stays well below the plain mean there,
+    # which (18 on 2D R=6 at q=6, magnitude 2) raised the count 67 -> 109
+    g = Grid(2, 0.1, 6.0)
+    pot = power([0.0, 0.0], q)
+    u0 = initial_field(g, pot, angular(pot, mag))
+    x = InteriorOperator(g, u0.values, pot).gather(u0.values)
+    traces = np.array([np.trace(pot.hessian(p)) for p in x.T])
+    shift = _curvature_shift(pot, g, x)
+    assert 0.0 < shift < 0.2 * np.mean(traces) / pot.m
+    _, rep = minimize(u0, pot, tol=1e-6)
+    assert rep.converged
+
+
+def test_solver_version_pins_the_solver_output():
+    # SOLVER_VERSION keys the CLI's saved fields, so a change to what
+    # minimize returns must raise it: when this test fails on purpose,
+    # raise SOLVER_VERSION and pin the new values. It pins one small solve:
+    # the counts exactly, the shift (no BLAS call on its path) to 1e-12,
+    # and the field by two sums to 1e-11. Solvers that both reach tol move
+    # these sums by about 1e-8; computing C in float64 instead of float32,
+    # a far larger change than another BLAS build makes, moves them by
+    # 1e-13.
+    g = Grid(2, 0.1, 2.0)
+    pot = power([0.0, 0.0], 4)
+    u, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
+                      tol=1e-6)
+    assert SOLVER_VERSION == 2
+    assert (rep.iterations, rep.backtracks, rep.converged) == (18, 0, True)
+    assert rep.shift == pytest.approx(0.2959591547976868, rel=1e-12)
+    assert rep.energy == pytest.approx(1.547381756343468, rel=1e-12)
+    assert np.sum(u.values[0] * g.coords[0]) == pytest.approx(
+        877.8351665684515, rel=1e-11)
+    assert np.sum(u.values ** 2) == pytest.approx(455.38922393079457,
+                                                  rel=1e-11)
 
 
 def test_quadratic_iterations_barely_grow_with_the_ball():
