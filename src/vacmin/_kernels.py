@@ -211,13 +211,15 @@ def sine_matrix(size: int) -> np.ndarray:
 
 def lowest_mode(grid) -> np.ndarray:
     """The lowest eigenvector of -lap_h on the cube's inner box, the product
-    over the axes of sin(pi i / (size + 1)) at cube index i, unnormalized,
+    over the axes of sin(pi i / (side - 1)) at cube index i, unnormalized,
     at the interior nodes in ``InteriorOperator.gather`` order: the mode on
     which ``DirichletInverse`` is largest."""
-    size = grid.axis.size - 2
-    phi = np.ones(grid.stencil[0].size)
-    for i in np.unravel_index(grid.stencil[0], grid.shape):
-        phi *= np.sin(np.pi / (size + 1) * i)
+    side = grid.axis.size
+    sines = np.sin(np.pi / (side - 1) * np.arange(side))
+    interior = grid.stencil[0]
+    phi = np.ones(interior.size)
+    for ax in range(grid.n):
+        phi *= sines[interior // side ** ax % side]
     return phi
 
 

@@ -129,7 +129,8 @@ def _curvature_shift(pot: Potential, grid, x: np.ndarray) -> float:
     in place and restoring it from a copy."""
     m = x.shape[0]
     eps = 2.0 ** -10
-    weight = _kernels.lowest_mode(grid) ** 2
+    weight = _kernels.lowest_mode(grid)
+    weight *= weight
 
     def w_sum() -> float:
         return float(np.einsum("i,i->", weight, pot.value_field(x)))
