@@ -123,8 +123,8 @@ def _curvature_shift(pot: Potential, grid, x: np.ndarray) -> float:
     curvature that mode sees, and C and the Hessian agree on it. phi is
     small at the ball's edge, where u0 carries its data and where the
     curvature of a degenerate W (power q > 2) is far above what the
-    minimizer's interior keeps; an unweighted mean let that layer inflate
-    the shift. It is formed from weighted sums, sum phi^2 W(x + eps e_c)
+    minimizer's interior keeps, so that layer cannot set the shift. It is
+    formed from weighted sums, sum phi^2 W(x + eps e_c)
     + sum phi^2 W(x - eps e_c) - 2 sum phi^2 W(x), perturbing one row of x
     in place and restoring it from a copy."""
     m = x.shape[0]
