@@ -19,9 +19,10 @@ boundary values. Every inner product is a single-threaded ``np.einsum``
 reduction and makes no BLAS call. ``DirichletInverse``, the solver's
 preconditioner, inverts h^n (-lap_h + shift) on the cube's inner box, the
 shift a constant >= 0 standing in for W's curvature; it is the one BLAS
-user: its sine transforms are float32
-GEMMs small enough that OpenBLAS runs each on one thread, so its bits do
-not depend on the thread count, though they may depend on the BLAS build.
+user: it transforms each box axis where it lies, with float32 GEMMs
+on C-ordered operands small enough that OpenBLAS runs each on one thread,
+so its bits do not depend on the thread count, though they may depend on
+the BLAS build.
 
 First derivatives come from one centered-difference pass, ``derivatives``,
 which returns the (n, m, *shape) stack; ``gradient_sq`` reduces it to
@@ -107,9 +108,8 @@ class InteriorOperator:
         self.n_int = N
         self._pinned = np.empty((m, N + ring.size))
         self._pinned[:, N:] = vals.reshape(m, -1)[:, ring]
-        self._tmp = np.empty((m, N))
-        # line()'s buffers, allocated on its first call
-        self._zero = self._ag = None
+        # _apply's buffer and line()'s, allocated on their first call
+        self._tmp = self._zero = self._ag = None
 
     def gather(self, vals: np.ndarray) -> np.ndarray:
         """Interior values of a full-cube array, shape (m, N), C-contiguous."""
@@ -124,6 +124,8 @@ class InteriorOperator:
     def _apply(self, buf: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """-h^n lap(x), the neighbours of x read from buf."""
         buf[:, :self.n_int] = x
+        if self._tmp is None:
+            self._tmp = np.empty(x.shape)
         # every index is in range; "clip" skips the bounds check of "raise"
         out = np.take(buf, self.nbr[0], axis=1, out=out, mode="clip")
         for idx in self.nbr[1:]:
@@ -241,19 +243,25 @@ class DirichletInverse:
     Hessian h^n (-lap_0 + D^2W), which the sine basis cannot hold unless it
     is constant. One code path serves n=2 and n=3.
 
-    Each transform is a product with the sine matrix along the last box
-    axis, written with that axis first, so n transforms return the axes to
-    their order. The products are float32 GEMMs cut into blocks of at most
-    ``_GEMM_MACS`` multiply-adds and at least two rows and two columns
-    (a one-column product would be a GEMV, which OpenBLAS threads from a
-    smaller size), so the result does not depend on the BLAS thread
-    count; it may depend on the BLAS build. Two box buffers are reused
-    across calls.
+    The sine matrix S is symmetric and S S = I, so one transform, S along
+    every box axis, serves both directions. Each axis is transformed where
+    it lies, so every product reads C-ordered operands and no transposed
+    view reaches BLAS: for an axis with axes after it, the box is viewed
+    as (lead, size, trail) and rows of S multiply it from the left,
+    batched over lead; for the last axis it is viewed as (lead, size) and
+    multiplied by columns of S from the right. The products are float32
+    GEMMs cut into blocks of at most ``_GEMM_MACS`` multiply-adds and at
+    least two rows and two columns (a one-column product would be a GEMV,
+    which OpenBLAS threads from a smaller size), so the result does not
+    depend on the BLAS thread count; it may depend on the BLAS build. A
+    block takes width = max(8, 64^3 // size^2) columns of the box and
+    height = max(2, 64^3 // (size width)) rows of S; on the last axis,
+    where the box is the left operand, width of its rows and height of
+    the columns of S. Two box buffers are reused across calls.
     """
 
     def __init__(self, grid, shift: float = 0.0):
         n, size = grid.n, grid.axis.size - 2
-        self.n = n
         self._sine = sine_matrix(size).astype(np.float32)
         # eigenvalues of -lap_h on the box: a sum of one per axis
         theta = 0.5 * np.pi * np.arange(1, size + 1) / (size + 1)
@@ -267,32 +275,47 @@ class DirichletInverse:
         self._b = np.empty_like(self._a)
         width = max(8, _GEMM_MACS // (size * size))
         height = max(2, _GEMM_MACS // (size * width))
-        self._blocks = [(r, c) for r in _spans(size, height)
-                        for c in _spans(size ** (n - 1), width)]
+        # (rows, columns) of each product's output, per axis but the last
+        # and then for the last; the block of S is the outer loop, so that
+        # it stays in cache while the box streams past
+        self._blocks = [[(r, c) for r in _spans(size, height)
+                         for c in _spans(size ** (n - 1 - ax), width)]
+                        for ax in range(n - 1)]
+        self._last = [(r, c) for c in _spans(size, height)
+                      for r in _spans(size ** (n - 1), width)]
 
-    def _rotate(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """dst[k, ...] = sum_l S[k, l] src[..., l]."""
-        size = self._sine.shape[0]
+    def _transform(self, src: np.ndarray, dst: np.ndarray):
+        """S along every box axis of src, one axis per pass between the two
+        buffers; returns (the buffer holding the result, the other one)."""
+        sine = self._sine
+        size = sine.shape[0]
+        for ax, blocks in enumerate(self._blocks):
+            a = src.reshape(size ** ax, size, -1)
+            b = dst.reshape(a.shape)
+            for r, c in blocks:
+                np.matmul(sine[r], a[:, :, c], out=b[:, r, c])
+            src, dst = dst, src
         a = src.reshape(-1, size)
-        b = dst.reshape(size, -1)
-        for r, c in self._blocks:
-            np.matmul(self._sine[r], a[c].T, out=b[r, c])
+        b = dst.reshape(a.shape)
+        for r, c in self._last:
+            np.matmul(a[r], sine[:, c], out=b[r, c])
+        return dst, src
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         """C g for interior values g, shape (m, N); a new float64 array."""
         # a power of two brings g into float32's range without rounding it
         scale = 2.0 ** np.frexp(np.abs(g).max())[1]
+        # divided in float64, then rounded once to float32
+        g32 = np.divide(g, scale, out=np.empty(g.shape, np.float32),
+                        casting="same_kind")
         out = np.empty_like(g)
         for c in range(g.shape[0]):
-            src, dst = self._a, self._b
-            src.fill(0.0)
-            src.reshape(-1)[self._pos] = g[c] / scale
-            for step in range(2 * self.n):
-                if step == self.n:
-                    src *= self._inv_eig
-                self._rotate(src, dst)
-                src, dst = dst, src
-            out[c] = src.reshape(-1)[self._pos]
+            self._a.fill(0.0)
+            self._a.reshape(-1)[self._pos] = g32[c]
+            box, spare = self._transform(self._a, self._b)
+            box *= self._inv_eig
+            box, _ = self._transform(box, spare)
+            out[c] = box.reshape(-1)[self._pos]
         out *= scale
         return out
 

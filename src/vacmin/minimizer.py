@@ -37,7 +37,7 @@ MINIMALITY_NOTE = ("stationarity certified via the Euler-Lagrange residual; "
 
 # part of the CLI's key for a saved solve: raise it whenever a change moves
 # what minimize returns, so that fields saved before are solved again
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 
 
 class SolverDivergence(RuntimeError):

@@ -130,13 +130,15 @@ def test_operator_arrays_are_planar(n, h, r):
 
 def test_line_buffers_wait_for_the_first_line_call():
     # the energy and the gradient read neither of line()'s buffers, so an
-    # operator that only evaluates them never allocates one
+    # operator that only evaluates them never allocates one, and the
+    # energy alone allocates no buffer of the Laplacian either
     g = Grid(3, 0.2, 1.2)
     pot = power([0.0, 0.0], 4)
     vals = np.random.default_rng(5).standard_normal((2,) + g.shape)
     op = K.InteriorOperator(g, vals, pot)
     x = op.gather(vals)
     op.energy(x)
+    assert op._tmp is None
     grad, grad_d = op.gradient(x)
     assert op._zero is None and op._ag is None
     w = pot.value_field(x)
@@ -249,21 +251,25 @@ def test_dirichlet_inverse_gemms_stay_single_threaded(n, h, r, monkeypatch):
     # OpenBLAS threads a GEMM above 64^3 multiply-adds, and a one-row or
     # one-column product is a GEMV, which it threads from a smaller size;
     # every product C makes must stay below both, and together they must
-    # be the 2n full transforms per component
+    # be the 2n full transforms per component. A batched right operand
+    # (..., k, cols) is one product per batch entry. Every operand's last
+    # axis has unit stride, so no transposed view reaches BLAS
     C = K.DirichletInverse(Grid(n, h, r))
     size = C._sine.shape[0]
     calls = []
     matmul = np.matmul
 
-    def recording(a, b, **kw):
-        calls.append((a.shape, b.shape, a.dtype, b.dtype))
-        return matmul(a, b, **kw)
+    def recording(a, b, out):
+        calls.append((a.shape, b.shape, a.dtype, b.dtype,
+                      [x.strides[-1] // x.itemsize for x in (a, b, out)]))
+        return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", recording)
     C(np.ones((2, C._pos.size)))
     macs = 0
-    for (rows, k), (k2, cols), da, db in calls:
+    for (rows, k), (*batch, k2, cols), da, db, steps in calls:
         assert k == k2 == size and da == db == np.float32
         assert rows >= 2 and cols >= 2 and rows * k * cols <= 64 ** 3
-        macs += rows * k * cols
+        assert steps == [1, 1, 1]
+        macs += rows * k * cols * int(np.prod(batch))
     assert macs == 2 * 2 * n * size ** (n + 1)
