@@ -42,18 +42,22 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # matrix-free geodesic sweep
 #
 # Every geodesic test on the sphere samples reads the cosines
-# cos[i, j] = unit_i . unit_j, computed _BLOCK rows at a time, so the working
-# memory is O(_BLOCK * K) for any K. Membership dist <= L, with
+# cos[i, j] = unit_i . unit_j, computed _BLOCK rows at a time into one
+# reused buffer by a numpy einsum (no BLAS call), so the working memory is
+# O(_BLOCK * K) for any K. Membership dist <= L, with
 # dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
 # only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
 # where the exact test decides. Outside the band the angle differs from
 # L / radius by more than 1e-9, far beyond rounding, so the masks equal
-# those of the exact test.
+# those of the exact test. The Holder search reads only pairs within its
+# largest distance, which a known lower bound on C4 can shrink (see
+# _holder_cap).
 
-# 64 rows keep both 64 x K buffers in cache at K = 4096 (2 MB each). On a
-# 2-vCPU x86 machine (numpy 2.4.6) the three 3D triangle sweeps of one
-# analysis job at K = 4096 took a median 0.32-0.33 s with 64 rows, against
-# 0.29-0.33 s with 32, 0.34 s with 128 and 0.39 s with 256
+# 64 rows keep the 64 x K buffer in cache at K = 4096 (2 MB). On a 2-vCPU
+# x86 machine (numpy 2.4.6) the three 3D triangle sweeps of one analysis
+# job at K = 4096 took a median 0.116-0.120 s with 64 rows, against
+# 0.114 s with 32, 0.124-0.126 s with 128 and 0.127-0.137 s with 16
+# (two runs of 15 rounds each; the 32- and 64-row quartiles overlap)
 _BLOCK = 64
 _BAND = 1e-9
 
@@ -68,27 +72,23 @@ def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None):
     The cosines are not clipped: rounding can leave them a few ulps outside
     [-1, 1], so clip whatever goes to arccos.
 
-    The products are summed coordinate by coordinate, not by a BLAS matrix
-    product, so the cosines do not depend on the BLAS build or its thread
-    count, and since products commute, cos[i, j] and cos[j, i] agree bit
-    for bit in every block either falls in. Each cos is a C-contiguous view
-    of a reused buffer, valid until the next block is drawn."""
+    Each block is one numpy einsum, not a BLAS matrix product: it sums the
+    coordinate products in coordinate order, (a0*b0 + a1*b1) + a2*b2, so
+    the cosines do not depend on the BLAS build or its thread count, and
+    since products commute, cos[i, j] and cos[j, i] agree bit for bit in
+    every block either falls in. Each cos is a C-contiguous view of one
+    reused buffer, valid until the next block is drawn."""
     K = len(unit)
     upper = rows is None
     if upper:
         rows = np.arange(K)
     cols = unit.T.copy()
-    buf = np.empty((2, min(_BLOCK, len(rows)) * K))
+    buf = np.empty(min(_BLOCK, len(rows)) * K)
     for start in range(0, len(rows), _BLOCK):
         block = rows[start:start + _BLOCK]
         c0 = start if upper else 0
-        size = len(block) * (K - c0)
-        cos = buf[0, :size].reshape(len(block), K - c0)
-        tmp = buf[1, :size].reshape(cos.shape)
-        sub = unit[block]
-        np.multiply.outer(sub[:, 0], cols[0, c0:], out=cos)
-        for k in range(1, len(cols)):
-            cos += np.multiply.outer(sub[:, k], cols[k, c0:], out=tmp)
+        cos = buf[:len(block) * (K - c0)].reshape(len(block), K - c0)
+        np.einsum("ik,kj->ij", unit[block], cols[:, c0:], out=cos)
         yield block, cos
 
 
@@ -126,24 +126,45 @@ def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
     return float((diff / dist[sel] ** alpha).max())
 
 
+def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
+                floor: float) -> float:
+    """Distance beyond which no pair's Holder ratio can exceed floor > 0: a
+    ratio |v_i - v_j| / dist^alpha > floor needs dist^alpha < spread / floor
+    with spread = max - min, which bounds every |v_i - v_j| after rounding
+    too. The 1e-9 pad covers the rounding of the bound and of the ratios."""
+    if floor <= 0:
+        return max_dist
+    bound = float(values.max() - values.min()) / floor
+    if bound >= max_dist ** alpha:
+        return max_dist
+    return min(max_dist, bound ** (1.0 / alpha) * (1.0 + 1e-9))
+
+
 def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
            alpha: float | None = None, max_dist: float = 1.0,
-           balls: bool = False):
+           balls: bool = False, floor: float = 0.0):
     """One pass over the upper triangle of the sample cosines, each pair
     once. Returns (c4, ball2): the Holder ratio over pairs within max_dist
     when alpha is given (else 0.0), and the geodesic 2-ball slice energy of
     every sample when balls is set (else None). Both are symmetric in the
     pair, so a block's 2-ball mask adds its row sums to its own rows and,
-    transposed, the part right of the block to the later rows."""
+    transposed, the part right of the block to the later rows.
+
+    A caller that takes max(floor, c4) may pass floor: the Holder search
+    then skips the pairs too far apart to raise the ratio above it (see
+    _holder_cap), so c4 may come out lower, but max(floor, c4) keeps its
+    bits."""
     ratios = [0.0]
     ball2 = np.zeros(len(values)) if balls else None
+    if alpha is not None:
+        cap = _holder_cap(values, alpha, max_dist, floor)
     w = sphere_area(unit.shape[1], radius) / len(values)
     weighted = values * w
     for rows, cos in _cosine_blocks(unit):
         r0, r1 = rows[0], rows[-1] + 1
         if alpha is not None:
             ratios.append(_holder_ratio(cos, values[r0:r1], values[r0:],
-                                        radius, alpha, max_dist))
+                                        radius, alpha, cap))
         if balls:
             inside = _within(cos, radius, 2.0)
             ball2[r0:r1] += np.einsum("ij,j->i", inside, weighted[r0:])
@@ -330,13 +351,16 @@ def bad_disc_pipeline(e: ScalarField, R: float, eps: float, alpha: float = 1.0,
     """Full slice analysis at base radius R: pick the good radius in (R, 2R),
     measure the Lipschitz/Holder constant, form the clearing-out threshold
     and run the covering. One sweep over the slice's cosines yields both
-    the sphere Holder ratio and every sample's 2-ball energy."""
+    the sphere Holder ratio and every sample's 2-ball energy; since C4 is
+    at least the grid constant, the sweep looks only for sphere pairs whose
+    ratio could exceed it."""
     n = e.grid.n
     s_r, _ = select_good_radius(e, R, samples=samples, K=K)
     c4_grid = holder_constant(e, alpha)
     pts, vals = sample_sphere(e, s_r, K)
     unit = pts / s_r
-    c4_sphere, ball2 = _sweep(unit, vals, s_r, alpha=alpha, balls=True)
+    c4_sphere, ball2 = _sweep(unit, vals, s_r, alpha=alpha, balls=True,
+                              floor=c4_grid)
     c4 = max(c4_grid, c4_sphere, 1e-12)
     mu = clearing_out_threshold(eps, c4, alpha, n)
     centers_idx, covered = _cover(unit, vals, s_r, eps, mu, ball2)

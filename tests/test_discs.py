@@ -501,6 +501,107 @@ def test_sweep_visits_each_pair_once(monkeypatch):
         assert sum(sizes) >= K * (K + 1) / 2
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", [8, discs._BLOCK + 1, 1000])
+def test_cosine_blocks_sum_coordinates_in_order(n, K):
+    # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
+    # and mode forms it, so the blocks stay independent of BLAS and FMA
+    rng = np.random.default_rng(7 * K + n)
+    R = float(rng.uniform(1.3, 4.7))
+    unit = sphere_points(n, R, K) / R
+    ref = unit[:, None, 0] * unit[None, :, 0]
+    for k in range(1, n):
+        ref = ref + unit[:, None, k] * unit[None, :, k]
+    full = np.full((K, K), np.nan)
+    for rows, cos in discs._cosine_blocks(unit):
+        r0 = rows[0]
+        assert np.array_equal(_bits(cos), _bits(ref[rows, r0:]))
+        full[rows, r0:] = cos
+    # rows given: every block is formed against all columns
+    rows = rng.permutation(K)
+    table = np.empty((K, K))
+    for block, cos in discs._cosine_blocks(unit, rows):
+        assert np.array_equal(_bits(cos), _bits(ref[block]))
+        table[block] = cos
+    assert np.array_equal(_bits(table), _bits(table.T))
+    upper = np.triu(np.ones((K, K), dtype=bool))
+    assert np.array_equal(_bits(full[upper]), _bits(table[upper]))
+
+
+@pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, discs._BLOCK + 1),
+                                  (3, 1000)])
+def test_floored_holder_search_is_exact(n, K):
+    # a caller taking max(floor, c4) gets the bits of the full search
+    rng = np.random.default_rng(11 * K + n)
+    R, pts, vals = _random_slice(rng, n, K)
+    # one hot sample: the best pair sits at the nearest-neighbour distance,
+    # exactly where the cap has to reach
+    spike = np.zeros(K)
+    spike[int(rng.integers(K))] = 1.0
+    slices = [(R, pts, vals), (R, pts, spike)]
+    if n == 2:
+        # neighbours 1.2 apart, so with max_dist 1.5 the cap passes 1
+        sparse = 16 * 1.2 / (2 * math.pi)
+        slices.append((sparse, _circle_samples(16, sparse)[0],
+                       np.eye(16)[3]))
+    capped = 0
+    for alpha in (1.0, 0.5):
+        for max_dist in (1.0, 1.5):
+            for r, p, v in slices:
+                dense = dense_holder(p, v, r, alpha, max_dist)
+                if dense == 0:
+                    continue
+                floors = (0.5 * dense, np.nextafter(dense, 0), dense,
+                          np.nextafter(dense, np.inf), 2 * dense, 50 * dense)
+                for f in map(float, floors):
+                    got, _ = discs._sweep(p / r, v, r, alpha=alpha,
+                                          max_dist=max_dist, floor=f)
+                    assert max(f, got) == max(f, dense)
+                    capped += discs._holder_cap(v, alpha, max_dist,
+                                                f) < max_dist
+            # constant values: no pair has a ratio, at any floor
+            const = np.full(K, float(vals[0]))
+            for f in (1e-300, 1e-3, 1.0):
+                got, _ = discs._sweep(pts / R, const, R, alpha=alpha,
+                                      max_dist=max_dist, floor=f)
+                assert got == 0.0
+    assert capped > 0
+
+
+# the grid constant far below, just below and far above the sphere ratio
+@pytest.mark.parametrize("scale", [1e-4, 0.9, 1e4])
+def test_pipeline_report_does_not_depend_on_the_floor(monkeypatch, scale):
+    # the report equals the one from an unfloored sphere search; the bump is
+    # narrow enough that the floor caps the search below distance 1
+    g = Grid(3, 0.2, 4.0)
+    e = ScalarField.from_function(g, lambda x: np.exp(
+        -10.0 * ((x[0] - 1.5) ** 2 + x[1] ** 2 + x[2] ** 2)))
+    R, eps, alpha, K = 1.0, 0.05, 0.5, 1024
+    s_r, _ = select_good_radius(e, R, K=K)
+    pts, vals = sample_sphere(e, s_r, K)
+    c4_grid = scale * sphere_holder_constant(pts, vals, s_r, alpha)
+    assert discs._holder_cap(vals, alpha, 1.0, c4_grid) < 1.0 or scale < 1
+    monkeypatch.setattr(discs, "holder_constant", lambda e, alpha: c4_grid)
+
+    def report():
+        rep = bad_disc_pipeline(e, R, eps, alpha=alpha, K=K)
+        return (rep.to_dict(), rep.points.tobytes(), rep.values.tobytes(),
+                rep.covered.tobytes(), rep.centers.tobytes())
+
+    floored = report()
+    sweep = discs._sweep
+    monkeypatch.setattr(discs, "_sweep",
+                        lambda *a, floor=0.0, **kw: sweep(*a, **kw))
+    unfloored = report()
+    assert floored == unfloored
+    assert floored[0]["count"] > 0
+    assert floored[0]["c4"] == max(c4_grid, c4_grid / scale)
+
+
 @pytest.mark.parametrize("K", [200, 1000])
 def test_blocked_sweep_matches_dense_on_disc_edges(K):
     # equi-angular circle samples 1/4 apart in arc length: every sample has
