@@ -135,6 +135,7 @@ def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
     if floor <= 0:
         return max_dist
     bound = float(values.max() - values.min()) / floor
+    # no cap; this also keeps a huge bound ** (1 / alpha) from overflowing
     if bound >= max_dist ** alpha:
         return max_dist
     return min(max_dist, bound ** (1.0 / alpha) * (1.0 + 1e-9))
