@@ -44,14 +44,16 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # Every geodesic test on the sphere samples reads the cosines
 # cos[i, j] = unit_i . unit_j, computed _BLOCK rows at a time into one
 # reused buffer by a numpy einsum (no BLAS call), so the working memory is
-# O(_BLOCK * K) for any K. Membership dist <= L, with
+# O(_BLOCK * K) for any K. Where numpy's einsum does not fuse multiply and
+# add, the cosines have the bits of the explicit coordinate sum (see
+# _cosine_blocks). Membership dist <= L, with
 # dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
 # only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
 # where the exact test decides. Outside the band the angle differs from
 # L / radius by more than 1e-9, far beyond rounding, so the masks equal
 # those of the exact test. The Holder search reads only pairs within its
-# largest distance, which a known lower bound on C4 can shrink (see
-# _holder_cap).
+# max_dist, which a caller holding a lower bound on C4 can shrink with
+# _holder_cap.
 
 # 64 rows keep the 64 x K buffer in cache at K = 4096 (2 MB). On a 2-vCPU
 # x86 machine (numpy 2.4.6) the three 3D triangle sweeps of one analysis
@@ -72,12 +74,19 @@ def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None):
     The cosines are not clipped: rounding can leave them a few ulps outside
     [-1, 1], so clip whatever goes to arccos.
 
-    Each block is one numpy einsum, not a BLAS matrix product: it sums the
-    coordinate products in coordinate order, (a0*b0 + a1*b1) + a2*b2, so
-    the cosines do not depend on the BLAS build or its thread count, and
-    since products commute, cos[i, j] and cos[j, i] agree bit for bit in
-    every block either falls in. Each cos is a C-contiguous view of one
-    reused buffer, valid until the next block is drawn."""
+    Each block is one numpy einsum, not a BLAS matrix product, so the
+    cosines do not depend on the BLAS build or its thread count. The einsum
+    sums the coordinate products in coordinate order, and since products
+    commute, cos[i, j] and cos[j, i] agree bit for bit in every block either
+    falls in. Where numpy's einsum loops round each multiply and each add
+    on their own, as in the x86-64 numpy 2.4.6 build it was measured on
+    (SIMD baseline x86-64-v2, no FMA), every cosine has the bits of the
+    explicit sum (a0*b0 + a1*b1) + a2*b2. Where they fuse multiply and add
+    (numpy's SIMD loops can use FMA on aarch64, or on x86 built for it)
+    the cosines may move by an ulp, and with them arccos edge tests decided
+    inside _BAND; test_cosine_blocks_sum_coordinates_in_order fails there.
+    Each cos is a C-contiguous view of one reused buffer, valid until the
+    next block is drawn."""
     K = len(unit)
     upper = rows is None
     if upper:
@@ -128,10 +137,13 @@ def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
 
 def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
                 floor: float) -> float:
-    """Distance beyond which no pair's Holder ratio can exceed floor > 0: a
+    """The max_dist to search for a caller that takes max(floor, c4): no
+    pair farther apart can have a Holder ratio above floor > 0, since a
     ratio |v_i - v_j| / dist^alpha > floor needs dist^alpha < spread / floor
     with spread = max - min, which bounds every |v_i - v_j| after rounding
-    too. The 1e-9 pad covers the rounding of the bound and of the ratios."""
+    too. The 1e-9 pad covers the rounding of the bound and of the ratios.
+    The search may then return a lower c4, but max(floor, c4) keeps its
+    bits."""
     if floor <= 0:
         return max_dist
     bound = float(values.max() - values.min()) / floor
@@ -143,29 +155,22 @@ def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
 
 def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
            alpha: float | None = None, max_dist: float = 1.0,
-           balls: bool = False, floor: float = 0.0):
+           balls: bool = False):
     """One pass over the upper triangle of the sample cosines, each pair
     once. Returns (c4, ball2): the Holder ratio over pairs within max_dist
     when alpha is given (else 0.0), and the geodesic 2-ball slice energy of
     every sample when balls is set (else None). Both are symmetric in the
     pair, so a block's 2-ball mask adds its row sums to its own rows and,
-    transposed, the part right of the block to the later rows.
-
-    A caller that takes max(floor, c4) may pass floor: the Holder search
-    then skips the pairs too far apart to raise the ratio above it (see
-    _holder_cap), so c4 may come out lower, but max(floor, c4) keeps its
-    bits."""
+    transposed, the part right of the block to the later rows."""
     ratios = [0.0]
     ball2 = np.zeros(len(values)) if balls else None
-    if alpha is not None:
-        cap = _holder_cap(values, alpha, max_dist, floor)
     w = sphere_area(unit.shape[1], radius) / len(values)
     weighted = values * w
     for rows, cos in _cosine_blocks(unit):
         r0, r1 = rows[0], rows[-1] + 1
         if alpha is not None:
             ratios.append(_holder_ratio(cos, values[r0:r1], values[r0:],
-                                        radius, alpha, cap))
+                                        radius, alpha, max_dist))
         if balls:
             inside = _within(cos, radius, 2.0)
             ball2[r0:r1] += np.einsum("ij,j->i", inside, weighted[r0:])
@@ -360,8 +365,9 @@ def bad_disc_pipeline(e: ScalarField, R: float, eps: float, alpha: float = 1.0,
     c4_grid = holder_constant(e, alpha)
     pts, vals = sample_sphere(e, s_r, K)
     unit = pts / s_r
-    c4_sphere, ball2 = _sweep(unit, vals, s_r, alpha=alpha, balls=True,
-                              floor=c4_grid)
+    cap = _holder_cap(vals, alpha, 1.0, c4_grid)
+    c4_sphere, ball2 = _sweep(unit, vals, s_r, alpha=alpha, max_dist=cap,
+                              balls=True)
     c4 = max(c4_grid, c4_sphere, 1e-12)
     mu = clearing_out_threshold(eps, c4, alpha, n)
     centers_idx, covered = _cover(unit, vals, s_r, eps, mu, ball2)

@@ -509,7 +509,8 @@ def _bits(a):
 @pytest.mark.parametrize("K", [8, discs._BLOCK + 1, 1000])
 def test_cosine_blocks_sum_coordinates_in_order(n, K):
     # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
-    # and mode forms it, so the blocks stay independent of BLAS and FMA
+    # and mode forms it: this fails where numpy's einsum fuses multiply and
+    # add, or if the blocks move to a BLAS product
     rng = np.random.default_rng(7 * K + n)
     R = float(rng.uniform(1.3, 4.7))
     unit = sphere_points(n, R, K) / R
@@ -534,8 +535,9 @@ def test_cosine_blocks_sum_coordinates_in_order(n, K):
 
 @pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, discs._BLOCK + 1),
                                   (3, 1000)])
-def test_floored_holder_search_is_exact(n, K):
-    # a caller taking max(floor, c4) gets the bits of the full search
+def test_capped_holder_search_is_exact(n, K):
+    # a caller taking max(floor, c4) and searching only within
+    # _holder_cap's distance gets the bits of the full search
     rng = np.random.default_rng(11 * K + n)
     R, pts, vals = _random_slice(rng, n, K)
     # one hot sample: the best pair sits at the nearest-neighbour distance,
@@ -558,25 +560,26 @@ def test_floored_holder_search_is_exact(n, K):
                 floors = (0.5 * dense, np.nextafter(dense, 0), dense,
                           np.nextafter(dense, np.inf), 2 * dense, 50 * dense)
                 for f in map(float, floors):
+                    cap = discs._holder_cap(v, alpha, max_dist, f)
                     got, _ = discs._sweep(p / r, v, r, alpha=alpha,
-                                          max_dist=max_dist, floor=f)
+                                          max_dist=cap)
                     assert max(f, got) == max(f, dense)
-                    capped += discs._holder_cap(v, alpha, max_dist,
-                                                f) < max_dist
+                    capped += cap < max_dist
             # constant values: no pair has a ratio, at any floor
             const = np.full(K, float(vals[0]))
             for f in (1e-300, 1e-3, 1.0):
+                cap = discs._holder_cap(const, alpha, max_dist, f)
                 got, _ = discs._sweep(pts / R, const, R, alpha=alpha,
-                                      max_dist=max_dist, floor=f)
+                                      max_dist=cap)
                 assert got == 0.0
     assert capped > 0
 
 
 # the grid constant far below, just below and far above the sphere ratio
 @pytest.mark.parametrize("scale", [1e-4, 0.9, 1e4])
-def test_pipeline_report_does_not_depend_on_the_floor(monkeypatch, scale):
-    # the report equals the one from an unfloored sphere search; the bump is
-    # narrow enough that the floor caps the search below distance 1
+def test_pipeline_report_does_not_depend_on_the_cap(monkeypatch, scale):
+    # the report equals the one from an uncapped sphere search; the bump is
+    # narrow enough that the grid constant caps the search below distance 1
     g = Grid(3, 0.2, 4.0)
     e = ScalarField.from_function(g, lambda x: np.exp(
         -10.0 * ((x[0] - 1.5) ** 2 + x[1] ** 2 + x[2] ** 2)))
@@ -594,14 +597,13 @@ def test_pipeline_report_does_not_depend_on_the_floor(monkeypatch, scale):
         return (rep.to_dict(), rep.points.tobytes(), rep.values.tobytes(),
                 rep.covered.tobytes(), rep.centers.tobytes())
 
-    floored = report()
-    sweep = discs._sweep
-    monkeypatch.setattr(discs, "_sweep",
-                        lambda *a, floor=0.0, **kw: sweep(*a, **kw))
-    unfloored = report()
-    assert floored == unfloored
-    assert floored[0]["count"] > 0
-    assert floored[0]["c4"] == max(c4_grid, c4_sphere)
+    capped = report()
+    monkeypatch.setattr(discs, "_holder_cap",
+                        lambda values, alpha, max_dist, floor: max_dist)
+    uncapped = report()
+    assert capped == uncapped
+    assert capped[0]["count"] > 0
+    assert capped[0]["c4"] == max(c4_grid, c4_sphere)
 
 
 @pytest.mark.parametrize("K", [200, 1000])
