@@ -32,7 +32,7 @@ from .field import (VectorField, energy_density, export_sphere_csv,
                     load_field, save_field)
 from .growth import (bootstrap_fixed_point, bootstrap_map, energy_profile,
                      growth_diagnostic, rescaled_l2_smallness)
-from .minimizer import SOLVER_VERSION, SolveReport, SolverDivergence, minimize
+from .minimizer import SolveReport, SolverDivergence, minimize
 from .monotonicity import NotASolution, monotone_quantities
 from .potentials import verify_assumptions
 
@@ -40,6 +40,23 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
+
+
+def _source_sha256(package: str) -> str:
+    """The sha256 of every ``*.py`` in the directory ``package``, name and
+    contents, in sorted name order."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as f:
+                digest.update(name.encode() + b"\0"
+                              + hashlib.sha256(f.read()).digest())
+    return digest.hexdigest()
+
+
+# part of every saved solve's key: a field saved by any other vacmin source,
+# even one that differs only in a comment, is solved again
+SOURCE_SHA256 = _source_sha256(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -66,7 +83,7 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     """Solve the config's boundary data, ``defaults`` filling what it leaves
     out. With ``reuse``, out/field.bin stands in for the solve when its
     sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads
-    and of ``SOLVER_VERSION``, and its payload checks out. A solve of the
+    and of ``SOURCE_SHA256``, and its payload checks out. A solve of the
     config's own data (its boundary block overrides every default) is saved
     there with solve.json.
     A solve short of its tolerance, saved or not, raises ``_NotConverged``."""
@@ -74,7 +91,7 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     params = _boundary_params(cfg, defaults)
     inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
               "potential": cfg.potential, "boundary": params,
-              "solver": cfg.solver, "solver_version": SOLVER_VERSION}
+              "solver": cfg.solver, "source_sha256": SOURCE_SHA256}
     key = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
     u = None

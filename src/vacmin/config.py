@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 
@@ -63,7 +64,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for path, defaults in (("solver", _SOLVER_DEFAULTS),
                                ("analysis", _ANALYSIS_DEFAULTS)):
-            block = getattr(self, path) or {}
+            block = getattr(self, path)
+            if block is None:  # YAML's empty block
+                block = {}
             if not isinstance(block, dict):
                 raise ConfigError(f"{path}: expected a mapping")
             _reject_unknown(path, block, defaults)
@@ -76,7 +79,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: {msg}")
 
         def number(value):
-            return isinstance(value, Real) and not isinstance(value, bool)
+            return (isinstance(value, Real) and not isinstance(value, bool)
+                    and (isinstance(value, Integral) or math.isfinite(value)))
 
         need(isinstance(self.potential, dict) and "family" in self.potential,
              "potential.family", "is required")
@@ -125,6 +129,7 @@ class ExperimentConfig:
                  "expected an integer")
         need(isinstance(radii, (list, tuple)) and all(map(number, radii)),
              "analysis.radii", "expected a list of numbers")
+        need(isinstance(self.out, str), "out", "expected a string")
         need(self.n in (2, 3), "n", "must be 2 or 3")
         need(self.m >= 1, "m", "must be >= 1")
         need(self.h > 0, "h", "must be > 0")
@@ -144,6 +149,9 @@ class ExperimentConfig:
              "must be >= 1")
         need(self.analysis["sphere_points"] >= 8, "analysis.sphere_points",
              "must be >= 8")
+        need(self.analysis["c_m"] > 0, "analysis.c_m", "must be > 0")
+        need(self.analysis["delta_q_scale"] >= 0, "analysis.delta_q_scale",
+             "must be >= 0")
         # the ranges Potential enforces, checked here to name their key
         pot = self.potential
         need(pot.get("q", 2) >= 2, "potential.q", "must be >= 2")

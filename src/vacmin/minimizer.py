@@ -35,11 +35,6 @@ MINIMALITY_NOTE = ("stationarity certified via the Euler-Lagrange residual; "
                    "checked only against constructed competitors")
 
 
-# part of the CLI's key for a saved solve: raise it whenever a change moves
-# what minimize returns, so that fields saved before are solved again
-SOLVER_VERSION = 3
-
-
 class SolverDivergence(RuntimeError):
     """Non-finite energy during the line search."""
 

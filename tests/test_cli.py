@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 from vacmin.boundary import random_smooth
-from vacmin.cli import _COMMANDS, main
+from vacmin.cli import _COMMANDS, _source_sha256, main
 from vacmin.competitor import boundary_within
 from vacmin.config import ConfigError, ExperimentConfig
 from vacmin.field import VectorField
@@ -183,6 +184,23 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
      "potential.powers: must match the dimension of potential.zero"),
     ({"analysis": {"radii": [1.0, 0.5, 0.75]}},
      "analysis.radii: must be strictly increasing"),
+    ({"analysis": {"c_m": -1}}, "analysis.c_m: must be > 0"),
+    ({"analysis": {"delta_q_scale": -1000}},
+     "analysis.delta_q_scale: must be >= 0"),
+    # non-finite numbers are not numbers
+    ({"r_max": float("inf")}, "r_max: expected a number"),
+    ({"potential": {"family": "power", "zero": [0.0, 0.0],
+                    "q": float("inf")}},
+     "potential.q: expected a number"),
+    ({"potential": {"family": "quadratic", "zero": [float("nan"), 0.0]}},
+     "potential.zero: expected a list of numbers"),
+    # a non-mapping block or a non-string out is not read as the default
+    ({"solver": 0}, "solver: expected a mapping"),
+    ({"solver": False}, "solver: expected a mapping"),
+    ({"solver": ""}, "solver: expected a mapping"),
+    ({"analysis": []}, "analysis: expected a mapping"),
+    ({"out": None}, "out: expected a string"),
+    ({"out": 3}, "out: expected a string"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     # a bad value names its key path, not a comparison error, and is
@@ -191,6 +209,15 @@ def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     assert run_cli("minimize", cfg, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_null_block_reads_as_its_defaults():
+    # YAML reads an empty block as null
+    cfg = ExperimentConfig.from_dict({**BASE, "solver": None,
+                                      "analysis": None})
+    default = ExperimentConfig.from_dict({**BASE, "solver": {},
+                                          "analysis": {}})
+    assert cfg.to_dict() == default.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -629,19 +656,32 @@ def test_unusable_saved_field_is_solved_again(tmp_path, monkeypatch, spoil):
     assert _tree_digest(out) == _tree_digest(fresh)
 
 
+def test_source_digest_covers_every_module(tmp_path):
+    # the digest of a copy of the package is the one the key hashes, and
+    # one comment line in a module outside the solver changes it
+    import vacmin.cli
+    copy = tmp_path / "vacmin"
+    shutil.copytree(os.path.dirname(vacmin.cli.__file__), copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _source_sha256(str(copy)) == vacmin.cli.SOURCE_SHA256
+    with open(copy / "boundary.py", "a") as f:
+        f.write("# a comment\n")
+    assert _source_sha256(str(copy)) != vacmin.cli.SOURCE_SHA256
+
+
 @pytest.mark.parametrize("saved_by", ["unversioned", "older-solver"])
 def test_field_of_another_solver_is_solved_again(tmp_path, monkeypatch,
                                                  saved_by):
-    # the key hashes the solver version with the solve inputs, so a field
-    # saved under a key without it, or by a solver of another version, is
+    # the key hashes the digest of vacmin's source with the solve inputs,
+    # so a field saved under a key without it, or by other source, is
     # solved again, and the result is what a fresh directory gets
     import vacmin.cli
     cfg = write_cfg(tmp_path)
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     assert run_cli("energy-profile", cfg, fresh) == 0
     if saved_by == "older-solver":
-        monkeypatch.setattr(vacmin.cli, "SOLVER_VERSION",
-                            vacmin.cli.SOLVER_VERSION - 1)
+        monkeypatch.setattr(vacmin.cli, "SOURCE_SHA256",
+                            hashlib.sha256(b"older source").hexdigest())
     assert run_cli("minimize", cfg, out) == 0
     monkeypatch.undo()
     if saved_by == "unversioned":

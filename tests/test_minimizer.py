@@ -10,8 +10,7 @@ from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, INTERIOR
 from vacmin import _kernels
 from vacmin._kernels import InteriorOperator
-from vacmin.minimizer import (SOLVER_VERSION, SolverDivergence,
-                              _curvature_shift,
+from vacmin.minimizer import (SolverDivergence, _curvature_shift,
                               _residual_from_grad, discrete_energy,
                               discrete_energy_gradient, el_residual, minimize,
                               modica_check)
@@ -247,21 +246,15 @@ def test_curvature_shift_discounts_the_boundary_layer(q, mag):
 
 
 def test_solver_version_pins_the_solver_output():
-    # SOLVER_VERSION keys the CLI's saved fields, so a change to what
-    # minimize returns must raise it: when this test fails on purpose,
-    # raise SOLVER_VERSION and pin the new values. It pins one small solve:
-    # the counts exactly, the shift (no BLAS call on its path) to 1e-12,
-    # and the field by two sums to 1e-11. Solvers that both reach tol move
-    # these sums by about 1e-8; computing C in float64 instead of float32,
-    # a far larger change than another BLAS build makes, moves them by
-    # 1e-13. A change can thus move the saved field's bytes and still pass
-    # here (reordering C's products moved these sums by 1e-13): raise
-    # SOLVER_VERSION for it all the same, and pin the new values.
+    # pins one small solve: the counts exactly, the shift (no BLAS call on
+    # its path) to 1e-12, and the field by two sums to 1e-11. Solvers that
+    # both reach tol move these sums by about 1e-8; computing C in float64
+    # instead of float32, a far larger change than another BLAS build
+    # makes, moves them by 1e-13
     g = Grid(2, 0.1, 2.0)
     pot = power([0.0, 0.0], 4)
     u, rep = minimize(initial_field(g, pot, angular(pot, 0.6)), pot,
                       tol=1e-6)
-    assert SOLVER_VERSION == 3
     assert (rep.iterations, rep.backtracks, rep.converged) == (18, 0, True)
     assert rep.shift == pytest.approx(0.2959591547976868, rel=1e-12)
     assert rep.energy == pytest.approx(1.5473817563434682, rel=1e-12)
