@@ -78,9 +78,16 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"{path}: {msg}")
 
-        def number(value):
-            return (isinstance(value, Real) and not isinstance(value, bool)
-                    and (isinstance(value, Integral) or math.isfinite(value)))
+        def number(value, whole=False):
+            # a finite real; an int read as a float must also fit a float
+            if not isinstance(value, Real) or isinstance(value, bool):
+                return False
+            if whole and isinstance(value, Integral):
+                return True
+            try:
+                return math.isfinite(value)
+            except OverflowError:
+                return False
 
         need(isinstance(self.potential, dict) and "family" in self.potential,
              "potential.family", "is required")
@@ -123,13 +130,15 @@ class ExperimentConfig:
                      path, "expected a list of numbers")
                 continue
             # a null analysis.tau or analysis.r is derived by the CLI
-            need(number(value) or value is None and path in (
-                "analysis.tau", "analysis.r"), path, "expected a number")
+            need(number(value, whole=types[path] is int)
+                 or value is None and path in ("analysis.tau", "analysis.r"),
+                 path, "expected a number")
             need(types[path] is not int or isinstance(value, Integral), path,
                  "expected an integer")
         need(isinstance(radii, (list, tuple)) and all(map(number, radii)),
              "analysis.radii", "expected a list of numbers")
         need(isinstance(self.out, str), "out", "expected a string")
+        need(self.out != "", "out", "must not be empty")
         need(self.n in (2, 3), "n", "must be 2 or 3")
         need(self.m >= 1, "m", "must be >= 1")
         need(self.h > 0, "h", "must be > 0")

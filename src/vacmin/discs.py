@@ -41,64 +41,95 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # ---------------------------------------------------------------------------
 # matrix-free geodesic sweep
 #
-# Every geodesic test on the sphere samples reads the cosines
-# cos[i, j] = unit_i . unit_j, computed _BLOCK rows at a time into one
-# reused buffer by a numpy einsum (no BLAS call), so the working memory is
-# O(_BLOCK * K) for any K. Where numpy's einsum does not fuse multiply and
+# Every geodesic test on the sphere samples reads cosines
+# cos[i, j] = unit_i . unit_j, formed a block at a time into one reused
+# buffer by a numpy einsum (no BLAS call). A block holds at most _BLOCK * K
+# cosines, so the working memory is O(_BLOCK * K) for any K. Where numpy's einsum does not fuse multiply and
 # add, the cosines have the bits of the explicit coordinate sum (see
-# _cosine_blocks). Membership dist <= L, with
-# dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
-# only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
-# where the exact test decides. Outside the band the angle differs from
-# L / radius by more than 1e-9, far beyond rounding, so the masks equal
-# those of the exact test. The Holder search reads only pairs within its
-# max_dist, which a caller holding a lower bound on C4 can shrink with
-# _holder_cap.
+# _cosines). Membership dist <= L, with dist = radius * arccos(cos), is
+# decided by the threshold cos(L / radius); only cosines within _BAND of it
+# go through arccos (clipped to [-1, 1]), where the exact test decides.
+# Outside the band the angle differs from L / radius by more than 1e-9, far
+# beyond rounding, so the masks equal those of the exact test.
+#
+# The sweep (_sweep) forms exact cosines only where a cheap bound leaves a
+# test open. It splits the samples into groups, the boxes of side _BOX of a
+# fixed ambient grid cut by the sphere, and gives each group a centre c
+# and an angular radius rho, the largest angle from c to a member. By the
+# triangle inequality a sample at angle psi from c lies within angle theta
+# of every member when psi <= theta - rho - _MARGIN, and farther than
+# theta from every member when psi >= theta + rho + _MARGIN. A few ulps of
+# cosine rounding move an angle by at most about 3e-8 (near 0 and pi,
+# where arccos is steepest), far below _MARGIN, so the exact test would
+# decide every such pair the same way; only the samples in between get
+# exact cosines. For the 2-balls theta = 2 / radius; the Holder search
+# needs only pairs within its max_dist, theta = max_dist / radius, which a
+# caller holding a lower bound on C4 can shrink with _holder_cap.
 
-# 64 rows keep the 64 x K buffer in cache at K = 4096 (2 MB). On a 2-vCPU
-# x86 machine (numpy 2.4.6) the three 3D triangle sweeps of one analysis
-# job at K = 4096 took a median 0.116-0.120 s with 64 rows, against
-# 0.114 s with 32, 0.124-0.126 s with 128 and 0.127-0.137 s with 16
-# (two runs of 15 rounds each; the 32- and 64-row quartiles overlap)
+# _BLOCK caps the rows of a block in _cosine_blocks. _sweep forms at most
+# _SWEEP_ROWS * K cosines at a time (0.5 MB at K = 4096), both for the
+# centres of _SWEEP_ROWS groups and for the members of one group against
+# the samples it gathers; its traced peak is then 1.7 MB on an analysis-3d
+# slice, against 3.2 MB for the full upper triangle in 64-row blocks (8
+# rows: 1.1 MB but 4-17% slower; 32 and 64 rows: 3.1 and 5.6 MB and no
+# faster). With _BOX = 0.4 the K = 4096 lattice on S^2 falls into 115
+# groups of angular radius about 0.26 (0.5: 56 groups, 0.34). On a 2-vCPU
+# x86 machine (numpy 2.4.6) the three sweeps of one analysis-3d job took a
+# median 55 ms with 0.4, 53-55 ms with 0.5, 56-57 ms with 0.45 and 55-56 ms
+# with 0.35, against 103-108 ms for the whole upper triangle (two runs of
+# 15 alternating rounds). 0.4 forms a fifth fewer
+# cosines than 0.5 (0.56-0.61 of K (K + 1) / 2 at 2 / radius = 1.1, 1.4
+# and 2.0, against 0.68-0.74), a lead that grows with K: the cosines saved
+# grow as K^2, the cost per group as K. _MARGIN sits far above the 3e-8 of
+# rounding and far below the group radii.
 _BLOCK = 64
+_SWEEP_ROWS = 16
+_BOX = 0.4
 _BAND = 1e-9
+_MARGIN = 1e-6
 
 
-def _cosine_blocks(unit: np.ndarray, rows: np.ndarray | None = None):
+def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
+    """cos[a, b] = rows[a] . cols[:, b] for r row vectors (r, n) and a
+    column matrix (n, c), formed by one numpy einsum into the front of buf
+    and returned as a C-contiguous (r, c) view of it (a copy when c = 1,
+    see below). The cosines are not
+    clipped: rounding can leave them a few ulps outside [-1, 1], so clip
+    whatever goes to arccos.
+
+    The einsum is not a BLAS matrix product, so the cosines do not depend
+    on the BLAS build or its thread count. It sums the coordinate products
+    in coordinate order, and since products commute, cos[i, j] and cos[j, i]
+    agree bit for bit in every block either falls in. Where numpy's einsum
+    loops round each multiply and each add on their own, as in the x86-64
+    numpy 2.4.6 build it was measured on (SIMD baseline x86-64-v2, no FMA),
+    every cosine has the bits of the explicit sum (a0*b0 + a1*b1) + a2*b2.
+    Where they fuse multiply and add (numpy's SIMD loops can use FMA on
+    aarch64, or on x86 built for it) the cosines may move by an ulp, and
+    with them arccos edge tests decided inside _BAND;
+    test_cosine_blocks_sum_coordinates_in_order fails there. Pass cols
+    C-ordered (gather columns with np.take(..., axis=1), not fancy
+    indexing, which returns an F-ordered array that the einsum reads about
+    5x slower)."""
+    if cols.shape[1] == 1:
+        # against one column numpy's einsum sums the products in another
+        # order (seen in 3D); two copies of it keep the coordinate order
+        return _cosines(rows, np.repeat(cols, 2, axis=1), buf)[:, :1].copy()
+    cos = buf[:len(rows) * cols.shape[1]].reshape(len(rows), cols.shape[1])
+    np.einsum("ik,kj->ij", rows, cols, out=cos)
+    return cos
+
+
+def _cosine_blocks(unit: np.ndarray, rows: np.ndarray):
     """Yield (block, cos) for consecutive blocks of at most _BLOCK of the
-    given rows: cos[a, j] is the cosine between unit[block[a]] and unit[j].
-    With rows omitted the blocks form the upper triangle: the block of rows
-    r0..r1-1 is formed only against columns r0..K-1, so cos[a, j] pairs
-    unit[block[a]] with unit[r0 + j] and every unordered pair of samples
-    appears in exactly one block (pairs within a block in both orders).
-    The cosines are not clipped: rounding can leave them a few ulps outside
-    [-1, 1], so clip whatever goes to arccos.
-
-    Each block is one numpy einsum, not a BLAS matrix product, so the
-    cosines do not depend on the BLAS build or its thread count. The einsum
-    sums the coordinate products in coordinate order, and since products
-    commute, cos[i, j] and cos[j, i] agree bit for bit in every block either
-    falls in. Where numpy's einsum loops round each multiply and each add
-    on their own, as in the x86-64 numpy 2.4.6 build it was measured on
-    (SIMD baseline x86-64-v2, no FMA), every cosine has the bits of the
-    explicit sum (a0*b0 + a1*b1) + a2*b2. Where they fuse multiply and add
-    (numpy's SIMD loops can use FMA on aarch64, or on x86 built for it)
-    the cosines may move by an ulp, and with them arccos edge tests decided
-    inside _BAND; test_cosine_blocks_sum_coordinates_in_order fails there.
-    Each cos is a C-contiguous view of one reused buffer, valid until the
-    next block is drawn."""
-    K = len(unit)
-    upper = rows is None
-    if upper:
-        rows = np.arange(K)
+    given rows: cos[a, j] is the cosine between unit[block[a]] and unit[j],
+    formed by _cosines. Each cos is a view of one reused buffer, valid until
+    the next block is drawn."""
     cols = unit.T.copy()
-    buf = np.empty(min(_BLOCK, len(rows)) * K)
+    buf = np.empty(min(_BLOCK, len(rows)) * len(unit))
     for start in range(0, len(rows), _BLOCK):
         block = rows[start:start + _BLOCK]
-        c0 = start if upper else 0
-        cos = buf[:len(block) * (K - c0)].reshape(len(block), K - c0)
-        np.einsum("ik,kj->ij", unit[block], cols[:, c0:], out=cos)
-        yield block, cos
+        yield block, _cosines(unit[block], cols, buf)
 
 
 def _threshold(radius: float, dist: float) -> float:
@@ -115,7 +146,8 @@ def _within(cos: np.ndarray, radius: float, dist: float) -> np.ndarray:
     t = _threshold(radius, dist)
     inside = cos >= t + _BAND
     edge = np.flatnonzero((cos > t - _BAND) ^ inside)
-    inside.ravel()[edge] = _arc(cos, edge, radius) <= dist
+    if edge.size:
+        inside.ravel()[edge] = _arc(cos, edge, radius) <= dist
     return inside
 
 
@@ -124,15 +156,18 @@ def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
                   max_dist: float) -> float:
     """max |v_i - v_j| / dist^alpha over the block's pairs with
     1e-12 < dist <= max_dist; arccos only on cosines near or past the
-    threshold."""
+    threshold whose pairs differ in value (the others have ratio 0)."""
     idx = np.flatnonzero(cos >= _threshold(radius, max_dist) - _BAND)
-    dist = _arc(cos, idx, radius)
+    i, j = np.divmod(idx, cos.shape[1])
+    diff = np.abs(row_values[i] - values[j])
+    moved = diff != 0.0
+    if not moved.any():
+        return 0.0
+    dist = _arc(cos, idx[moved], radius)
     sel = (dist > 1e-12) & (dist <= max_dist)
     if not np.any(sel):
         return 0.0
-    i, j = np.divmod(idx[sel], cos.shape[1])
-    diff = np.abs(row_values[i] - values[j])
-    return float((diff / dist[sel] ** alpha).max())
+    return float((diff[moved][sel] / dist[sel] ** alpha).max())
 
 
 def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
@@ -153,30 +188,106 @@ def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
     return min(max_dist, bound ** (1.0 / alpha) * (1.0 + 1e-9))
 
 
+def _groups(unit: np.ndarray):
+    """The samples grouped by the boxes of side _BOX they fall in. Returns
+    (order, starts, centres, rho): order lists the sample indices box by
+    box (ascending within a box), group g is order[starts[g]:starts[g + 1]],
+    centres[g] is the unit mean of its members and rho[g] the largest angle
+    from it to one of them."""
+    cell = np.floor(unit / _BOX).astype(np.int64)
+    cell -= cell.min(axis=0)
+    key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    members = unit[order]
+    # a box of side at most 1/2 holds unit vectors at most 0.87 apart, so
+    # the mean of its members has norm above 0.6
+    sums = np.add.reduceat(members, starts, axis=0)
+    centres = sums / np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
+    own = np.repeat(centres, np.diff(np.r_[starts, len(unit)]), axis=0)
+    cos = np.clip(np.einsum("ij,ij->i", members, own), -1.0, 1.0)
+    rho = np.maximum.reduceat(np.arccos(cos), starts)
+    return order, starts, centres, rho
+
+
+def _cos_at(angle: np.ndarray) -> np.ndarray:
+    """Thresholds t with cos psi >= t for the angles psi <= angle: cos(angle),
+    or +inf (no psi) for a negative angle and -inf (every psi) from pi on."""
+    return np.where(angle < 0.0, np.inf, np.where(
+        angle >= math.pi, -np.inf, np.cos(np.clip(angle, 0.0, math.pi))))
+
+
 def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
            alpha: float | None = None, max_dist: float = 1.0,
            balls: bool = False):
-    """One pass over the upper triangle of the sample cosines, each pair
-    once. Returns (c4, ball2): the Holder ratio over pairs within max_dist
-    when alpha is given (else 0.0), and the geodesic 2-ball slice energy of
-    every sample when balls is set (else None). Both are symmetric in the
-    pair, so a block's 2-ball mask adds its row sums to its own rows and,
-    transposed, the part right of the block to the later rows."""
+    """One pass over the samples, a group of them at a time (see the
+    comment above _BLOCK). Returns (c4, ball2): the Holder ratio over pairs
+    within max_dist when alpha is given (else 0.0), and the geodesic 2-ball
+    slice energy of every sample when balls is set (else None).
+
+    For each group one einsum of its centre against every sample gives
+    cos psi. The samples with psi <= 2 / radius - rho - _MARGIN are in the
+    2-ball of every member, so their summed weight is added once; those
+    with psi >= 2 / radius + rho + _MARGIN are in none; only the ones in
+    between get exact cosines and _within. The Holder search gets exact
+    cosines for the samples with psi <= max_dist / radius + rho + _MARGIN."""
+    K = len(values)
+    order, starts, centres, rho = _groups(unit)
+    bounds = np.r_[starts, K]
+    cols = unit.T.copy()
+    members = unit[order]
+    member_values = values[order]
+    weighted = values * (sphere_area(unit.shape[1], radius) / K)
+    reach = rho + _MARGIN
+    full_at = _cos_at(2.0 / radius - reach)[:, None]
+    ring_at = _cos_at(2.0 / radius + reach)[:, None]
+    hold_at = _cos_at(max_dist / radius + reach)[:, None]
     ratios = [0.0]
-    ball2 = np.zeros(len(values)) if balls else None
-    w = sphere_area(unit.shape[1], radius) / len(values)
-    weighted = values * w
-    for rows, cos in _cosine_blocks(unit):
-        r0, r1 = rows[0], rows[-1] + 1
+    sums = np.empty(K)
+    buf = np.empty(min(_SWEEP_ROWS, K) * K)
+    psi_buf = np.empty(min(_SWEEP_ROWS, len(starts)) * K)
+    for g0 in range(0, len(starts), _SWEEP_ROWS):
+        g1 = min(g0 + _SWEEP_ROWS, len(starts))
+        cos_psi = _cosines(centres[g0:g1], cols, psi_buf)
         if alpha is not None:
-            ratios.append(_holder_ratio(cos, values[r0:r1], values[r0:],
-                                        radius, alpha, max_dist))
+            hold = cos_psi >= hold_at[g0:g1]
         if balls:
-            inside = _within(cos, radius, 2.0)
-            ball2[r0:r1] += np.einsum("ij,j->i", inside, weighted[r0:])
-            ball2[r1:] += np.einsum("i,ij->j", weighted[r0:r1],
-                                    inside[:, r1 - r0:])
+            full = cos_psi >= full_at[g0:g1]
+            ring = (cos_psi >= ring_at[g0:g1]) & ~full
+            sums[bounds[g0]:bounds[g1]] = np.repeat(
+                np.einsum("gj,j->g", full, weighted),
+                np.diff(bounds[g0:g1 + 1]))
+        for g in range(g0, g1):
+            a, b = bounds[g], bounds[g + 1]
+            if alpha is not None:
+                near = np.flatnonzero(hold[g - g0])
+                for r0, cos in _gathered(members, cols, a, b, near, buf):
+                    ratios.append(_holder_ratio(
+                        cos, member_values[r0:r0 + len(cos)], values[near],
+                        radius, alpha, max_dist))
+            if balls:
+                near = np.flatnonzero(ring[g - g0])
+                for r0, cos in _gathered(members, cols, a, b, near, buf):
+                    sums[r0:r0 + len(cos)] += np.einsum(
+                        "ij,j->i", _within(cos, radius, 2.0), weighted[near])
+    ball2 = None
+    if balls:
+        ball2 = np.empty(K)
+        ball2[order] = sums
     return float(np.max(ratios)), ball2
+
+
+def _gathered(members, cols, a, b, near, buf):
+    """Yield (r0, cos) for consecutive blocks of the members a..b-1, each as
+    many as buf holds: cos[r, k] is the cosine between members[r0 + r] and
+    the sample near[k]. Nothing when near is empty."""
+    if not near.size:
+        return
+    near_cols = np.take(cols, near, axis=1)
+    step = max(1, len(buf) // near.size)
+    for r0 in range(a, b, step):
+        yield r0, _cosines(members[r0:min(r0 + step, b)], near_cols, buf)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,16 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
     ({"analysis": []}, "analysis: expected a mapping"),
     ({"out": None}, "out: expected a string"),
     ({"out": 3}, "out: expected a string"),
+    ({"out": ""}, "out: must not be empty"),
+    # an int read as a float must fit a float
+    ({"r_max": 10 ** 400}, "r_max: expected a number"),
+    ({"solver": {"tol": -10 ** 400}}, "solver.tol: expected a number"),
+    ({"potential": {"family": "power", "zero": [0.0, 0.0], "q": 10 ** 400}},
+     "potential.q: expected a number"),
+    ({"potential": {"family": "quadratic", "zero": [10 ** 400, 0.0]}},
+     "potential.zero: expected a list of numbers"),
+    ({"analysis": {"radii": [0.75, 10 ** 400]}},
+     "analysis.radii: expected a list of numbers"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     # a bad value names its key path, not a comparison error, and is
@@ -209,6 +219,22 @@ def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     assert run_cli("minimize", cfg, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_out_is_rejected_without_an_out_flag(tmp_path, capsys,
+                                                  monkeypatch):
+    # with no --out the config's out is the output directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, out="")
+    assert main(["minimize", "--config", cfg]) == 2
+    assert "config error: out: must not be empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.yaml"]
+
+
+def test_seed_takes_an_int_beyond_float_range():
+    # the seed is read as an int, which numpy's generators take at any size
+    cfg = ExperimentConfig.from_dict({**BASE, "seed": 10 ** 400})
+    assert cfg.seed == 10 ** 400
 
 
 def test_null_block_reads_as_its_defaults():

@@ -481,56 +481,140 @@ def test_blocked_sweep_matches_dense(n, K):
     _matches_dense(n, R, pts[dup], vals[dup])
 
 
-def test_sweep_visits_each_pair_once(monkeypatch):
-    # the sweep forms only the upper triangle of the cosine table: with
-    # blocks of b rows, at most K (K + b) / 2 cosines, not K^2
-    sizes = []
-    blocks = discs._cosine_blocks
+def _unit_lattice_with_straddlers(n, K):
+    """K lattice points on the unit sphere plus exact duplicates and pairs
+    of samples one rounding step apart on either side of a face of the
+    group boxes (x = _BOX, and z = 0 in 3D)."""
+    unit = sphere_points(n, 1.0, K)
+    x = discs._BOX
+    extra = []
+    for xi in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+        if n == 2:
+            extra.append([xi, math.sqrt(1.0 - xi * xi)])
+        else:
+            extra.append([xi, math.sqrt(1.0 - xi * xi), 0.0])
+    if n == 3:
+        extra += [[0.6, 0.8, 0.0], [0.6, 0.8, -1e-17], [0.6, 0.8, 1e-17]]
+    dup = np.arange(0, K, 5)
+    return np.concatenate([unit, np.array(extra), unit[dup]])
 
-    def counted(*args, **kw):
-        for rows, cos in blocks(*args, **kw):
-            sizes.append(cos.size)
-            yield rows, cos
 
-    monkeypatch.setattr(discs, "_cosine_blocks", counted)
-    for n, K in ((2, 1000), (3, 4 * discs._BLOCK), (3, discs._BLOCK + 1)):
-        R, pts, vals = _random_slice(np.random.default_rng(K), n, K)
-        sizes.clear()
-        discs._sweep(pts / R, vals, R, alpha=1.0, balls=True)
-        assert sum(sizes) <= K * (K + discs._BLOCK) / 2
-        assert sum(sizes) >= K * (K + 1) / 2
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_is_exact_at_extreme_angles(n):
+    # 2-ball and Holder angles near 0, just below, at and above pi: the
+    # group bound may settle a pair only where the exact test agrees (and
+    # a cosine rounded below -1 is still at an angle <= pi)
+    assert discs._cos_at(np.array([-1e-300, math.pi, 4.0])).tolist() == [
+        np.inf, -np.inf, -np.inf]
+    unit = _unit_lattice_with_straddlers(n, 200)
+    K = len(unit)
+    # positive values: one wrong mask entry among the K samples moves a
+    # 2-ball energy by far more than rtol 1e-12
+    rng = np.random.default_rng(n)
+    vals = rng.uniform(0.1, 1.1, K)
+    angle = geodesic_distances(unit, 1.0)
+    diff = np.abs(vals[:, None] - vals[None, :])
+    for theta in (1e-9, 1e-4, 0.5, math.pi - 1e-6, math.pi - 1e-12,
+                  math.pi, math.pi + 1e-12, math.pi + 1e-6, 4.0):
+        radius = 2.0 / theta
+        dist = radius * angle
+        w = sphere_area(n, radius) / K
+        _, ball2 = discs._sweep(unit, vals, radius, balls=True)
+        np.testing.assert_allclose(ball2, (dist <= 2.0) @ (vals * w),
+                                   rtol=1e-12, atol=0)
+        for alpha in (1.0, 0.5):
+            for max_dist in (1e-9 * radius, 2.0, math.pi * radius,
+                             4.0 * radius):
+                sel = (dist > 1e-12) & (dist <= max_dist)
+                dense = (float((diff[sel] / dist[sel] ** alpha).max())
+                         if sel.any() else 0.0)
+                c4, _ = discs._sweep(unit, vals, radius, alpha=alpha,
+                                     max_dist=max_dist)
+                assert c4 == dense, (theta, alpha, max_dist)
+
+
+def test_sweep_prunes_cosines(monkeypatch):
+    # the group bound settles most pairs: on a 3D lattice of K = 4096
+    # samples the sweep forms at most 0.7 of the K (K + 1) / 2 cosines of
+    # the upper triangle, group centres included, at 2-ball angles either
+    # side of pi / 2. The Holder distance is capped as bad_disc_pipeline
+    # caps it, with a floor 1e4 times the sphere ratio, as the grid
+    # constant is on the analysis-3d benchmark's slices (caps near 2e-4)
+    K = 4096
+    unit = sphere_points(3, 1.0, K)
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal(3)
+    vals = 0.2 + (1.0 + unit @ (d / np.linalg.norm(d))) ** 2
+    formed = []
+    cosines = discs._cosines
+
+    def counted(rows, cols, buf):
+        formed.append(len(rows) * cols.shape[1])
+        return cosines(rows, cols, buf)
+
+    for theta in (1.1, 1.4, 2.0):
+        radius = 2.0 / theta
+        floor = 1e4 * discs.sphere_holder_constant(unit * radius, vals,
+                                                   radius)
+        cap = discs._holder_cap(vals, 1.0, 1.0, floor)
+        assert 0.0 < cap < 1.0
+        monkeypatch.setattr(discs, "_cosines", counted)
+        formed.clear()
+        discs._sweep(unit, vals, radius, alpha=1.0, max_dist=cap, balls=True)
+        monkeypatch.setattr(discs, "_cosines", cosines)
+        assert sum(formed) <= 0.7 * K * (K + 1) / 2, (theta, sum(formed))
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _coordinate_sum(rows, cols):
+    out = rows[:, None, 0] * cols[None, 0, :]
+    for k in range(1, rows.shape[1]):
+        out = out + rows[:, None, k] * cols[None, k, :]
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("K", [8, discs._BLOCK + 1, 1000])
-def test_cosine_blocks_sum_coordinates_in_order(n, K):
+def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
-    # and mode forms it: this fails where numpy's einsum fuses multiply and
-    # add, or if the blocks move to a BLAS product
+    # forms it, gathered columns and group centres included: this fails
+    # where numpy's einsum fuses multiply and add, or if the blocks move to
+    # a BLAS product
     rng = np.random.default_rng(7 * K + n)
     R = float(rng.uniform(1.3, 4.7))
     unit = sphere_points(n, R, K) / R
-    ref = unit[:, None, 0] * unit[None, :, 0]
-    for k in range(1, n):
-        ref = ref + unit[:, None, k] * unit[None, :, k]
-    full = np.full((K, K), np.nan)
-    for rows, cos in discs._cosine_blocks(unit):
-        r0 = rows[0]
-        assert np.array_equal(_bits(cos), _bits(ref[rows, r0:]))
-        full[rows, r0:] = cos
-    # rows given: every block is formed against all columns
+    ref = _coordinate_sum(unit, unit.T)
     rows = rng.permutation(K)
     table = np.empty((K, K))
     for block, cos in discs._cosine_blocks(unit, rows):
         assert np.array_equal(_bits(cos), _bits(ref[block]))
         table[block] = cos
     assert np.array_equal(_bits(table), _bits(table.T))
-    upper = np.triu(np.ones((K, K), dtype=bool))
-    assert np.array_equal(_bits(full[upper]), _bits(table[upper]))
+
+    # the sweep's blocks: samples are told apart by their coordinates, and
+    # a group centre is none of them unless its group has one member
+    index = {row.tobytes(): i for i, row in enumerate(unit)}
+    gathered = []
+    cosines = discs._cosines
+
+    def checked(rows, cols, buf):
+        cos = cosines(rows, cols, buf)
+        assert np.array_equal(_bits(cos), _bits(_coordinate_sum(rows, cols)))
+        r = [index.get(row.tobytes()) for row in rows]
+        if None not in r:
+            c = [index[col.tobytes()] for col in cols.T]
+            assert np.array_equal(_bits(cos), _bits(ref[np.ix_(r, c)]))
+            gathered.append(len(c) < K)
+        return cos
+
+    monkeypatch.setattr(discs, "_cosines", checked)
+    for radius in (R, 0.8 * R):
+        discs._sweep(unit, np.ones(K), radius, alpha=1.0, max_dist=1.0,
+                     balls=True)
+    assert any(gathered)
 
 
 @pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, discs._BLOCK + 1),
