@@ -441,7 +441,7 @@ def _matches_dense(n, R, pts, vals):
     assert c4 == dense_holder(pts, vals, R, 1.0)
     assert (sphere_holder_constant(pts, vals, R, 0.5, max_dist=1.5)
             == dense_holder(pts, vals, R, 0.5, max_dist=1.5))
-    # the triangle sweep sums each 2-ball in another order than the dense
+    # the group sweep sums each 2-ball in another order than the dense
     # matrix-vector product
     ball2 = dense_ball2(pts, vals, R)
     _, got = discs._sweep(pts / R, vals, R, balls=True)
