@@ -481,6 +481,36 @@ def test_blocked_sweep_matches_dense(n, K):
     _matches_dense(n, R, pts[dup], vals[dup])
 
 
+def test_sweep_visits_each_pair_once(monkeypatch):
+    # each (member, sample) pair is settled once per test: by its group's
+    # bound or by one exact cosine, never twice. A pair counted twice in a
+    # 2-ball would add its weight twice, so with unit values every 2-ball
+    # holds the dense count of samples within distance 2
+    gathered = discs._gathered
+    pairs = []
+
+    def recorded(members, cols, a, b, near, buf):
+        for r0, cos in gathered(members, cols, a, b, near, buf):
+            rows = order[r0:r0 + len(cos)]
+            pairs.extend(zip(np.repeat(rows, len(near)).tolist(),
+                             np.tile(near, len(rows)).tolist()))
+            yield r0, cos
+
+    monkeypatch.setattr(discs, "_gathered", recorded)
+    for n, K in ((2, 1000), (3, 4 * discs._BLOCK), (3, discs._BLOCK + 1)):
+        R, pts, _ = _random_slice(np.random.default_rng(K), n, K)
+        unit = pts / R
+        order = discs._groups(unit)[0]
+        for mode in ({"alpha": 1.0}, {"balls": True}):
+            pairs.clear()
+            _, ball2 = discs._sweep(unit, np.ones(K), R, **mode)
+            assert pairs
+            assert len(set(pairs)) == len(pairs), (n, K, mode)
+        count = (geodesic_distances(pts, R) <= 2.0).sum(axis=1)
+        np.testing.assert_allclose(ball2 / (sphere_area(n, R) / K), count,
+                                   rtol=1e-12, atol=0)
+
+
 def _unit_lattice_with_straddlers(n, K):
     """K lattice points on the unit sphere plus exact duplicates and pairs
     of samples one rounding step apart on either side of a face of the
