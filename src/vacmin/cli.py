@@ -61,7 +61,7 @@ SOURCE_SHA256 = _source_sha256(os.path.dirname(os.path.abspath(__file__)))
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -39,50 +39,44 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 
 
 # ---------------------------------------------------------------------------
-# matrix-free geodesic sweep
+# matrix-free geodesic tests
 #
 # Every geodesic test on the sphere samples reads cosines
 # cos[i, j] = unit_i . unit_j, formed a block at a time into one reused
-# buffer by a numpy einsum (no BLAS call). A block holds at most _BLOCK * K
-# cosines, so the working memory is O(_BLOCK * K) for any K. Where numpy's einsum does not fuse multiply and
-# add, the cosines have the bits of the explicit coordinate sum (see
-# _cosines). Membership dist <= L, with dist = radius * arccos(cos), is
-# decided by the threshold cos(L / radius); only cosines within _BAND of it
-# go through arccos (clipped to [-1, 1]), where the exact test decides.
-# Outside the band the angle differs from L / radius by more than 1e-9, far
-# beyond rounding, so the masks equal those of the exact test.
+# buffer by a numpy einsum (no BLAS call), at most _SWEEP_ROWS * K of them
+# at once, so the working memory is O(_SWEEP_ROWS * K) for any K. Where
+# numpy's einsum does not fuse multiply and add, the cosines have the bits
+# of the explicit coordinate sum (see _cosines). Membership dist <= L, with
+# dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
+# only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
+# where the exact test decides. Outside the band the angle differs from
+# L / radius by more than 1e-9, far beyond rounding, so the masks equal
+# those of the exact test.
 #
-# The sweep (_sweep) forms exact cosines only where a cheap bound leaves a
-# test open. It splits the samples into groups, the boxes of side _BOX of a
-# fixed ambient grid cut by the sphere, and gives each group a centre c
-# and an angular radius rho, the largest angle from c to a member. By the
-# triangle inequality a sample at angle psi from c lies within angle theta
-# of every member when psi <= theta - rho - _MARGIN, and farther than
-# theta from every member when psi >= theta + rho + _MARGIN. A few ulps of
-# cosine rounding move an angle by at most about 3e-8 (near 0 and pi,
-# where arccos is steepest), far below _MARGIN, so the exact test would
-# decide every such pair the same way; only the samples in between get
-# exact cosines. For the 2-balls theta = 2 / radius; the Holder search
-# needs only pairs within its max_dist, theta = max_dist / radius, which a
-# caller holding a lower bound on C4 can shrink with _holder_cap.
-
-# _BLOCK caps the rows of a block in _cosine_blocks. _sweep forms at most
-# _SWEEP_ROWS * K cosines at a time (0.5 MB at K = 4096), both for the
-# centres of _SWEEP_ROWS groups and for the members of one group against
-# the samples it gathers; its traced peak is then 1.7 MB on an analysis-3d
-# slice, against 3.2 MB for the full upper triangle in 64-row blocks (8
-# rows: 1.1 MB but 4-17% slower; 32 and 64 rows: 3.1 and 5.6 MB and no
-# faster). With _BOX = 0.4 the K = 4096 lattice on S^2 falls into 115
-# groups of angular radius about 0.26 (0.5: 56 groups, 0.34). On a 2-vCPU
-# x86 machine (numpy 2.4.6) the three sweeps of one analysis-3d job took a
-# median 55 ms with 0.4, 53-55 ms with 0.5, 56-57 ms with 0.45 and 55-56 ms
-# with 0.35, against 103-108 ms for the whole upper triangle (two runs of
-# 15 alternating rounds). 0.4 forms a fifth fewer
-# cosines than 0.5 (0.56-0.61 of K (K + 1) / 2 at 2 / radius = 1.1, 1.4
-# and 2.0, against 0.68-0.74), a lead that grows with K: the cosines saved
-# grow as K^2, the cost per group as K. _MARGIN sits far above the 3e-8 of
-# rounding and far below the group radii.
-_BLOCK = 64
+# Each test forms exact cosines only where a cheap bound leaves it open.
+# A few ulps of cosine rounding move an angle by at most about 3e-8 (near
+# 0 and pi, where arccos is steepest), far below _MARGIN, so a bound
+# widened by _MARGIN never settles a pair the exact test would decide the
+# other way.
+# - The 2-ball energies (_sweep) split the samples into groups, the boxes
+#   of side _BOX of a fixed ambient grid cut by the sphere, and give each
+#   group a centre c and an angular radius rho, the largest angle from c
+#   to a member. By the triangle inequality a sample at angle psi from c
+#   lies within angle theta = 2 / radius of every member when
+#   psi <= theta - rho - _MARGIN, and farther than theta from every member
+#   when psi >= theta + rho + _MARGIN; only the samples in between get
+#   exact cosines.
+# - The Holder search (sphere_holder_constant) needs only pairs within
+#   angle theta = max_dist / radius, which a caller holding a lower bound
+#   on C4 can shrink with _holder_cap. Such a pair has a chord of at most
+#   theta, so its last coordinates differ by at most theta: sorted by that
+#   coordinate, each sample's partners lie in a short window after it.
+#
+# _SWEEP_ROWS bounds a block to 0.5 MB at K = 4096; fewer rows saved
+# memory but ran slower, more ran no faster. With _BOX = 0.4 the K = 4096
+# lattice on S^2 falls into 115 groups of angular radius about 0.26, which
+# forms a fifth fewer cosines than 0.5 in the same time; the saving grows
+# as K^2, the cost per group as K. BENCH_20.json has the measurements.
 _SWEEP_ROWS = 16
 _BOX = 0.4
 _BAND = 1e-9
@@ -111,25 +105,14 @@ def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
     C-ordered (gather columns with np.take(..., axis=1), not fancy
     indexing, which returns an F-ordered array that the einsum reads about
     5x slower)."""
-    if cols.shape[1] == 1:
+    one = cols.shape[1] == 1
+    if one:
         # against one column numpy's einsum sums the products in another
         # order (seen in 3D); two copies of it keep the coordinate order
-        return _cosines(rows, np.repeat(cols, 2, axis=1), buf)[:, :1].copy()
+        cols = np.repeat(cols, 2, axis=1)
     cos = buf[:len(rows) * cols.shape[1]].reshape(len(rows), cols.shape[1])
     np.einsum("ik,kj->ij", rows, cols, out=cos)
-    return cos
-
-
-def _cosine_blocks(unit: np.ndarray, rows: np.ndarray):
-    """Yield (block, cos) for consecutive blocks of at most _BLOCK of the
-    given rows: cos[a, j] is the cosine between unit[block[a]] and unit[j],
-    formed by _cosines. Each cos is a view of one reused buffer, valid until
-    the next block is drawn."""
-    cols = unit.T.copy()
-    buf = np.empty(min(_BLOCK, len(rows)) * len(unit))
-    for start in range(0, len(rows), _BLOCK):
-        block = rows[start:start + _BLOCK]
-        yield block, _cosines(unit[block], cols, buf)
+    return cos[:, :1].copy() if one else cos
 
 
 def _threshold(radius: float, dist: float) -> float:
@@ -149,25 +132,6 @@ def _within(cos: np.ndarray, radius: float, dist: float) -> np.ndarray:
     if edge.size:
         inside.ravel()[edge] = _arc(cos, edge, radius) <= dist
     return inside
-
-
-def _holder_ratio(cos: np.ndarray, row_values: np.ndarray,
-                  values: np.ndarray, radius: float, alpha: float,
-                  max_dist: float) -> float:
-    """max |v_i - v_j| / dist^alpha over the block's pairs with
-    1e-12 < dist <= max_dist; arccos only on cosines near or past the
-    threshold whose pairs differ in value (the others have ratio 0)."""
-    idx = np.flatnonzero(cos >= _threshold(radius, max_dist) - _BAND)
-    i, j = np.divmod(idx, cos.shape[1])
-    diff = np.abs(row_values[i] - values[j])
-    moved = diff != 0.0
-    if not moved.any():
-        return 0.0
-    dist = _arc(cos, idx[moved], radius)
-    sel = (dist > 1e-12) & (dist <= max_dist)
-    if not np.any(sel):
-        return 0.0
-    return float((diff[moved][sel] / dist[sel] ** alpha).max())
 
 
 def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
@@ -218,64 +182,43 @@ def _cos_at(angle: np.ndarray) -> np.ndarray:
         angle >= math.pi, -np.inf, np.cos(np.clip(angle, 0.0, math.pi))))
 
 
-def _sweep(unit: np.ndarray, values: np.ndarray, radius: float,
-           alpha: float | None = None, max_dist: float = 1.0,
-           balls: bool = False):
-    """One pass over the samples, a group of them at a time (see the
-    comment above _BLOCK). Returns (c4, ball2): the Holder ratio over pairs
-    within max_dist when alpha is given (else 0.0), and the geodesic 2-ball
-    slice energy of every sample when balls is set (else None).
+def _sweep(unit: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
+    """The geodesic 2-ball slice energy of every sample, a group of samples
+    at a time (see the comment above _SWEEP_ROWS).
 
     For each group one einsum of its centre against every sample gives
     cos psi. The samples with psi <= 2 / radius - rho - _MARGIN are in the
     2-ball of every member, so their summed weight is added once; those
     with psi >= 2 / radius + rho + _MARGIN are in none; only the ones in
-    between get exact cosines and _within. The Holder search gets exact
-    cosines for the samples with psi <= max_dist / radius + rho + _MARGIN."""
+    between get exact cosines and _within."""
     K = len(values)
     order, starts, centres, rho = _groups(unit)
     bounds = np.r_[starts, K]
     cols = unit.T.copy()
     members = unit[order]
-    member_values = values[order]
     weighted = values * (sphere_area(unit.shape[1], radius) / K)
     reach = rho + _MARGIN
     full_at = _cos_at(2.0 / radius - reach)[:, None]
     ring_at = _cos_at(2.0 / radius + reach)[:, None]
-    hold_at = _cos_at(max_dist / radius + reach)[:, None]
-    ratios = [0.0]
     sums = np.empty(K)
     buf = np.empty(min(_SWEEP_ROWS, K) * K)
     psi_buf = np.empty(min(_SWEEP_ROWS, len(starts)) * K)
     for g0 in range(0, len(starts), _SWEEP_ROWS):
         g1 = min(g0 + _SWEEP_ROWS, len(starts))
         cos_psi = _cosines(centres[g0:g1], cols, psi_buf)
-        if alpha is not None:
-            hold = cos_psi >= hold_at[g0:g1]
-        if balls:
-            full = cos_psi >= full_at[g0:g1]
-            ring = (cos_psi >= ring_at[g0:g1]) & ~full
-            sums[bounds[g0]:bounds[g1]] = np.repeat(
-                np.einsum("gj,j->g", full, weighted),
-                np.diff(bounds[g0:g1 + 1]))
+        full = cos_psi >= full_at[g0:g1]
+        ring = (cos_psi >= ring_at[g0:g1]) & ~full
+        sums[bounds[g0]:bounds[g1]] = np.repeat(
+            np.einsum("gj,j->g", full, weighted), np.diff(bounds[g0:g1 + 1]))
         for g in range(g0, g1):
-            a, b = bounds[g], bounds[g + 1]
-            if alpha is not None:
-                near = np.flatnonzero(hold[g - g0])
-                for r0, cos in _gathered(members, cols, a, b, near, buf):
-                    ratios.append(_holder_ratio(
-                        cos, member_values[r0:r0 + len(cos)], values[near],
-                        radius, alpha, max_dist))
-            if balls:
-                near = np.flatnonzero(ring[g - g0])
-                for r0, cos in _gathered(members, cols, a, b, near, buf):
-                    sums[r0:r0 + len(cos)] += np.einsum(
-                        "ij,j->i", _within(cos, radius, 2.0), weighted[near])
-    ball2 = None
-    if balls:
-        ball2 = np.empty(K)
-        ball2[order] = sums
-    return float(np.max(ratios)), ball2
+            near = np.flatnonzero(ring[g - g0])
+            for r0, cos in _gathered(members, cols, bounds[g], bounds[g + 1],
+                                     near, buf):
+                sums[r0:r0 + len(cos)] += np.einsum(
+                    "ij,j->i", _within(cos, radius, 2.0), weighted[near])
+    ball2 = np.empty(K)
+    ball2[order] = sums
+    return ball2
 
 
 def _gathered(members, cols, a, b, near, buf):
@@ -338,10 +281,48 @@ def holder_constant(e: ScalarField, alpha: float = 1.0) -> float:
 def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
                            radius: float, alpha: float = 1.0,
                            max_dist: float = 1.0) -> float:
-    """Holder ratio over all sample pairs within geodesic distance max_dist."""
-    c4, _ = _sweep(points / radius, values, radius, alpha=alpha,
-                   max_dist=max_dist)
-    return c4
+    """Holder ratio over all sample pairs within geodesic distance max_dist.
+
+    The samples are sorted by their last coordinate z. A pair within angle
+    theta = max_dist / radius has z values at most theta apart (see the
+    comment above _SWEEP_ROWS), so each sample's partners lie in its
+    window, the samples after it up to z + theta + _MARGIN. Only window
+    pairs get exact cosines, one row against its window at a time: each
+    unordered pair at most once, none at all when every window is empty.
+    The cosines of consecutive windows are packed into one buffer, and
+    arccos goes only to those near or past the threshold whose pairs
+    differ in value (the others have ratio 0)."""
+    unit = points / radius
+    order = np.argsort(unit[:, -1], kind="stable")
+    unit, values = unit[order], values[order]
+    z = unit[:, -1]
+    ends = np.searchsorted(z, z + (max_dist / radius + _MARGIN), "right")
+    rows = np.flatnonzero(ends > np.arange(1, len(z) + 1))
+    if not rows.size:
+        return 0.0
+    width = ends[rows] - rows - 1
+    cols = unit.T.copy()
+    buf = np.empty(len(z))
+    cos = np.empty(_SWEEP_ROWS * len(z))
+    step = len(cos) // int(width.max())
+    near = _threshold(radius, max_dist) - _BAND
+    best = 0.0
+    for r0 in range(0, len(rows), step):
+        block, w = rows[r0:r0 + step], width[r0:r0 + step]
+        at = np.r_[0, np.cumsum(w)]
+        for p, a, b in zip(block, at[:-1], at[1:]):
+            cos[a:b] = _cosines(unit[p:p + 1], cols[:, p + 1:ends[p]].copy(),
+                                buf)[0]
+        idx = np.flatnonzero(cos[:at[-1]] >= near)
+        k = np.searchsorted(at, idx, "right") - 1
+        diff = np.abs(values[block[k]] - values[block[k] + 1 + idx - at[k]])
+        moved = diff != 0.0
+        dist = _arc(cos, idx[moved], radius)
+        sel = (dist > 1e-12) & (dist <= max_dist)
+        if sel.any():
+            best = max(best, float((diff[moved][sel] / dist[sel] ** alpha)
+                                   .max()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +393,14 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
     """Run the greedy covering on explicit sphere samples.
 
     Returns (center indices, covered mask). Raises ClearingOutViolated when
-    an uncovered sample with value > eps has 2-ball energy below mu.
+    an uncovered sample with value > eps has 2-ball energy below mu. Values
+    never change, so neither do the 2-ball energies: one sweep forms them
+    all, and each pick then forms only its own unit-ball row.
     """
     unit = points / radius
-    _, ball2 = _sweep(unit, values, radius, balls=True)
-    return _cover(unit, values, radius, eps, mu, ball2)
-
-
-def _cover(unit: np.ndarray, values: np.ndarray, radius: float, eps: float,
-           mu: float, ball2: np.ndarray):
-    """The greedy loop of ``greedy_bad_discs`` on precomputed 2-ball slice
-    energies: values never change, so neither do the energies; each pick
-    computes only its own unit-ball row."""
+    ball2 = _sweep(unit, values, radius)
+    cols = unit.T.copy()
+    buf = np.empty(len(values))
     covered = np.zeros(len(values), dtype=bool)
     hot = values > eps
     centers = []
@@ -443,8 +420,8 @@ def _cover(unit: np.ndarray, values: np.ndarray, radius: float, eps: float,
         near = open_idx[energy >= bmax - 1e-12 * max(1.0, abs(bmax))]
         pick = int(near[np.lexsort((near, -values[near]))[0]])
         centers.append(pick)
-        _, cos = next(_cosine_blocks(unit, np.array([pick])))
-        covered |= _within(cos, radius, 1.0)[0]
+        covered |= _within(_cosines(unit[pick:pick + 1], cols, buf),
+                           radius, 1.0)[0]
     return np.array(centers, dtype=int), covered
 
 
@@ -454,9 +431,14 @@ def clearing_out_violations(points: np.ndarray, values: np.ndarray,
     every geodesic 2-ball with slice energy < mu must have values <= eps
     throughout its concentric 1-ball. Returns the list of violations."""
     unit = points / radius
-    _, ball2 = _sweep(unit, values, radius, balls=True)
+    ball2 = _sweep(unit, values, radius)
+    low = np.flatnonzero(ball2 < mu)
+    cols = unit.T.copy()
+    buf = np.empty(min(_SWEEP_ROWS, len(low)) * len(values))
     out = []
-    for rows, cos in _cosine_blocks(unit, np.flatnonzero(ball2 < mu)):
+    for start in range(0, len(low), _SWEEP_ROWS):
+        rows = low[start:start + _SWEEP_ROWS]
+        cos = _cosines(unit[rows], cols, buf)
         inner = np.where(_within(cos, radius, 1.0), values, -np.inf).max(axis=1)
         out += [(int(i), float(ball2[i]), float(v))
                 for i, v in zip(rows, inner) if v > eps]
@@ -467,21 +449,17 @@ def bad_disc_pipeline(e: ScalarField, R: float, eps: float, alpha: float = 1.0,
                       samples: int = 32, K: int = 1024) -> BadDiscReport:
     """Full slice analysis at base radius R: pick the good radius in (R, 2R),
     measure the Lipschitz/Holder constant, form the clearing-out threshold
-    and run the covering. One sweep over the slice's cosines yields both
-    the sphere Holder ratio and every sample's 2-ball energy; since C4 is
-    at least the grid constant, the sweep looks only for sphere pairs whose
-    ratio could exceed it."""
+    and run the covering. C4 is at least the grid constant, so the sphere
+    search looks only for pairs whose ratio could exceed it."""
     n = e.grid.n
     s_r, _ = select_good_radius(e, R, samples=samples, K=K)
     c4_grid = holder_constant(e, alpha)
     pts, vals = sample_sphere(e, s_r, K)
-    unit = pts / s_r
-    cap = _holder_cap(vals, alpha, 1.0, c4_grid)
-    c4_sphere, ball2 = _sweep(unit, vals, s_r, alpha=alpha, max_dist=cap,
-                              balls=True)
+    c4_sphere = sphere_holder_constant(
+        pts, vals, s_r, alpha, _holder_cap(vals, alpha, 1.0, c4_grid))
     c4 = max(c4_grid, c4_sphere, 1e-12)
     mu = clearing_out_threshold(eps, c4, alpha, n)
-    centers_idx, covered = _cover(unit, vals, s_r, eps, mu, ball2)
+    centers_idx, covered = greedy_bad_discs(pts, vals, s_r, eps, mu)
     off = vals[~covered]
     offdisc_sup = float(off.max()) if off.size else 0.0
     if offdisc_sup > eps:

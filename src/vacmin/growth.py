@@ -7,7 +7,6 @@ report normalized-energy trends and fitted exponents instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -115,7 +114,7 @@ class GrowthReport:
     energies: list
     normalized: list               # E(R) / R^{n-1}
     violations: list               # indices where the normalized value rose
-    fitted_exponent: float
+    fitted_exponent: float | None  # None unless every energy is positive
     reference_exponent: float      # n - 1 - 2/(qn)
     rescaled_l2: list = dfield(default_factory=list)
 
@@ -137,7 +136,8 @@ def growth_diagnostic(radii, energies, n: int, q: float,
                       rescaled_l2=None) -> GrowthReport:
     """Trend diagnostic across doubling radii: the normalized sequence
     E(R)/R^{n-1}, its monotone-decrease violations, and the log-log fitted
-    exponent against the reference n - 1 - 2/(qn)."""
+    exponent against the reference n - 1 - 2/(qn). The exponent is None
+    when an energy is not positive: its logarithm is undefined."""
     radii = list(map(float, radii))
     energies = list(map(float, energies))
     if len(radii) < 3:
@@ -146,10 +146,8 @@ def growth_diagnostic(radii, energies, n: int, q: float,
     e = np.asarray(energies)
     norm = e / r ** (n - 1)
     violations = [int(i) for i in range(len(r) - 1) if norm[i + 1] > norm[i]]
-    if np.all(e > 0):
-        slope = float(np.polyfit(np.log(r), np.log(e), 1)[0])
-    else:
-        slope = math.nan  # identically-zero profiles are trivially consistent
+    slope = (float(np.polyfit(np.log(r), np.log(e), 1)[0])
+             if np.all(e > 0) else None)
     return GrowthReport(
         radii=radii,
         energies=energies,

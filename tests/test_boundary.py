@@ -59,6 +59,22 @@ def test_radial_profile_wraps_layer():
     assert d[grid.radius < 0.5].max() < 0.4 * np.exp(-2.0)
 
 
+@pytest.mark.parametrize("n, h, r_max", [(2, 0.2, 3.0), (3, 0.25, 2.0)])
+def test_radial_profile_data_are_constant(n, h, r_max):
+    # every boundary node lies beyond r_max, where the profile reads its
+    # depth-0 value: the Dirichlet data are zero + magnitude * d exactly
+    pot = power([0.1, -0.2], 4)
+    grid = Grid(n, h, r_max)
+    direction = [1.0, 2.0]
+    fn = radial_profile(pot, grid, 0.45, direction=direction)
+    ring = fn(grid.coords)[:, grid.mask == BOUNDARY]
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    expected = pot.zero + 0.45 * d
+    assert ring.shape[1] > 0
+    assert np.array_equal(ring, np.repeat(expected[:, None], ring.shape[1],
+                                          axis=1))
+
+
 def test_random_smooth_bounded_and_seeded(small_grid):
     pot = quadratic([0.0, 0.0])
     fn1 = random_smooth(pot, 0.25, seed=4)

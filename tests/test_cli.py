@@ -272,6 +272,30 @@ def test_minimize_constant_boundary_trivial(tmp_path):
     assert report["solve"]["iterations"] == 0
 
 
+def test_every_subcommand_writes_strict_json_on_constant_data(tmp_path):
+    # a zero field: zero energies have no log-log exponent, which must not
+    # reach the JSON as NaN, a value strict parsers reject
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({
+        "n": 2, "m": 2, "h": 0.2, "r_max": 3.0,
+        "potential": {"family": "power", "zero": [0.0, 0.0], "q": 4},
+        "boundary": {"tag": "constant"}}))
+    out = tmp_path / "out"
+    assert len(_COMMANDS) == 8
+    for cmd in _COMMANDS:
+        assert run_cli(cmd, str(path), out) == 0, cmd
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name}")
+
+    written = sorted(out.glob("*.json"))
+    assert written
+    for p in written:
+        json.loads(p.read_text(), parse_constant=reject)
+    rep = json.loads((out / "energy_profile.json").read_text())
+    assert rep["diagnostic"]["fitted_exponent"] is None
+
+
 def test_solver_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, solver={"tol": 1.0e-12, "max_iter": 3})
     assert run_cli("minimize", cfg, tmp_path / "out") == 3

@@ -444,7 +444,7 @@ def _matches_dense(n, R, pts, vals):
     # the group sweep sums each 2-ball in another order than the dense
     # matrix-vector product
     ball2 = dense_ball2(pts, vals, R)
-    _, got = discs._sweep(pts / R, vals, R, balls=True)
+    got = discs._sweep(pts / R, vals, R)
     np.testing.assert_allclose(got, ball2, rtol=1e-12, atol=0)
     eps = 0.3 * float(vals.max())
     mu = clearing_out_threshold(eps, c4, 1.0, n)
@@ -464,7 +464,7 @@ def _matches_dense(n, R, pts, vals):
 
 @pytest.mark.parametrize("n", [2, 3])
 # below, at, just past and not a multiple of a block
-@pytest.mark.parametrize("K", [8, 50, discs._BLOCK, discs._BLOCK + 1, 1000])
+@pytest.mark.parametrize("K", [8, 50, 64, 65, 1000])
 def test_blocked_sweep_matches_dense(n, K):
     rng = np.random.default_rng(100 * n + K)
     centers_seen = violations_seen = 0
@@ -482,12 +482,15 @@ def test_blocked_sweep_matches_dense(n, K):
 
 
 def test_sweep_visits_each_pair_once(monkeypatch):
-    # each (member, sample) pair is settled once per test: by its group's
+    # each (member, sample) pair is settled once per 2-ball: by its group's
     # bound or by one exact cosine, never twice. A pair counted twice in a
     # 2-ball would add its weight twice, so with unit values every 2-ball
-    # holds the dense count of samples within distance 2
+    # holds the dense count of samples within distance 2. The Holder
+    # search forms each unordered pair of samples at most once
     gathered = discs._gathered
+    cosines = discs._cosines
     pairs = []
+    holder_pairs = []
 
     def recorded(members, cols, a, b, near, buf):
         for r0, cos in gathered(members, cols, a, b, near, buf):
@@ -496,19 +499,36 @@ def test_sweep_visits_each_pair_once(monkeypatch):
                              np.tile(near, len(rows)).tolist()))
             yield r0, cos
 
-    monkeypatch.setattr(discs, "_gathered", recorded)
-    for n, K in ((2, 1000), (3, 4 * discs._BLOCK), (3, discs._BLOCK + 1)):
+    def formed(rows, cols, buf):
+        r = [index[row.tobytes()] for row in rows]
+        c = [index[col.tobytes()] for col in cols.T]
+        holder_pairs.extend(tuple(sorted((i, j))) for i in r for j in c)
+        return cosines(rows, cols, buf)
+
+    for n, K in ((2, 1000), (3, 256), (3, 65)):
         R, pts, _ = _random_slice(np.random.default_rng(K), n, K)
         unit = pts / R
         order = discs._groups(unit)[0]
-        for mode in ({"alpha": 1.0}, {"balls": True}):
-            pairs.clear()
-            _, ball2 = discs._sweep(unit, np.ones(K), R, **mode)
-            assert pairs
-            assert len(set(pairs)) == len(pairs), (n, K, mode)
+        monkeypatch.setattr(discs, "_gathered", recorded)
+        pairs.clear()
+        ball2 = discs._sweep(unit, np.ones(K), R)
+        monkeypatch.setattr(discs, "_gathered", gathered)
+        assert pairs
+        assert len(set(pairs)) == len(pairs), (n, K)
         count = (geodesic_distances(pts, R) <= 2.0).sum(axis=1)
         np.testing.assert_allclose(ball2 / (sphere_area(n, R) / K), count,
                                    rtol=1e-12, atol=0)
+        index = {row.tobytes(): i for i, row in enumerate(unit)}
+        monkeypatch.setattr(discs, "_cosines", formed)
+        for max_dist in (1.0, 4.0 * R):
+            holder_pairs.clear()
+            sphere_holder_constant(pts, np.ones(K), R, 1.0, max_dist)
+            assert holder_pairs
+            assert len(set(holder_pairs)) == len(holder_pairs), (n, K)
+            assert all(i != j for i, j in holder_pairs)
+        # beyond pi every pair is in reach: each one is formed exactly once
+        assert len(holder_pairs) == K * (K - 1) // 2
+        monkeypatch.setattr(discs, "_cosines", cosines)
 
 
 def _unit_lattice_with_straddlers(n, K):
@@ -549,27 +569,31 @@ def test_sweep_is_exact_at_extreme_angles(n):
         radius = 2.0 / theta
         dist = radius * angle
         w = sphere_area(n, radius) / K
-        _, ball2 = discs._sweep(unit, vals, radius, balls=True)
+        ball2 = discs._sweep(unit, vals, radius)
         np.testing.assert_allclose(ball2, (dist <= 2.0) @ (vals * w),
                                    rtol=1e-12, atol=0)
+        # the Holder search divides its points by the radius itself
+        pts = unit * radius
+        dist = geodesic_distances(pts, radius)
         for alpha in (1.0, 0.5):
             for max_dist in (1e-9 * radius, 2.0, math.pi * radius,
                              4.0 * radius):
                 sel = (dist > 1e-12) & (dist <= max_dist)
                 dense = (float((diff[sel] / dist[sel] ** alpha).max())
                          if sel.any() else 0.0)
-                c4, _ = discs._sweep(unit, vals, radius, alpha=alpha,
-                                     max_dist=max_dist)
+                c4 = sphere_holder_constant(pts, vals, radius, alpha,
+                                            max_dist)
                 assert c4 == dense, (theta, alpha, max_dist)
 
 
 def test_sweep_prunes_cosines(monkeypatch):
     # the group bound settles most pairs: on a 3D lattice of K = 4096
-    # samples the sweep forms at most 0.7 of the K (K + 1) / 2 cosines of
-    # the upper triangle, group centres included, at 2-ball angles either
-    # side of pi / 2. The Holder distance is capped as bad_disc_pipeline
-    # caps it, with a floor 1e4 times the sphere ratio, as the grid
-    # constant is on the analysis-3d benchmark's slices (caps near 2e-4)
+    # samples the sweep and the Holder search together form at most 0.7 of
+    # the K (K + 1) / 2 cosines of the upper triangle, group centres
+    # included, at 2-ball angles either side of pi / 2. The Holder distance
+    # is capped as bad_disc_pipeline caps it, with a floor 1e4 times the
+    # sphere ratio, as the grid constant is on the analysis-3d benchmark's
+    # slices (caps near 2e-4)
     K = 4096
     unit = sphere_points(3, 1.0, K)
     rng = np.random.default_rng(5)
@@ -590,7 +614,8 @@ def test_sweep_prunes_cosines(monkeypatch):
         assert 0.0 < cap < 1.0
         monkeypatch.setattr(discs, "_cosines", counted)
         formed.clear()
-        discs._sweep(unit, vals, radius, alpha=1.0, max_dist=cap, balls=True)
+        discs._sweep(unit, vals, radius)
+        discs.sphere_holder_constant(unit * radius, vals, radius, 1.0, cap)
         monkeypatch.setattr(discs, "_cosines", cosines)
         assert sum(formed) <= 0.7 * K * (K + 1) / 2, (theta, sum(formed))
 
@@ -607,27 +632,24 @@ def _coordinate_sum(rows, cols):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("K", [8, discs._BLOCK + 1, 1000])
+@pytest.mark.parametrize("K", [8, 65, 1000])
 def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
-    # forms it, gathered columns and group centres included: this fails
-    # where numpy's einsum fuses multiply and add, or if the blocks move to
-    # a BLAS product
+    # forms it: the 2-ball sweep's group centres and gathered columns, the
+    # Holder search's windows, the covering's rows and the violation scan's
+    # blocks, one-row and one-column blocks included. This fails where
+    # numpy's einsum fuses multiply and add, or if the blocks move to a
+    # BLAS product
     rng = np.random.default_rng(7 * K + n)
     R = float(rng.uniform(1.3, 4.7))
     unit = sphere_points(n, R, K) / R
     ref = _coordinate_sum(unit, unit.T)
-    rows = rng.permutation(K)
-    table = np.empty((K, K))
-    for block, cos in discs._cosine_blocks(unit, rows):
-        assert np.array_equal(_bits(cos), _bits(ref[block]))
-        table[block] = cos
-    assert np.array_equal(_bits(table), _bits(table.T))
+    assert np.array_equal(_bits(ref), _bits(ref.T))
 
-    # the sweep's blocks: samples are told apart by their coordinates, and
-    # a group centre is none of them unless its group has one member
+    # samples are told apart by their coordinates, and a group centre is
+    # none of them unless its group has one member
     index = {row.tobytes(): i for i, row in enumerate(unit)}
-    gathered = []
+    shapes = []
     cosines = discs._cosines
 
     def checked(rows, cols, buf):
@@ -637,17 +659,26 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
         if None not in r:
             c = [index[col.tobytes()] for col in cols.T]
             assert np.array_equal(_bits(cos), _bits(ref[np.ix_(r, c)]))
-            gathered.append(len(c) < K)
+            shapes.append(cos.shape)
         return cos
 
     monkeypatch.setattr(discs, "_cosines", checked)
-    for radius in (R, 0.8 * R):
-        discs._sweep(unit, np.ones(K), radius, alpha=1.0, max_dist=1.0,
-                     balls=True)
-    assert any(gathered)
+    vals = rng.uniform(0.5, 1.5, K)
+    # radii of powers of two keep points / radius bit for bit on unit
+    for radius in (2.0, 4.0):
+        pts = unit * radius
+        discs._sweep(unit, vals, radius)
+        for max_dist in (1.0, 4.0 * radius):
+            sphere_holder_constant(pts, vals, radius, 1.0, max_dist)
+        greedy_bad_discs(pts, vals, radius, 1.0, 1e-9)
+        clearing_out_violations(pts, vals, radius, 1.0, np.inf)
+    assert any(r == 1 for r, _ in shapes)
+    assert any(c == 1 for _, c in shapes)
+    assert any(1 < c < K for _, c in shapes)
+    assert any(r > 1 and c == K for r, c in shapes)
 
 
-@pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, discs._BLOCK + 1),
+@pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, 65),
                                   (3, 1000)])
 def test_capped_holder_search_is_exact(n, K):
     # a caller taking max(floor, c4) and searching only within
@@ -675,18 +706,49 @@ def test_capped_holder_search_is_exact(n, K):
                           np.nextafter(dense, np.inf), 2 * dense, 50 * dense)
                 for f in map(float, floors):
                     cap = discs._holder_cap(v, alpha, max_dist, f)
-                    got, _ = discs._sweep(p / r, v, r, alpha=alpha,
-                                          max_dist=cap)
+                    got = sphere_holder_constant(p, v, r, alpha, cap)
                     assert max(f, got) == max(f, dense)
                     capped += cap < max_dist
             # constant values: no pair has a ratio, at any floor
             const = np.full(K, float(vals[0]))
             for f in (1e-300, 1e-3, 1.0):
                 cap = discs._holder_cap(const, alpha, max_dist, f)
-                got, _ = discs._sweep(pts / R, const, R, alpha=alpha,
-                                      max_dist=cap)
+                got = sphere_holder_constant(pts, const, R, alpha, cap)
                 assert got == 0.0
     assert capped > 0
+
+
+@pytest.mark.parametrize("n, K", [(2, 64), (2, 1000), (3, 65), (3, 1000)])
+def test_holder_window_edges_match_dense(n, K):
+    # the sorted-window search at the edges of its window: no reach, one
+    # ulp either side of the closest pair's distance, and half the sphere
+    # or more; on lattices whose samples share last coordinates (mirrored
+    # 2D samples share a y), with duplicated samples, and with one spike
+    # on the equator, whose nearest pairs are the ones closest to vertical
+    # (their last coordinates differ by almost their distance)
+    rng = np.random.default_rng(13 * K + n)
+    R = K / (4 * math.pi) if n == 2 else math.sqrt(K / (4 * math.pi))
+    pts = sphere_points(n, R, K)
+    if n == 2:
+        _, counts = np.unique(pts[:, -1], return_counts=True)
+        assert counts.max() > 1
+    dup = np.concatenate([np.arange(K), np.arange(0, K, 7)])
+    spike = np.eye(K)[int(np.argmin(np.abs(pts[:, -1])))]
+    for p, v in ((pts, rng.random(K)), (pts[dup], rng.random(K)[dup]),
+                 (pts, spike)):
+        dist = geodesic_distances(p, R)
+        moved = np.abs(v[:, None] - v[None, :]) > 0
+        closest = float(dist[(dist > 1e-12) & moved].min())
+        for max_dist in (0.0, np.nextafter(closest, 0.0), closest,
+                         np.nextafter(closest, np.inf), math.pi * R,
+                         4.0 * R):
+            for alpha in (1.0, 0.5):
+                assert sphere_holder_constant(p, v, R, alpha, max_dist) == (
+                    dense_holder(p, v, R, alpha, max_dist)), (max_dist, alpha)
+        # the window edge decides: no pair with differing values is closer
+        below = np.nextafter(closest, 0.0)
+        assert sphere_holder_constant(p, v, R, 1.0, below) == 0.0
+        assert sphere_holder_constant(p, v, R, 1.0, closest) > 0.0
 
 
 # the grid constant far below, just below and far above the sphere ratio

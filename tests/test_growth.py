@@ -232,7 +232,7 @@ def test_rescaled_l2_values(small_grid):
 def test_growth_diagnostic_zero():
     rep = growth_diagnostic([1, 2, 4], [0.0, 0.0, 0.0], 2, 2.0)
     assert rep.violations == []
-    assert math.isnan(rep.fitted_exponent)
+    assert rep.fitted_exponent is None
     assert rep.reference_exponent == pytest.approx(0.5)
 
 
