@@ -7,17 +7,9 @@ version as the initial iterate. Tags:
 * constant:        g = zero everywhere
 * angular:         direction rotates with the azimuthal angle, modulus fixed
                    (for m = 1 the signed amplitude varies with the angle)
-* radial-profile:  a 1-d minimizing boundary-layer profile P wrapped
-                   radially along a fixed direction d. Every boundary node
-                   lies beyond r_max, where the depth r_max - |x| clips to
-                   0 and P(0) = magnitude, so the Dirichlet data are the
-                   constant zero + magnitude * d; P shapes only the initial
-                   iterate's unit shell inside the ball. Building P takes
-                   120-260 ms on a 2-vCPU x86 machine, and its descent can
-                   stop at its 4000-step cap short of its 1e-10 rule
-                   without saying so (magnitude 0.6, power-4: 6.0e-9 and
-                   1.5e-9 at lengths 4 and 6; power-6: 2.6e-7 and 1.6e-5
-                   at lengths 4 and 8)
+* radial-profile:  g = zero + magnitude * d everywhere, d the unit
+                   ``direction`` (default the first axis); ``constant``
+                   generates it as it generates the zero
 * random:          seeded band-limited random smooth data, rescaled to the
                    requested modulus
 """
@@ -30,13 +22,11 @@ from .field import Grid, VectorField
 from .potentials import Potential
 
 
-def constant(pot: Potential):
-    zero = pot.zero
-
+def constant(point: np.ndarray):
+    """g = ``point`` on the whole cube."""
     def fn(x):
-        shape = (zero.size,) + x.shape[1:]
-        return np.broadcast_to(zero.reshape((-1,) + (1,) * (x.ndim - 1)),
-                               shape).copy()
+        return np.broadcast_to(point.reshape((-1,) + (1,) * (x.ndim - 1)),
+                               point.shape + x.shape[1:]).copy()
     return fn
 
 
@@ -56,65 +46,6 @@ def angular(pot: Potential, magnitude: float, windings: int = 1,
             out[0] += magnitude * np.cos(arg)
             out[1] += magnitude * np.sin(arg)
         return out
-    return fn
-
-
-def layer_profile(pot: Potential, direction: np.ndarray, magnitude: float,
-                  length: float):
-    """1-d energy-minimizing ramp P(s): P(0) = magnitude, P(length) = 0,
-    minimizing sum h (1/2 P'^2 + W(zero + P * direction)). Returns (s, P)."""
-    s = np.linspace(0.0, length, 400)
-    h1 = s[1] - s[0]
-    ramp = np.clip(1.0 - s / min(2.0, length), 0.0, 1.0)
-    P = magnitude * ramp
-    direction = direction / np.linalg.norm(direction)
-
-    def grad(p):
-        u = pot.zero[:, None] + p[None, :] * direction[:, None]
-        gw = (pot.grad_field(u) * direction[:, None]).sum(axis=0)
-        lap = np.zeros_like(p)
-        lap[1:-1] = (p[2:] - 2 * p[1:-1] + p[:-2]) / (h1 * h1)
-        g = (-lap + gw) * h1
-        g[0] = 0.0
-        g[-1] = 0.0
-        return g
-
-    t = h1 * h1 / 4.0
-    p_prev = None
-    g_prev = None
-    for _ in range(4000):
-        g = grad(P)
-        if np.abs(g).max() / h1 < 1e-10:
-            break
-        if p_prev is not None:
-            sp = P - p_prev
-            y = g - g_prev
-            sy = float(sp @ y)
-            if sy > 0:
-                t = float(sp @ sp) / sy
-        p_prev, g_prev = P.copy(), g
-        P = P - t * g
-    return s, P
-
-
-def radial_profile(pot: Potential, grid: Grid, magnitude: float,
-                   direction=None):
-    """Boundary-layer profile wrapped radially: g(x) = zero + P(r_max - |x|) d."""
-    m = pot.m
-    d = np.zeros(m)
-    d[0] = 1.0
-    if direction is not None:
-        d = np.asarray(direction, dtype=float)
-        d /= np.linalg.norm(d)
-    length = min(grid.r_max, 8.0)
-    s, P = layer_profile(pot, d, magnitude, length)
-
-    def fn(x):
-        r = np.sqrt(np.sum(x ** 2, axis=0))
-        depth = np.clip(grid.r_max - r, s[0], s[-1])
-        amp = np.interp(depth, s, P)
-        return (pot.zero.reshape((-1,) + (1,) * (x.ndim - 1))
-                + amp * d.reshape((-1,) + (1,) * (x.ndim - 1)))
     return fn
 
 
@@ -165,7 +96,7 @@ CONFIG_KEYS = {
 }
 
 
-def make_boundary(tag: str, pot: Potential, grid: Grid, params: dict):
+def make_boundary(tag: str, pot: Potential, params: dict):
     """The generator ``tag`` names, fed the keys ``CONFIG_KEYS`` lists for
     that tag; other keys in ``params`` are ignored."""
     if tag not in CONFIG_KEYS:
@@ -174,11 +105,12 @@ def make_boundary(tag: str, pot: Potential, grid: Grid, params: dict):
           for k, cast in CONFIG_KEYS[tag].items() if k in params}
     magnitude = kw.pop("magnitude", MAGNITUDE)
     if tag == "constant":
-        return constant(pot)
+        return constant(pot.zero)
     if tag == "angular":
         return angular(pot, magnitude, **kw)
     if tag == "radial-profile":
-        return radial_profile(pot, grid, magnitude, **kw)
+        d = np.asarray(kw.get("direction", np.eye(1, pot.m)[0]), dtype=float)
+        return constant(pot.zero + magnitude * (d / np.linalg.norm(d)))
     return random_smooth(pot, magnitude, **kw)
 
 

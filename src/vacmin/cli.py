@@ -104,7 +104,7 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     if u is None:
         grid = cfg.make_grid()
         u0 = bdata.initial_field(grid, pot, bdata.make_boundary(
-            params["tag"], pot, grid, params))
+            params["tag"], pot, params))
         u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                           max_iter=int(cfg.solver["max_iter"]))
         if defaults.keys() <= cfg.boundary.keys():
@@ -229,7 +229,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
     params = _boundary_params(cfg, {"magnitude": r})
     grid = cfg.make_grid()
     g = VectorField.from_function(grid, bdata.make_boundary(
-        params["tag"], pot, grid, params), m=pot.m)
+        params["tag"], pot, params), m=pot.m)
     try:
         boundary_within(g, pot.zero, r)
     except ValueError as exc:
@@ -251,8 +251,13 @@ def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
     if cfg.r_max - 2 * cfg.h < 1.0 + 2 * cfg.h:
         raise ConfigError("r_max: too small for competitor: "
                           "need r_max - 2h >= 1 + 2h")
+    # the truncation and shell competitors cap the modulus at |magnitude|:
+    # a negative magnitude flips the data's sign, not its modulus
+    mag = abs(float(cfg.boundary.get("magnitude", bdata.MAGNITUDE)))
+    if mag == 0:
+        raise ConfigError("boundary.magnitude: must be nonzero for "
+                          "competitor: it caps the competitors' modulus")
     grid, pot, u, rep = _solve(cfg, out)
-    mag = float(cfg.boundary.get("magnitude", bdata.MAGNITUDE))
     reports = standard_suite(u, pot, mag)
     dq = quadrature_slack(grid, scale=cfg.analysis["delta_q_scale"])
     ok = all(r.difference >= -dq for r in reports if r.admissible)

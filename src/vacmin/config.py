@@ -161,6 +161,19 @@ class ExperimentConfig:
         need(self.analysis["c_m"] > 0, "analysis.c_m", "must be > 0")
         need(self.analysis["delta_q_scale"] >= 0, "analysis.delta_q_scale",
              "must be >= 0")
+        # the ranges the boundary generators need, checked here to name
+        # their key: numpy would broadcast a short direction
+        bnd = self.boundary
+        if "direction" in bnd:
+            need(np.size(bnd["direction"]) == self.m, "boundary.direction",
+                 f"must have m = {self.m} entries")
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(np.asarray(bnd["direction"], float))
+            need(0 < norm < math.inf, "boundary.direction",
+                 "must have a positive, finite length")
+        need(bnd.get("terms", 1) >= 1, "boundary.terms", "must be >= 1")
+        need(bnd.get("bandlimit", 0) >= 0, "boundary.bandlimit",
+             "must be >= 0")
         # the ranges Potential enforces, checked here to name their key
         pot = self.potential
         need(pot.get("q", 2) >= 2, "potential.q", "must be >= 2")

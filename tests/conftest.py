@@ -5,9 +5,12 @@ angular boundary data, r_max in {4, 8}) is solved once per session and
 reused by the competitor, covering, monotonicity and acceptance tests.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import vacmin
 from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, sample_sphere, sphere_area
 from vacmin.minimizer import minimize
@@ -73,3 +76,17 @@ def sphere_integral(s, R, K):
     samples: the brute-force oracle for the good-radius scan."""
     _, vals = sample_sphere(s, R, K)
     return float(vals.mean() * sphere_area(s.grid.n, R))
+
+
+def vacmin_env(**env):
+    """This process's environment for a subprocess that imports the vacmin
+    under test: its ``src`` first on PYTHONPATH, then ``env`` applied (a
+    None value unsets its name)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vacmin.__file__)))
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for name, value in env.items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    return full

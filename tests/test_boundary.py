@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from vacmin.boundary import (angular, constant, initial_field, layer_profile,
-                             make_boundary, radial_profile, random_smooth)
+from vacmin.boundary import (angular, constant, initial_field, make_boundary,
+                             random_smooth)
 from vacmin.field import BOUNDARY, Grid, VectorField
 from vacmin.potentials import power, quadratic
 
 
 def test_constant_generator(small_grid):
     pot = quadratic([0.3, -0.2])
-    g = constant(pot)(small_grid.coords)
+    g = constant(pot.zero)(small_grid.coords)
     assert np.allclose(g[0], 0.3) and np.allclose(g[1], -0.2)
 
 
@@ -35,44 +35,29 @@ def test_angular_scalar_variant(small_grid):
     assert vals.min() < -0.4  # signed amplitude varies with the angle
 
 
-def test_layer_profile_minimizes_1d_energy():
-    pot = power([0.0], 4)
-    s, P = layer_profile(pot, np.array([1.0]), 0.5, 6.0)
-    assert P[0] == pytest.approx(0.5)
-    assert abs(P[-1]) < 1e-9
-    assert P.max() <= 0.5 + 1e-9
-    # interior stationarity of the 1-d functional
-    h1 = s[1] - s[0]
-    lap = (P[2:] - 2 * P[1:-1] + P[:-2]) / h1 ** 2
-    gw = pot.grad_field(P[None, 1:-1])[0]
-    assert np.abs(lap - gw).max() < 1e-6
-
-
-def test_radial_profile_wraps_layer():
-    pot = quadratic([0.0, 0.0])
-    grid = Grid(2, 0.1, 3.0)
-    fn = radial_profile(pot, grid, 0.4)
-    u = VectorField.from_function(grid, fn, m=2)
-    d = u.distance_from(pot.zero).values
-    assert d[grid.mask == BOUNDARY].max() == pytest.approx(0.4, abs=1e-9)
-    # exponential-type decay toward the center (depth ~ 2.5 here)
-    assert d[grid.radius < 0.5].max() < 0.4 * np.exp(-2.0)
-
-
 @pytest.mark.parametrize("n, h, r_max", [(2, 0.2, 3.0), (3, 0.25, 2.0)])
 def test_radial_profile_data_are_constant(n, h, r_max):
-    # every boundary node lies beyond r_max, where the profile reads its
-    # depth-0 value: the Dirichlet data are zero + magnitude * d exactly
+    # the data are zero + magnitude * d on every node of the cube, the
+    # ring beyond r_max included, and the initial iterate ramps them to
+    # the zero as it does every tag's
     pot = power([0.1, -0.2], 4)
     grid = Grid(n, h, r_max)
     direction = [1.0, 2.0]
-    fn = radial_profile(pot, grid, 0.45, direction=direction)
-    ring = fn(grid.coords)[:, grid.mask == BOUNDARY]
+    fn = make_boundary("radial-profile", pot,
+                       {"magnitude": 0.45, "direction": direction})
+    g = fn(grid.coords)
     d = np.asarray(direction) / np.linalg.norm(direction)
-    expected = pot.zero + 0.45 * d
-    assert ring.shape[1] > 0
-    assert np.array_equal(ring, np.repeat(expected[:, None], ring.shape[1],
-                                          axis=1))
+    expected = (pot.zero + 0.45 * d).reshape((2,) + (1,) * n)
+    assert np.array_equal(g, np.broadcast_to(expected, g.shape))
+    lam = np.clip(grid.radius - (grid.r_max - 1.0), 0.0, 1.0)
+    a = pot.zero.reshape((2,) + (1,) * n)
+    assert np.array_equal(initial_field(grid, pot, fn).values,
+                          a + lam * (g - a))
+    # without a direction, d is the first axis
+    g1 = make_boundary("radial-profile", pot, {"magnitude": 0.45})(
+        grid.coords)
+    assert np.array_equal(g1[0], np.full(grid.shape, 0.1 + 0.45))
+    assert np.array_equal(g1[1], np.full(grid.shape, -0.2 + 0.0))
 
 
 def test_random_smooth_bounded_and_seeded(small_grid):
@@ -90,13 +75,12 @@ def test_random_smooth_bounded_and_seeded(small_grid):
 def test_make_boundary_tags(small_grid):
     pot = quadratic([0.0, 0.0])
     for tag in ("constant", "angular", "radial-profile", "random"):
-        fn = make_boundary(tag, pot, small_grid,
-                           {"magnitude": 0.3, "seed": 1})
+        fn = make_boundary(tag, pot, {"magnitude": 0.3, "seed": 1})
         vals = fn(small_grid.coords)
         assert vals.shape == (2,) + small_grid.shape
     for tag in ("nope", "constant-a", "random-seeded"):
         with pytest.raises(ValueError):
-            make_boundary(tag, pot, small_grid, {})
+            make_boundary(tag, pot, {})
 
 
 def test_initial_field_pins_boundary(small_grid):

@@ -10,6 +10,7 @@ import sys
 import pytest
 import yaml
 
+from conftest import vacmin_env
 from vacmin.boundary import random_smooth
 from vacmin.cli import _COMMANDS, _source_sha256, main
 from vacmin.competitor import boundary_within
@@ -211,6 +212,21 @@ def test_unknown_block_key_rejected(tmp_path, capsys, key, block, path):
      "potential.zero: expected a list of numbers"),
     ({"analysis": {"radii": [0.75, 10 ** 400]}},
      "analysis.radii: expected a list of numbers"),
+    # boundary values numpy would broadcast or fail on without the key
+    ({"boundary": {"tag": "radial-profile", "direction": [1.0]}},
+     "boundary.direction: must have m = 2 entries"),
+    ({"boundary": {"tag": "radial-profile", "direction": [1, 0, 0]}},
+     "boundary.direction: must have m = 2 entries"),
+    ({"boundary": {"tag": "radial-profile", "direction": [0, 0]}},
+     "boundary.direction: must have a positive, finite length"),
+    ({"boundary": {"tag": "radial-profile", "direction": [1e300, 1e300]}},
+     "boundary.direction: must have a positive, finite length"),
+    ({"boundary": {"tag": "random", "terms": -1}},
+     "boundary.terms: must be >= 1"),
+    ({"boundary": {"tag": "random", "terms": 0}},
+     "boundary.terms: must be >= 1"),
+    ({"boundary": {"tag": "random", "bandlimit": -2}},
+     "boundary.bandlimit: must be >= 0"),
 ])
 def test_bad_value_names_its_key_path(tmp_path, capsys, overrides, message):
     # a bad value names its key path, not a comparison error, and is
@@ -388,6 +404,36 @@ def test_competitor_rejects_small_ball_before_solving(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_competitor_rejects_zero_magnitude_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    # the truncation and shell competitors cap the modulus at |magnitude|,
+    # which must be positive
+    def no_solve(*args, **kwargs):
+        raise AssertionError("read or solved before checking the magnitude")
+
+    for name in ("_solve", "minimize", "load_field"):
+        monkeypatch.setattr(f"vacmin.cli.{name}", no_solve)
+    cfg = write_cfg(tmp_path, boundary={"tag": "angular", "magnitude": 0.0})
+    out = tmp_path / "out"
+    assert run_cli("competitor", cfg, out) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: boundary.magnitude: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_competitor_caps_at_the_modulus_of_a_negative_magnitude(tmp_path):
+    # magnitude -0.6 flips the data's sign; their modulus is still 0.6
+    cfg = write_cfg(tmp_path, h=0.2, r_max=4.0,
+                    boundary={"tag": "angular", "magnitude": -0.6})
+    out = tmp_path / "out"
+    assert run_cli("competitor", cfg, out) == 0
+    reports = json.loads((out / "competitors.json").read_text())["reports"]
+    assert [r["tag"] for r in reports] == ["annulus", "truncation",
+                                           "constant-r-shell"]
+    assert all(r["admissible"] for r in reports)
+    assert reports[1]["params"]["r"] == 0.6
+
+
 M1 = {"m": 1, "potential": {"family": "power", "zero": [0.0], "q": 4}}
 
 
@@ -500,6 +546,17 @@ def _tree_digest(root):
     return out
 
 
+def test_radial_profile_minimize_converges_and_reruns_identically(tmp_path):
+    cfg = write_cfg(tmp_path, boundary={"tag": "radial-profile",
+                                        "magnitude": 0.6,
+                                        "direction": [1.0, 1.0]})
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run_cli("minimize", cfg, out1) == 0
+    assert run_cli("minimize", cfg, out2) == 0
+    assert json.loads((out1 / "solve.json").read_text())["solve"]["converged"]
+    assert _tree_digest(out1) == _tree_digest(out2)
+
+
 @pytest.mark.parametrize("cmd", ["minimize", "energy-profile", "bad-discs",
                                  "competitor"])
 def test_rerun_is_byte_identical(tmp_path, cmd):
@@ -510,19 +567,33 @@ def test_rerun_is_byte_identical(tmp_path, cmd):
     assert _tree_digest(out1) == _tree_digest(out2)
 
 
+def run_cli_subprocess(cmd, cfg_path, out_dir, **env):
+    """Run the CLI in a fresh interpreter that imports the vacmin under
+    test, in this environment updated by ``env`` (None unsets a name)."""
+    r = subprocess.run(
+        [sys.executable, "-m", "vacmin.cli", cmd,
+         "--config", cfg_path, "--out", str(out_dir)],
+        capture_output=True, text=True, env=vacmin_env(**env))
+    assert r.returncode == 0, r.stderr
+
+
 def test_rerun_byte_identical_subprocess(tmp_path):
     # separate interpreter runs, same artifacts
     cfg = write_cfg(tmp_path)
     outs = []
     for name in ("s1", "s2"):
-        out = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "vacmin.cli", "minimize",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
-        outs.append(_tree_digest(out))
+        run_cli_subprocess("minimize", cfg, tmp_path / name)
+        outs.append(_tree_digest(tmp_path / name))
     assert outs[0] == outs[1]
+
+
+def run_under_blas_threads(cmd, cfg_path, tmp_path):
+    """The out directories of ``cmd`` run with the default BLAS thread
+    count and with one thread."""
+    outs = [tmp_path / "default", tmp_path / "one"]
+    for out, threads in zip(outs, (None, "1")):
+        run_cli_subprocess(cmd, cfg_path, out, OPENBLAS_NUM_THREADS=threads)
+    return outs
 
 
 def test_minimize_independent_of_blas_threads(tmp_path):
@@ -530,19 +601,7 @@ def test_minimize_independent_of_blas_threads(tmp_path):
     # count cannot change an iterate; r_max=4 makes the arrays large enough
     # for a threaded BLAS reduction to split them
     cfg = write_cfg(tmp_path, r_max=4.0)
-    outs = []
-    for name, threads in (("default", None), ("one", "1")):
-        env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_NUM_THREADS"}
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "vacmin.cli", "minimize",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(out)
+    outs = run_under_blas_threads("minimize", cfg, tmp_path)
     for name in ("field.bin", "solve.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -553,19 +612,7 @@ def test_minimize_3d_independent_of_blas_threads(tmp_path):
     # cannot change an iterate
     cfg = write_cfg(tmp_path, n=3, h=0.2, r_max=4.0,
                     solver={"tol": 1.0e-6})
-    outs = []
-    for name, threads in (("default", None), ("one", "1")):
-        env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_NUM_THREADS"}
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "vacmin.cli", "minimize",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(out)
+    outs = run_under_blas_threads("minimize", cfg, tmp_path)
     report = json.loads((outs[0] / "solve.json").read_text())["solve"]
     assert report["converged"]
     for name in ("field.bin", "solve.json"):
@@ -578,19 +625,7 @@ def test_bad_discs_independent_of_blas_threads(tmp_path):
     cfg = write_cfg(tmp_path, r_max=4.0,
                     analysis={"radii": [0.75, 1.25], "eps": 0.005,
                               "sphere_points": 2048})
-    outs = []
-    for name, threads in (("default", None), ("one", "1")):
-        env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_NUM_THREADS"}
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "vacmin.cli", "bad-discs",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(out)
+    outs = run_under_blas_threads("bad-discs", cfg, tmp_path)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == ["bad_discs.json", "field.bin", "field.bin.json",
                      "solve.json", "sphere_samples_0.csv",

@@ -2,11 +2,11 @@
 CLI loads nothing beyond numpy, yaml and the standard library."""
 
 import json
-import os
 import subprocess
 import sys
 
 import vacmin
+from conftest import vacmin_env
 
 
 def test_every_exported_name_resolves():
@@ -17,13 +17,10 @@ def test_every_exported_name_resolves():
 def _top_level_modules(statement):
     """The top-level names in sys.modules of a fresh interpreter that runs
     statement without writing bytecode, as a set."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vacmin.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     r = subprocess.run(
         [sys.executable, "-B", "-c", statement + "; import sys, json; "
          "print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=vacmin_env(), check=True)
     return {name.partition(".")[0] for name in json.loads(r.stdout)}
 
 
