@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -23,18 +24,35 @@ import sys
 import numpy as np
 
 from . import boundary as bdata
-from .competitor import (boundary_within, max_principle_assumptions,
-                         max_principle_check, quadrature_slack,
-                         standard_suite)
 from .config import ConfigError, ExperimentConfig
-from .discs import ClearingOutViolated, bad_disc_pipeline
-from .field import (VectorField, energy_density, export_sphere_csv,
-                    load_field, save_field)
-from .growth import (bootstrap_fixed_point, bootstrap_map, energy_profile,
-                     growth_diagnostic, rescaled_l2_smallness)
+from .field import (InvariantViolation, VectorField, energy_density,
+                    export_sphere_csv, load_field, save_field)
 from .minimizer import SolveReport, SolverDivergence, minimize
-from .monotonicity import NotASolution, monotone_quantities
 from .potentials import verify_assumptions
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, run when one of its
+    attributes is first read (importlib.util.LazyLoader). It is in
+    sys.modules and the package namespace from the start, like an
+    imported module, so whatever looks modules up there finds it; a
+    subcommand that never reads it never pays for running it."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# the analysis layers; `minimize` runs none of them
+competitor = _lazy("competitor")
+discs = _lazy("discs")
+growth = _lazy("growth")
+monotonicity = _lazy("monotonicity")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +75,24 @@ def _source_sha256(package: str) -> str:
 # part of every saved solve's key: a field saved by any other vacmin source,
 # even one that differs only in a comment, is solved again
 SOURCE_SHA256 = _source_sha256(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _numpy_build() -> dict:
+    """numpy's version, its SIMD baseline and the BLAS it was built with:
+    another build may round a solve or a covering differently."""
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        info = {}
+    blas = info.get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "simd_baseline": info.get("SIMD Extensions", {}).get("baseline"),
+            "blas": [blas.get("name"), blas.get("version")]}
+
+
+# part of every saved solve's key and recorded beside the field: a field
+# saved under another numpy build is solved again
+NUMPY_BUILD = _numpy_build()
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -82,16 +118,17 @@ def _boundary_params(cfg: ExperimentConfig, defaults: dict) -> dict:
 def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
     """Solve the config's boundary data, ``defaults`` filling what it leaves
     out. With ``reuse``, out/field.bin stands in for the solve when its
-    sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads
-    and of ``SOURCE_SHA256``, and its payload checks out. A solve of the
-    config's own data (its boundary block overrides every default) is saved
-    there with solve.json.
+    sidecar's ``solve_sha256`` is the sha256 of exactly what the solve reads,
+    of ``SOURCE_SHA256`` and of ``NUMPY_BUILD``, and its payload checks
+    out. A solve of the config's own data (its boundary block overrides
+    every default) is saved there with solve.json.
     A solve short of its tolerance, saved or not, raises ``_NotConverged``."""
     pot, path = cfg.make_potential(), os.path.join(out, "field.bin")
     params = _boundary_params(cfg, defaults)
     inputs = {"n": cfg.n, "m": cfg.m, "h": cfg.h, "r_max": cfg.r_max,
               "potential": cfg.potential, "boundary": params,
-              "solver": cfg.solver, "source_sha256": SOURCE_SHA256}
+              "solver": cfg.solver, "source_sha256": SOURCE_SHA256,
+              "build": NUMPY_BUILD}
     key = hashlib.sha256(
         json.dumps(inputs, sort_keys=True).encode()).hexdigest()
     u = None
@@ -108,7 +145,8 @@ def _solve(cfg: ExperimentConfig, out: str, reuse: bool = True, **defaults):
         u, rep = minimize(u0, pot, tol=cfg.solver["tol"],
                           max_iter=int(cfg.solver["max_iter"]))
         if defaults.keys() <= cfg.boundary.keys():
-            save_field(path, u, solve_sha256=key, solve=rep.to_dict())
+            save_field(path, u, solve_sha256=key, solve=rep.to_dict(),
+                       build=NUMPY_BUILD)
             _write_json(os.path.join(out, "solve.json"), _report(cfg, {
                 "solve": rep.to_dict(),
                 "units": {"energy": "energy",
@@ -138,14 +176,15 @@ def cmd_minimize(cfg: ExperimentConfig, out: str) -> int:
 def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg, out)
     radii = _default_radii(cfg)
-    prof = energy_profile(u, pot, radii)
+    prof = growth.energy_profile(u, pot, radii)
     n = grid.n
     q = pot.exponent
     tau = cfg.analysis["tau"]
     if tau is None:
         tau = 2.0 / (q * n) * 0.9
-    l2 = [rescaled_l2_smallness(u, pot, r) for r in radii]
-    diag = (growth_diagnostic(radii, prof.energies, n, q, rescaled_l2=l2)
+    l2 = [growth.rescaled_l2_smallness(u, pot, r) for r in radii]
+    diag = (growth.growth_diagnostic(radii, prof.energies, n, q,
+                                     rescaled_l2=l2)
             if len(radii) >= 3 else None)
     csv_path = os.path.join(out, "energy_profile.csv")
     with open(csv_path, "w") as f:
@@ -178,8 +217,9 @@ def cmd_bad_discs(cfg: ExperimentConfig, out: str) -> int:
     K = int(cfg.analysis["sphere_points"])
     reports = []
     for i, R in enumerate(radii):
-        rep_i = bad_disc_pipeline(e, float(R), eps, alpha=alpha,
-                                  samples=int(cfg.analysis["samples"]), K=K)
+        rep_i = discs.bad_disc_pipeline(
+            e, float(R), eps, alpha=alpha,
+            samples=int(cfg.analysis["samples"]), K=K)
         reports.append(rep_i.to_dict())
         export_sphere_csv(os.path.join(out, f"sphere_samples_{i}.csv"),
                           rep_i.points, rep_i.values, rep_i.covered)
@@ -194,9 +234,9 @@ def cmd_monotonicity(cfg: ExperimentConfig, out: str) -> int:
     grid, pot, u, rep = _solve(cfg, out)
     margin = 2 * grid.h
     radii = _default_radii(cfg, margin=margin)
-    mono = monotone_quantities(u, pot, radii,
-                               resid_tol=max(10 * cfg.solver["tol"], 1e-3),
-                               c_m=cfg.analysis["c_m"])
+    mono = monotonicity.monotone_quantities(
+        u, pot, radii, resid_tol=max(10 * cfg.solver["tol"], 1e-3),
+        c_m=cfg.analysis["c_m"])
     _write_json(os.path.join(out, "monotonicity.json"),
                 _report(cfg, {"monotonicity": mono.to_dict(),
                               "solve": rep.to_dict()}))
@@ -221,7 +261,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
         raise ConfigError(f"analysis.r: need r in (0, r0/2) = "
                           f"(0, {r0 / 2:.6g})")
     try:
-        max_principle_assumptions(pot, r, seed=cfg.seed)
+        competitor.max_principle_assumptions(pot, r, seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
     # data of magnitude r where the config sets none; checked on the grid's
@@ -231,11 +271,11 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
     g = VectorField.from_function(grid, bdata.make_boundary(
         params["tag"], pot, params), m=pot.m)
     try:
-        boundary_within(g, pot.zero, r)
+        competitor.boundary_within(g, pot.zero, r)
     except ValueError as exc:
         raise ConfigError(f"boundary.magnitude: {exc}") from None
     u, rep = _solve(cfg, out, magnitude=r)[2:]
-    verdict = max_principle_check(u, pot, r, rep, seed=cfg.seed)
+    verdict = competitor.max_principle_check(u, pot, r, rep, seed=cfg.seed)
     _write_json(os.path.join(out, "max_principle.json"),
                 _report(cfg, {"verdict": verdict.to_dict(),
                               "units": {"r": "field modulus",
@@ -258,8 +298,9 @@ def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
         raise ConfigError("boundary.magnitude: must be nonzero for "
                           "competitor: it caps the competitors' modulus")
     grid, pot, u, rep = _solve(cfg, out)
-    reports = standard_suite(u, pot, mag)
-    dq = quadrature_slack(grid, scale=cfg.analysis["delta_q_scale"])
+    reports = competitor.standard_suite(u, pot, mag)
+    dq = competitor.quadrature_slack(grid,
+                                     scale=cfg.analysis["delta_q_scale"])
     ok = all(r.difference >= -dq for r in reports if r.admissible)
     _write_json(os.path.join(out, "competitors.json"),
                 _report(cfg, {"delta_q": dq,
@@ -275,7 +316,7 @@ def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
 def cmd_bootstrap(cfg: ExperimentConfig, out: str) -> int:
     pot = cfg.make_potential()
     n, q = cfg.n, pot.exponent
-    k_star, iters = bootstrap_fixed_point(n, q, tol=1e-14)
+    k_star, iters = growth.bootstrap_fixed_point(n, q, tol=1e-14)
     ks = np.linspace(0.25, n - 1, 7)
     _write_json(os.path.join(out, "bootstrap.json"), _report(cfg, {
         "n": n, "q": q,
@@ -283,7 +324,8 @@ def cmd_bootstrap(cfg: ExperimentConfig, out: str) -> int:
         "closed_form": n - 1 - 2.0 / (q * n),
         "iterations": iters,
         "contraction_factor": 2.0 / (q * n + 2.0),
-        "map_samples": [[float(k), bootstrap_map(float(k), n, q)] for k in ks],
+        "map_samples": [[float(k), growth.bootstrap_map(float(k), n, q)]
+                        for k in ks],
         "units": {"fixed_point": "dimensionless growth exponent"},
     }))
     print(f"bootstrap: fixed_point={k_star:.15g} iterations={iters}")
@@ -340,7 +382,7 @@ def main(argv=None) -> int:
     except SolverDivergence as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ClearingOutViolated, NotASolution) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, OSError) as exc:

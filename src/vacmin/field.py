@@ -33,6 +33,11 @@ class GridError(ValueError):
     pass
 
 
+class InvariantViolation(Exception):
+    """A field or a computed result breaks an identity or estimate that the
+    analysis relies on; the CLI exits 4."""
+
+
 class Grid:
     """Cartesian node lattice with a ball mask; immutable after construction."""
 
@@ -217,6 +222,14 @@ def integrate_ball(s: ScalarField, R: float) -> float:
     return float(np.sum(s.values * w) * s.grid.cell)
 
 
+def centred(grid: Grid, half: int) -> tuple:
+    """Index slices of the centred sub-cube with ``half`` nodes on each side
+    of the origin per axis, clamped to the cube."""
+    top = (grid.axis.size - 1) // 2
+    half = min(half, top)
+    return (slice(top - half, top + half + 1),) * grid.n
+
+
 def sphere_area(n: int, R: float) -> float:
     return 2.0 * math.pi * R if n == 2 else 4.0 * math.pi * R * R
 
@@ -237,29 +250,62 @@ def sphere_points(n: int, R: float, K: int) -> np.ndarray:
 
 
 def interpolate(grid: Grid, stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a (..., *grid.shape) stack at pts (K, n);
-    returns (..., K). Each cell corner is one flat gather from the cube."""
-    pts = np.asarray(pts, dtype=float)
+    """Multilinear interpolation of a (..., s, ..., s) stack at pts (K, n);
+    returns (..., K).
+
+    The stack covers the grid's cube (s = its axis size) or the cube of
+    side s centred in it, which must hold every cell a point falls in.
+    Cell indices and weights are formed in the grid's own frame, so they
+    do not depend on s. The weight of a corner is the product of its axis
+    factors in axis order, partial products shared among corners; each
+    corner is one flat gather from the stack, summed in corner order."""
     n = grid.n
-    size = grid.axis.size
-    t = (pts - grid.axis[0]) / grid.h
-    i0 = np.floor(t).astype(np.int64)
-    i0 = np.clip(i0, 0, size - 2)
-    frac = t - i0
-    strides = [size ** (n - 1 - ax) for ax in range(n)]
-    base = i0 @ np.array(strides, dtype=np.int64)
+    size, side = grid.axis.size, stack.shape[-1]
+    if (stack.shape[-n:] != (side,) * n or side > size
+            or (size - side) % 2):
+        raise ValueError(f"stack of shape {stack.shape} is neither the "
+                         f"grid's cube nor a cube centred in it")
+    # (n, K), C-ordered, and never a view of pts
+    t = np.subtract(np.asarray(pts, dtype=float).T, grid.axis[0], order="C")
+    t /= grid.h
+    i0 = np.floor(t)
+    np.clip(i0, 0, size - 2, out=i0)
+    frac = t
+    frac -= i0
+    idx = i0.astype(np.intp)
+    idx -= (size - side) // 2
+    if side != size and (idx.min() < 0 or idx.max() > side - 2):
+        raise ValueError("points outside the stack's sub-cube")
+    strides = [side ** (n - 1 - ax) for ax in range(n)]
+    base = idx[0] * strides[0]
+    for ax in range(1, n):
+        base += idx[ax] * strides[ax]
+    # a corner is sum over axes of bit_ax << ax; partial[c] is the product
+    # of the factors of its first n - 1 axes, which 2 corners share
+    partial = [1.0 - frac[0], frac[0]]
+    for ax in range(1, n - 1):
+        low = 1.0 - frac[ax]
+        partial = [w * low for w in partial] + [w * frac[ax] for w in partial]
+    last = (1.0 - frac[n - 1], frac[n - 1])
     lead = stack.shape[:-n]
     flat = stack.reshape(lead + (-1,))
-    out = np.zeros(lead + (pts.shape[0],))
+    out = np.zeros(lead + (t.shape[1],))
     for corner in range(2 ** n):
-        offset, w = 0, None
-        for ax in range(n):
-            bit = (corner >> ax) & 1
-            offset += bit * strides[ax]
-            f = frac[:, ax] if bit else 1.0 - frac[:, ax]
-            w = f if w is None else w * f
+        offset = sum(s for ax, s in enumerate(strides) if (corner >> ax) & 1)
+        w = partial[corner % len(partial)] * last[corner // len(partial)]
         out += np.take(flat, base + offset, axis=-1) * w
     return out
+
+
+def sphere_means(grid: Grid, stack: np.ndarray, radii: np.ndarray,
+                 unit: np.ndarray) -> np.ndarray:
+    """The mean of a scalar stack over the points r * unit for each r in
+    radii, from one interpolation. For unit = sphere_points(n, 1, K),
+    r * unit is the radius-r lattice bit for bit, and each row mean of the
+    (radii, K) block has the bits of that radius's own mean."""
+    pts = (radii[:, None, None] * unit).reshape(-1, grid.n)
+    vals = interpolate(grid, stack, pts)
+    return vals.reshape(len(radii), len(unit)).mean(axis=1)
 
 
 def sample_sphere(s: ScalarField, R: float, K: int):

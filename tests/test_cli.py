@@ -788,6 +788,58 @@ def test_field_of_another_solver_is_solved_again(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("edit", ["numpy", "simd_baseline", "blas"])
+def test_field_saved_under_another_numpy_build_is_solved_again(
+        tmp_path, monkeypatch, edit):
+    # the key hashes numpy's version, SIMD baseline and BLAS with the solve
+    # inputs, and the sidecar records them: a field saved under a build
+    # that differs in any one of them is solved again, and the result is
+    # what a fresh directory gets
+    import vacmin.cli
+    build = vacmin.cli.NUMPY_BUILD
+    assert sorted(build) == ["blas", "numpy", "simd_baseline"]
+    cfg = write_cfg(tmp_path)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli("energy-profile", cfg, fresh) == 0
+    assert json.loads((fresh / "field.bin.json").read_text())[
+        "build"] == build
+    other = {**build, edit: ["another", "build"]}
+    monkeypatch.setattr(vacmin.cli, "NUMPY_BUILD", other)
+    assert run_cli("minimize", cfg, out) == 0
+    monkeypatch.undo()
+    side = json.loads((out / "field.bin.json").read_text())
+    assert side["build"] == other
+    calls = count_solves(monkeypatch)
+    assert run_cli("energy-profile", cfg, out) == 0
+    assert len(calls) == 1
+    assert _tree_digest(out) == _tree_digest(fresh)
+    assert run_cli("energy-profile", cfg, out) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cmd,module,name,exc", [
+    ("bad-discs", "discs", "bad_disc_pipeline", "ClearingOutViolated"),
+    ("monotonicity", "monotonicity", "monotone_quantities", "NotASolution"),
+])
+def test_invariant_violation_in_a_subcommand_exits_4(
+        tmp_path, capsys, monkeypatch, cmd, module, name, exc):
+    # both exceptions derive from InvariantViolation, which main catches
+    # before ValueError (NotASolution is one)
+    import importlib
+
+    from vacmin.field import InvariantViolation
+    mod = importlib.import_module(f"vacmin.{module}")
+    error = getattr(mod, exc)
+    assert issubclass(error, InvariantViolation)
+
+    def violated(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(mod, name, violated)
+    assert run_cli(cmd, write_cfg(tmp_path), tmp_path / "out") == 4
+    assert capsys.readouterr().err == "invariant violation: planted\n"
+
+
 def test_saved_unconverged_field_exits_3(tmp_path, capsys, monkeypatch):
     # a saved field whose sidecar records an unconverged solve is read, not
     # solved again, and fails as a fresh unconverged solve does

@@ -1,10 +1,10 @@
 """Each field analysis differentiates its field in one centered-difference
-pass: n*m calls of np.gradient, never a second pass."""
+pass: one call of _kernels.derivatives, never a second pass."""
 
 import numpy as np
 import pytest
 
-from vacmin import field, minimizer, monotonicity
+from vacmin import _kernels, field, minimizer, monotonicity
 from vacmin.field import Grid, VectorField
 from vacmin.potentials import quadratic
 
@@ -26,16 +26,44 @@ CALLS = {
 def test_one_derivative_pass_per_call(monkeypatch, n, h, name):
     pot = quadratic([0.0, 0.0])
     u = VectorField.constant(Grid(n, h, 1.6), [0.0, 0.0])
-    calls = []
-    gradient = np.gradient
+    calls, gradients = [], []
+    derivatives, gradient = _kernels.derivatives, np.gradient
 
     def counting(*args, **kwargs):
         calls.append(1)
+        return derivatives(*args, **kwargs)
+
+    def counting_gradient(*args, **kwargs):
+        gradients.append(1)
         return gradient(*args, **kwargs)
 
-    monkeypatch.setattr(np, "gradient", counting)
+    monkeypatch.setattr(_kernels, "derivatives", counting)
+    # the kernel differences without np.gradient, so any call is a second pass
+    monkeypatch.setattr(np, "gradient", counting_gradient)
     CALLS[name](u, pot)
-    assert len(calls) == n * u.m
+    assert len(calls) == 1
+    assert not gradients
+
+
+def gradient_stack(vals, h):
+    """The derivative stack by np.gradient, one component and axis at a
+    time: the reference _kernels.derivatives must match bit for bit."""
+    out = np.empty((vals.ndim - 1,) + vals.shape)
+    for ax in range(vals.ndim - 1):
+        for c in range(vals.shape[0]):
+            out[ax, c] = np.gradient(vals[c], h, axis=ax)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 45, 45, 45), (3, 41, 41), (1, 2, 2),
+                                   (2, 3, 4, 5)])
+@pytest.mark.parametrize("h", [0.2, 0.1, 1.0 / 3.0])
+def test_derivatives_match_np_gradient(shape, h):
+    r = np.random.default_rng(len(shape) + shape[-1])
+    vals = r.standard_normal(shape) * 10.0 ** r.uniform(-3, 3, shape)
+    got = _kernels.derivatives(vals, h)
+    assert np.array_equal(got.view(np.int64),
+                          gradient_stack(vals, h).view(np.int64))
 
 
 def test_stress_tensor_keeps_its_density(rng):

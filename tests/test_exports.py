@@ -1,5 +1,6 @@
 """The package namespace exports only names that exist, and importing the
-CLI loads nothing beyond numpy, yaml and the standard library."""
+CLI loads nothing beyond numpy, yaml and the standard library and runs
+none of the analysis layers."""
 
 import json
 import subprocess
@@ -14,14 +15,32 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def _top_level_modules(statement):
-    """The top-level names in sys.modules of a fresh interpreter that runs
-    statement without writing bytecode, as a set."""
+def _fresh(statement, expr):
+    """The JSON value of expr in a fresh interpreter that runs statement
+    without writing bytecode."""
     r = subprocess.run(
-        [sys.executable, "-B", "-c", statement + "; import sys, json; "
-         "print(json.dumps(sorted(sys.modules)))"],
+        [sys.executable, "-B", "-c", f"{statement}; import json, sys, types; "
+         f"print(json.dumps({expr}))"],
         capture_output=True, text=True, env=vacmin_env(), check=True)
-    return {name.partition(".")[0] for name in json.loads(r.stdout)}
+    return json.loads(r.stdout)
+
+
+def _top_level_modules(statement):
+    """The top-level names in sys.modules after statement, as a set."""
+    return {name.partition(".")[0]
+            for name in _fresh(statement, "sorted(sys.modules)")}
+
+
+def _run_vacmin_modules(statement):
+    """The vacmin modules whose code has run after statement: those in
+    sys.modules that no lazy loader still holds back."""
+    return set(_fresh(statement, "sorted(k for k, m in sys.modules.items() "
+                      "if k.startswith('vacmin') "
+                      "and type(m) is types.ModuleType)"))
+
+
+ANALYSIS = {"vacmin.competitor", "vacmin.discs", "vacmin.growth",
+            "vacmin.monotonicity"}
 
 
 def test_cli_import_loads_only_numpy_yaml_and_stdlib():
@@ -32,3 +51,16 @@ def test_cli_import_loads_only_numpy_yaml_and_stdlib():
                | set(sys.stdlib_module_names) | {"vacmin"})
     assert loaded - allowed == set()
     assert "scipy" not in loaded
+    # nor does it run the analysis layers, which minimize never reads; they
+    # are in sys.modules and run on their first use
+    assert ANALYSIS <= set(_fresh("import vacmin.cli", "sorted(sys.modules)"))
+    ran = _run_vacmin_modules("import vacmin.cli")
+    assert "vacmin.cli" in ran and "vacmin.minimizer" in ran
+    assert ran & ANALYSIS == set()
+    ran = _run_vacmin_modules(
+        "import vacmin.cli; vacmin.cli.discs.bad_disc_pipeline")
+    assert ran & ANALYSIS == {"vacmin.discs"}
+    ran = _run_vacmin_modules(
+        "import vacmin.cli; from vacmin import competitor; "
+        "competitor.standard_suite")
+    assert ran & ANALYSIS == {"vacmin.competitor", "vacmin.growth"}
