@@ -42,11 +42,11 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # matrix-free geodesic tests
 #
 # Every geodesic test on the sphere samples reads cosines
-# cos[i, j] = unit_i . unit_j, formed a block at a time into one reused
-# buffer by a numpy einsum (no BLAS call), at most _SWEEP_ROWS * K of them
-# at once, so the working memory is O(_SWEEP_ROWS * K) for any K. Where
-# numpy's einsum does not fuse multiply and add, the cosines have the bits
-# of the explicit coordinate sum (see _cosines). Membership dist <= L, with
+# cos[i, j] = unit_i . unit_j, never a K x K matrix of them, and makes no
+# BLAS call. The 2-ball sweep, the covering and the violation scan form
+# theirs in blocks of at most _SWEEP_ROWS * K by a numpy einsum (_cosines);
+# the Holder search forms the explicit coordinate sum one offset at a time
+# (_offset_cosines). Membership dist <= L, with
 # dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
 # only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
 # where the exact test decides. Outside the band the angle differs from
@@ -87,9 +87,8 @@ def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
     """cos[a, b] = rows[a] . cols[:, b] for r row vectors (r, n) and a
     column matrix (n, c), formed by one numpy einsum into the front of buf
     and returned as a C-contiguous (r, c) view of it (a copy when c = 1,
-    see below). The cosines are not
-    clipped: rounding can leave them a few ulps outside [-1, 1], so clip
-    whatever goes to arccos.
+    see below). The cosines are not clipped: rounding can leave them a few
+    ulps outside [-1, 1], so clip whatever goes to arccos.
 
     The einsum is not a BLAS matrix product, so the cosines do not depend
     on the BLAS build or its thread count. It sums the coordinate products
@@ -100,11 +99,11 @@ def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
     every cosine has the bits of the explicit sum (a0*b0 + a1*b1) + a2*b2.
     Where they fuse multiply and add (numpy's SIMD loops can use FMA on
     aarch64, or on x86 built for it) the cosines may move by an ulp, and
-    with them arccos edge tests decided inside _BAND;
-    test_cosine_blocks_sum_coordinates_in_order fails there. Pass cols
-    C-ordered (gather columns with np.take(..., axis=1), not fancy
-    indexing, which returns an F-ordered array that the einsum reads about
-    5x slower)."""
+    with them the sweep's, covering's and violation scan's arccos edge
+    tests decided inside _BAND; test_cosine_blocks_sum_coordinates_in_order
+    fails there. Pass cols C-ordered (gather columns with
+    np.take(..., axis=1), not fancy indexing, which returns an F-ordered
+    array that the einsum reads about 5x slower)."""
     one = cols.shape[1] == 1
     if one:
         # against one column numpy's einsum sums the products in another
@@ -113,6 +112,19 @@ def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
     cos = buf[:len(rows) * cols.shape[1]].reshape(len(rows), cols.shape[1])
     np.einsum("ik,kj->ij", rows, cols, out=cos)
     return cos[:, :1].copy() if one else cos
+
+
+def _offset_cosines(cols: np.ndarray, k: int, buf: np.ndarray,
+                    term: np.ndarray) -> np.ndarray:
+    """cos[i] = cols[:, i] . cols[:, i + k] for the columns i < c - k of an
+    (n, c) matrix, into the front of buf (term holds each product), summed
+    as (a0*b0 + a1*b1) + a2*b2 by ufuncs that round each multiply and each
+    add on their own, so the bits do not depend on the numpy build."""
+    m = cols.shape[1] - k
+    cos = np.multiply(cols[0, :m], cols[0, k:], out=buf[:m])
+    for a in range(1, len(cols)):
+        cos += np.multiply(cols[a, :m], cols[a, k:], out=term[:m])
+    return cos
 
 
 def _threshold(radius: float, dist: float) -> float:
@@ -283,107 +295,39 @@ def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
                            max_dist: float = 1.0) -> float:
     """Holder ratio over all sample pairs within geodesic distance max_dist.
 
-    The samples are sorted by their last coordinate z. A pair within angle
-    theta = max_dist / radius has z values at most theta apart (see the
-    comment above _SWEEP_ROWS), so each sample's partners lie in its
-    window, the samples after it up to z + theta + _MARGIN. Only window
-    pairs count, each unordered pair once. Cosines are formed a block of
-    rows at a time against the union of their windows (_window_blocks):
-    one row where windows overlap, as in 3D, and many where they do not,
-    as for the 2D lattice, whose mirrored samples share a z and make up
-    each other's windows. Each row keeps only its own window; no pair is
-    formed twice, and none at all when every window is empty. The
-    cosines of consecutive blocks are packed into one buffer, and arccos
-    goes only to those near or past the threshold whose pairs differ in
-    value (the others have ratio 0)."""
+    A pair within angle theta = max_dist / radius has last coordinates z at
+    most theta apart (see the comment above _SWEEP_ROWS). So with the
+    samples sorted by z, the partners of sample i lie in its window, the
+    next width[i] samples, up to z + theta + _MARGIN. Offset k pairs each i
+    with i + k and keeps the pairs with k <= width[i], so each unordered
+    pair is formed at most once. Only cosines near or past the threshold of
+    pairs that differ in value go to arccos (the others have ratio 0)."""
     unit = points / radius
     order = np.argsort(unit[:, -1], kind="stable")
     unit, values = unit[order], values[order]
     z = unit[:, -1]
-    ends = np.searchsorted(z, z + (max_dist / radius + _MARGIN), "right")
-    rows = np.flatnonzero(ends > np.arange(1, len(z) + 1))
-    if not rows.size:
+    K = len(z)
+    # the window of sample i is the samples i + 1 .. i + width[i]
+    width = (np.searchsorted(z, z + (max_dist / radius + _MARGIN), "right")
+             - np.arange(1, K + 1))
+    widest = int(width.max(initial=0))
+    if widest <= 0:
         return 0.0
-    width = ends[rows] - rows - 1
-    # the window of rows[k] is entries at[k]..at[k+1]-1 of the windows
-    # concatenated in row order
-    at = np.r_[0, np.cumsum(width)]
     cols = unit.T.copy()
-    packed = np.empty(_SWEEP_ROWS * len(z))
+    buf, term = np.empty(K), np.empty(K)
     near = _threshold(radius, max_dist) - _BAND
     best = 0.0
-    blocks = _window_blocks(rows, ends, width, len(packed))
-    j = 0
-    while j < len(blocks):
-        # the cosines of consecutive blocks, packed into one buffer
-        first, starts, used = j, [], 0
-        while j < len(blocks):
-            s, e = blocks[j]
-            c = at[e] - at[s]
-            if starts and used + (e - s) * max(c, 2) > len(packed):
-                break
-            if e - s == 1:
-                # a slice of the sorted columns: 1.5-3x faster than the
-                # gather below on the 3D searches, whose blocks are rows
-                row = rows[s]
-                window = cols[:, row + 1:ends[row]].copy()
-                cos = _cosines(unit[row:row + 1], window, packed[used:])
-                if c == 1:  # _cosines returned a copy
-                    packed[used] = cos[0, 0]
-            else:
-                take = np.arange(c) + np.repeat(
-                    rows[s:e] + 1 - at[s:e] + at[s], width[s:e])
-                cos = _cosines(unit[rows[s:e]], np.take(cols, take, axis=1),
-                               packed[used:])
-            starts.append(used)
-            used += cos.size
-            j += 1
-        chunk = blocks[first:j]
-        # each candidate's row rows[g] and the column rows[g] + 1 + k
-        idx = np.flatnonzero(packed[:used] >= near)
-        b = np.searchsorted(starts, idx, "right") - 1
-        k = idx - np.take(starts, b)
-        g = np.take([s for s, _ in chunk], b)
-        if any(e - s > 1 for s, e in chunk):
-            # a row of a block keeps only its own window
-            a, k = np.divmod(k, np.take([at[e] - at[s] for s, e in chunk], b))
-            k -= at[g + a] - at[g]
-            g += a
-            own = (k >= 0) & (k < width[g])
-            idx, g, k = idx[own], g[own], k[own]
-        p = rows[g]
-        diff = np.abs(values[p] - values[p + 1 + k])
+    for k in range(1, widest + 1):
+        cos = _offset_cosines(cols, k, buf, term)
+        i = np.flatnonzero((width[:K - k] >= k) & (cos >= near))
+        diff = np.abs(values[i] - values[i + k])
         moved = diff != 0.0
-        dist = _arc(packed, idx[moved], radius)
+        dist = _arc(cos, i[moved], radius)
         sel = (dist > 1e-12) & (dist <= max_dist)
         if sel.any():
             best = max(best, float((diff[moved][sel] / dist[sel] ** alpha)
                                    .max()))
     return best
-
-
-def _window_blocks(rows, ends, width, size):
-    """The (s, e) ranges of rows whose windows the Holder search forms in
-    one call: runs of consecutive rows none of whose windows holds another
-    row of the run, each cut so that its rows times the columns of its
-    windows (at least two, see _cosines) fit size. The blocks follow each
-    other in row order, and every column of a block lies after its first
-    row and is none of its rows, so no pair is formed twice and no sample
-    is paired with itself. A window holds fewer columns than there are
-    samples, so one row always fits."""
-    # a row in its predecessor's window starts a new run
-    cut = np.flatnonzero(rows[1:] < ends[rows[:-1]]) + 1
-    blocks = []
-    for s, e in zip(np.r_[0, cut].tolist(), np.r_[cut, len(rows)].tolist()):
-        while e - s > 1:
-            fit = (np.arange(1, e - s + 1)
-                   * np.maximum(np.cumsum(width[s:e]), 2) <= size)
-            t = s + max(1, int(np.count_nonzero(fit)))
-            blocks.append((s, t))
-            s = t
-        if s < e:
-            blocks.append((s, e))
-    return blocks
 
 
 # ---------------------------------------------------------------------------

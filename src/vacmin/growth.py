@@ -161,7 +161,10 @@ def growth_diagnostic(radii, energies, n: int, q: float,
 
 def rescaled_l2_smallness(u: VectorField, pot: Potential, R: float) -> float:
     """Blow-down bookkeeping: with eps = 1/R and u_eps(y) = u(y/eps), this is
-    (1/eps) * int_{B_2} |u_eps - zero|^2 dy = eps^{n-1} int_{B_{2R}} |u - zero|^2."""
+    (1/eps) * int_{B_2} |u_eps - zero|^2 dy = eps^{n-1} int_{B_{2R}} |u - zero|^2.
+    The field ends at r_max, so the ball is clipped to B_{min(2R, r_max)}:
+    from R = r_max / 2 on, the integral is over B_{r_max} (for the last 4
+    of energy-profile's 8 default radii r_max * k / 8)."""
     g = u.grid
     r2 = min(2.0 * R, g.r_max)
     dist2 = ScalarField(g, u.distance_from(pot.zero).values ** 2)

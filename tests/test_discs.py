@@ -490,7 +490,7 @@ def test_sweep_visits_each_pair_once(monkeypatch):
     # holds the dense count of samples within distance 2. The Holder
     # search forms each unordered pair of samples at most once
     gathered = discs._gathered
-    cosines = discs._cosines
+    offset_cosines = discs._offset_cosines
     pairs = []
     holder_pairs = []
 
@@ -501,11 +501,10 @@ def test_sweep_visits_each_pair_once(monkeypatch):
                              np.tile(near, len(rows)).tolist()))
             yield r0, cos
 
-    def formed(rows, cols, buf):
-        r = [index[row.tobytes()] for row in rows]
+    def formed(cols, k, buf, term):
         c = [index[col.tobytes()] for col in cols.T]
-        holder_pairs.extend(tuple(sorted((i, j))) for i in r for j in c)
-        return cosines(rows, cols, buf)
+        holder_pairs.extend(tuple(sorted(p)) for p in zip(c[:-k], c[k:]))
+        return offset_cosines(cols, k, buf, term)
 
     for n, K in ((2, 1000), (3, 256), (3, 65)):
         R, pts, _ = _random_slice(np.random.default_rng(K), n, K)
@@ -521,7 +520,7 @@ def test_sweep_visits_each_pair_once(monkeypatch):
         np.testing.assert_allclose(ball2 / (sphere_area(n, R) / K), count,
                                    rtol=1e-12, atol=0)
         index = {row.tobytes(): i for i, row in enumerate(unit)}
-        monkeypatch.setattr(discs, "_cosines", formed)
+        monkeypatch.setattr(discs, "_offset_cosines", formed)
         for max_dist in (1.0, 4.0 * R):
             holder_pairs.clear()
             sphere_holder_constant(pts, np.ones(K), R, 1.0, max_dist)
@@ -530,7 +529,7 @@ def test_sweep_visits_each_pair_once(monkeypatch):
             assert all(i != j for i, j in holder_pairs)
         # beyond pi every pair is in reach: each one is formed exactly once
         assert len(holder_pairs) == K * (K - 1) // 2
-        monkeypatch.setattr(discs, "_cosines", cosines)
+        monkeypatch.setattr(discs, "_offset_cosines", offset_cosines)
 
 
 def _unit_lattice_with_straddlers(n, K):
@@ -603,10 +602,15 @@ def test_sweep_prunes_cosines(monkeypatch):
     vals = 0.2 + (1.0 + unit @ (d / np.linalg.norm(d))) ** 2
     formed = []
     cosines = discs._cosines
+    offset_cosines = discs._offset_cosines
 
     def counted(rows, cols, buf):
         formed.append(len(rows) * cols.shape[1])
         return cosines(rows, cols, buf)
+
+    def offset_counted(cols, k, buf, term):
+        formed.append(cols.shape[1] - k)
+        return offset_cosines(cols, k, buf, term)
 
     for theta in (1.1, 1.4, 2.0):
         radius = 2.0 / theta
@@ -615,10 +619,12 @@ def test_sweep_prunes_cosines(monkeypatch):
         cap = discs._holder_cap(vals, 1.0, 1.0, floor)
         assert 0.0 < cap < 1.0
         monkeypatch.setattr(discs, "_cosines", counted)
+        monkeypatch.setattr(discs, "_offset_cosines", offset_counted)
         formed.clear()
         discs._sweep(unit, vals, radius)
         discs.sphere_holder_constant(unit * radius, vals, radius, 1.0, cap)
         monkeypatch.setattr(discs, "_cosines", cosines)
+        monkeypatch.setattr(discs, "_offset_cosines", offset_cosines)
         assert sum(formed) <= 0.7 * K * (K + 1) / 2, (theta, sum(formed))
 
 
@@ -638,7 +644,7 @@ def _coordinate_sum(rows, cols):
 def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
     # forms it: the 2-ball sweep's group centres and gathered columns, the
-    # Holder search's windows, the covering's rows and the violation scan's
+    # Holder search's offsets, the covering's rows and the violation scan's
     # blocks, one-row and one-column blocks included. This fails where
     # numpy's einsum fuses multiply and add, or if the blocks move to a
     # BLAS product
@@ -652,7 +658,16 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     # none of them unless its group has one member
     index = {row.tobytes(): i for i, row in enumerate(unit)}
     shapes = []
+    offsets = []
     cosines = discs._cosines
+    offset_cosines = discs._offset_cosines
+
+    def offset_checked(cols, k, buf, term):
+        cos = offset_cosines(cols, k, buf, term)
+        c = [index[col.tobytes()] for col in cols.T]
+        assert np.array_equal(_bits(cos), _bits(ref[c[:-k], c[k:]]))
+        offsets.append(k)
+        return cos
 
     def checked(rows, cols, buf):
         cos = cosines(rows, cols, buf)
@@ -665,6 +680,7 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
         return cos
 
     monkeypatch.setattr(discs, "_cosines", checked)
+    monkeypatch.setattr(discs, "_offset_cosines", offset_checked)
     vals = rng.uniform(0.5, 1.5, K)
     # radii of powers of two keep points / radius bit for bit on unit
     for radius in (2.0, 4.0):
@@ -674,10 +690,34 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
             sphere_holder_constant(pts, vals, radius, 1.0, max_dist)
         greedy_bad_discs(pts, vals, radius, 1.0, 1e-9)
         clearing_out_violations(pts, vals, radius, 1.0, np.inf)
+    # the sweep gathers one column when a group's ring holds one sample,
+    # and a few when it holds a few, which on 8 samples it need not do
+    for near in ([0], [0, 2, 5]):
+        discs._cosines(unit[:2], np.take(unit.T, near, axis=1), np.empty(8))
+    # beyond pi the Holder search reaches every offset
+    assert max(offsets) == K - 1
     assert any(r == 1 for r, _ in shapes)
     assert any(c == 1 for _, c in shapes)
     assert any(1 < c < K for _, c in shapes)
     assert any(r > 1 and c == K for r, c in shapes)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_holder_makes_no_einsum_call(monkeypatch, n):
+    # the Holder search sums its cosines with separate multiply and add
+    # ufuncs, so C4 does not depend on whether a numpy build's einsum
+    # fuses multiply and add
+    R, pts, vals = _random_slice(np.random.default_rng(17 * n), n, 1000)
+    cases = [(alpha, max_dist) for alpha in (1.0, 0.5)
+             for max_dist in (1.0, 4.0 * R)]
+    dense = [dense_holder(pts, vals, R, a, d) for a, d in cases]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(discs.np, "einsum", refused)
+    assert [sphere_holder_constant(pts, vals, R, a, d)
+            for a, d in cases] == dense
 
 
 @pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, 65),

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vacmin.field import (Grid, VectorField, energy_density, integrate_ball,
-                          interpolate)
+from vacmin.field import (Grid, ScalarField, VectorField, energy_density,
+                          integrate_ball, interpolate)
 from vacmin.growth import (EnergyProfile, annulus_field, balance_exponent,
                            bootstrap_fixed_point, bootstrap_map,
                            comparison_bound, energy_profile, growth_diagnostic)
@@ -227,6 +227,23 @@ def test_rescaled_l2_values(small_grid):
     R = 0.8
     val = rescaled_l2_smallness(uc, pot, R)
     assert val == pytest.approx(4 * np.pi * c ** 2 * R, rel=2e-2)
+
+
+def test_rescaled_l2_clips_its_ball_to_r_max(small_grid):
+    # the ball B_{2R} is clipped to B_{r_max}, as for the last 4 of
+    # energy-profile's default radii r_max * k / 8
+    from vacmin.growth import rescaled_l2_smallness
+    g = small_grid
+    pot = quadratic([0.0])
+    c = 0.3
+    uc = VectorField.constant(g, [c])
+    R = 0.75 * g.r_max
+    dist2 = ScalarField(g, uc.distance_from(pot.zero).values ** 2)
+    val = rescaled_l2_smallness(uc, pot, R)
+    assert val == (1.0 / R) * integrate_ball(dist2, g.r_max)
+    # |c|^2 pi r_max^2 / R, not the 4 pi |c|^2 R of the unclipped B_{2R}
+    assert val == pytest.approx(math.pi * c ** 2 * g.r_max ** 2 / R,
+                                rel=2e-2)
 
 
 def test_growth_diagnostic_zero():

@@ -250,19 +250,19 @@ def test_sphere_holder_matches_per_row_search_in_3d(ratio):
 @pytest.mark.parametrize("n,K", [(2, 64), (2, 513), (3, 200)])
 def test_sphere_holder_blocks_form_each_window_pair_once(monkeypatch, n, K):
     # every window pair is formed, none twice and no sample with itself,
-    # whether the rows share blocks (2D twins) or not
+    # whether windows hold the samples' twins (2D) or not
     radius = 1.3
     unit = sphere_points(n, radius, K) / radius
     index = {row.tobytes(): i for i, row in enumerate(unit)}
     formed = []
-    cosines = discs._cosines
+    offset_cosines = discs._offset_cosines
 
-    def recorded(rows, cols, buf):
-        formed.extend((index[a.tobytes()], index[b.tobytes()])
-                      for a in rows for b in cols.T)
-        return cosines(rows, cols, buf)
+    def recorded(cols, k, buf, term):
+        c = [index[col.tobytes()] for col in cols.T]
+        formed.extend(zip(c[:-k], c[k:]))
+        return offset_cosines(cols, k, buf, term)
 
-    monkeypatch.setattr(discs, "_cosines", recorded)
+    monkeypatch.setattr(discs, "_offset_cosines", recorded)
     vals = np.arange(K, dtype=float)
     for max_dist in (1e-6, 0.2, 1.0):
         formed.clear()
