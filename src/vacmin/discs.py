@@ -42,16 +42,27 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # matrix-free geodesic tests
 #
 # Every geodesic test on the sphere samples reads cosines
-# cos[i, j] = unit_i . unit_j, never a K x K matrix of them, and makes no
-# BLAS call. The 2-ball sweep, the covering and the violation scan form
-# theirs in blocks of at most _SWEEP_ROWS * K by a numpy einsum (_cosines);
-# the Holder search forms the explicit coordinate sum one offset at a time
-# (_offset_cosines). Membership dist <= L, with
-# dist = radius * arccos(cos), is decided by the threshold cos(L / radius);
-# only cosines within _BAND of it go through arccos (clipped to [-1, 1]),
-# where the exact test decides. Outside the band the angle differs from
-# L / radius by more than 1e-9, far beyond rounding, so the masks equal
-# those of the exact test.
+# cos[i, j] = unit_i . unit_j, never a K x K matrix of them. Membership
+# dist <= L, with dist = radius * arccos(cos), is decided by the threshold
+# cos(L / radius); only cosines within _BAND of it go through arccos
+# (clipped to [-1, 1]), where the exact test decides. Outside the band the
+# angle differs from L / radius by more than 1e-9, far beyond rounding, so
+# the masks equal those of the exact test.
+#
+# The 2-ball sweep, the covering and the violation scan decide their pairs
+# in _members. A float32 BLAS product of the unit vectors only filters: it
+# settles every pair whose float32 cosine lies more than _F32 from the
+# threshold. For unit vectors the float32 cosine is within about 3e-7 of
+# the exact one (each coordinate rounds by 2^-24 relative, then three
+# products and two sums round again, in any order and with or without
+# FMA), and rounding the threshold to float32 adds at most 6e-8, so _F32
+# is over 20 times the error and the filter never settles a pair the exact
+# test would decide the other way. Only the pairs it leaves open get
+# float64 cosines, the explicit sum (a0*b0 + a1*b1) + a2*b2 with one numpy
+# multiply and one add per coordinate, and the exact test. So the masks do
+# not depend on the BLAS build or its thread count, nor on whether numpy's
+# einsum fuses multiply and add. The Holder search forms the same explicit
+# sum one offset at a time (_offset_cosines), with no float32 filter.
 #
 # Each test forms exact cosines only where a cheap bound leaves it open.
 # A few ulps of cosine rounding move an angle by at most about 3e-8 (near
@@ -64,67 +75,92 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 #   to a member. By the triangle inequality a sample at angle psi from c
 #   lies within angle theta = 2 / radius of every member when
 #   psi <= theta - rho - _MARGIN, and farther than theta from every member
-#   when psi >= theta + rho + _MARGIN; only the samples in between get
-#   exact cosines.
+#   when psi >= theta + rho + _MARGIN; only the samples in between are
+#   tested against each member.
 # - The Holder search (sphere_holder_constant) needs only pairs within
 #   angle theta = max_dist / radius, which a caller holding a lower bound
 #   on C4 can shrink with _holder_cap. Such a pair has a chord of at most
 #   theta, so its last coordinates differ by at most theta: sorted by that
 #   coordinate, each sample's partners lie in a short window after it.
 #
-# _SWEEP_ROWS bounds a block to 0.5 MB at K = 4096; fewer rows saved
-# memory but ran slower, more ran no faster. With _BOX = 0.4 the K = 4096
-# lattice on S^2 falls into 115 groups of angular radius about 0.26, which
-# forms a fifth fewer cosines than 0.5 in the same time; the saving grows
-# as K^2, the cost per group as K. BENCH_20.json has the measurements.
+# _SWEEP_ROWS group centres (or violation-scan rows) are tested against
+# the K samples at a time: at K = 4096 that is one float32 product of
+# 16 * 4096 * 3 multiply-adds, within _TILE. _members splits larger
+# products by rows into tiles of at most _TILE = 64^3 multiply-adds, the
+# size up to which OpenBLAS's gemm runs on one thread (4 * 65536); waking
+# its threads costs more than a product this small. With _BOX = 0.4 the
+# K = 4096 lattice on S^2 falls into 115 groups of angular radius about
+# 0.26, which forms a fifth fewer cosines than 0.5 in the same time; the
+# saving grows as K^2, the cost per group as K. BENCH_20.json and
+# BENCH_28.json have the measurements.
 _SWEEP_ROWS = 16
 _BOX = 0.4
 _BAND = 1e-9
 _MARGIN = 1e-6
+_F32 = 1e-5
+_TILE = 64 ** 3
 
 
-def _cosines(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray):
-    """cos[a, b] = rows[a] . cols[:, b] for r row vectors (r, n) and a
-    column matrix (n, c), formed by one numpy einsum into the front of buf
-    and returned as a C-contiguous (r, c) view of it (a copy when c = 1,
-    see below). The cosines are not clipped: rounding can leave them a few
-    ulps outside [-1, 1], so clip whatever goes to arccos.
+def _members(rows: np.ndarray, cols: np.ndarray, cols32: np.ndarray,
+             t, arc=None, near=None) -> np.ndarray:
+    """Mask (r, c) of the pairs of r unit row vectors (r, n) and c unit
+    columns of cols (n, K), the columns near (all K when None), whose cosine
+    passes a test: with arc = (radius, dist), radius * arccos(cos) <= dist
+    as _within decides it (t = _threshold(radius, dist)); without, cos >= t
+    for a float t or an (r, 1) column of one threshold per row. cols32 is
+    cols in float32.
 
-    The einsum is not a BLAS matrix product, so the cosines do not depend
-    on the BLAS build or its thread count. It sums the coordinate products
-    in coordinate order, and since products commute, cos[i, j] and cos[j, i]
-    agree bit for bit in every block either falls in. Where numpy's einsum
-    loops round each multiply and each add on their own, as in the x86-64
-    numpy 2.4.6 build it was measured on (SIMD baseline x86-64-v2, no FMA),
-    every cosine has the bits of the explicit sum (a0*b0 + a1*b1) + a2*b2.
-    Where they fuse multiply and add (numpy's SIMD loops can use FMA on
-    aarch64, or on x86 built for it) the cosines may move by an ulp, and
-    with them the sweep's, covering's and violation scan's arccos edge
-    tests decided inside _BAND; test_cosine_blocks_sum_coordinates_in_order
-    fails there. Pass cols C-ordered (gather columns with
-    np.take(..., axis=1), not fancy indexing, which returns an F-ordered
-    array that the einsum reads about 5x slower)."""
-    one = cols.shape[1] == 1
-    if one:
-        # against one column numpy's einsum sums the products in another
-        # order (seen in 3D); two copies of it keep the coordinate order
-        cols = np.repeat(cols, 2, axis=1)
-    cos = buf[:len(rows) * cols.shape[1]].reshape(len(rows), cols.shape[1])
-    np.einsum("ik,kj->ij", rows, cols, out=cos)
-    return cos[:, :1].copy() if one else cos
+    The float32 product of the rows and the columns settles each pair whose
+    cosine lies more than _F32 from t (see the comment above _SWEEP_ROWS),
+    in tiles of at most _TILE multiply-adds (or one row). The comparisons
+    stay in float32: a Python float t is rounded to float32 (NEP 50), a
+    column is cast. The open pairs get the explicit float64 sum and the
+    exact test, so the mask equals that test on float64 cosines bit for
+    bit."""
+    if near is not None:
+        cols32 = np.take(cols32, near, axis=1)
+    n, c = cols32.shape
+    out = np.empty((len(rows), c), dtype=bool)
+    rows32 = rows.astype(np.float32)
+    per_row = np.ndim(t) > 0
+    if per_row:
+        hi, lo = (t + _F32).astype(np.float32), (t - _F32).astype(np.float32)
+    else:
+        hi, lo = float(t) + _F32, float(t) - _F32
+    step = max(1, _TILE // (n * c))
+    for r0 in range(0, len(rows), step):
+        r1 = min(r0 + step, len(rows))
+        cos32 = np.matmul(rows32[r0:r1], cols32)
+        inside = out[r0:r1]
+        np.greater_equal(cos32, hi[r0:r1] if per_row else hi, out=inside)
+        open_ = np.flatnonzero((cos32 > (lo[r0:r1] if per_row else lo))
+                               ^ inside)
+        if open_.size:
+            i, j = np.divmod(open_, c)
+            i += r0
+            cos = _dots(rows[i].T, cols[:, j if near is None else near[j]])
+            inside.ravel()[open_] = (_within(cos, *arc) if arc else
+                                     cos >= (t[i, 0] if per_row else t))
+    return out
+
+
+def _dots(a: np.ndarray, b: np.ndarray, out=None, term=None) -> np.ndarray:
+    """a[:, m] . b[:, m] for each column m of two (n, M) matrices, summed
+    as (a0*b0 + a1*b1) + a2*b2 by ufuncs that round each multiply and each
+    add on their own, so the bits do not depend on the numpy build. out
+    and term, when given, hold the sums and each product."""
+    cos = np.multiply(a[0], b[0], out=out)
+    for k in range(1, len(a)):
+        cos += np.multiply(a[k], b[k], out=term)
+    return cos
 
 
 def _offset_cosines(cols: np.ndarray, k: int, buf: np.ndarray,
                     term: np.ndarray) -> np.ndarray:
     """cos[i] = cols[:, i] . cols[:, i + k] for the columns i < c - k of an
-    (n, c) matrix, into the front of buf (term holds each product), summed
-    as (a0*b0 + a1*b1) + a2*b2 by ufuncs that round each multiply and each
-    add on their own, so the bits do not depend on the numpy build."""
+    (n, c) matrix, by _dots into the front of buf and term."""
     m = cols.shape[1] - k
-    cos = np.multiply(cols[0, :m], cols[0, k:], out=buf[:m])
-    for a in range(1, len(cols)):
-        cos += np.multiply(cols[a, :m], cols[a, k:], out=term[:m])
-    return cos
+    return _dots(cols[:, :m], cols[:, k:], buf[:m], term[:m])
 
 
 def _threshold(radius: float, dist: float) -> float:
@@ -198,51 +234,39 @@ def _sweep(unit: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
     """The geodesic 2-ball slice energy of every sample, a group of samples
     at a time (see the comment above _SWEEP_ROWS).
 
-    For each group one einsum of its centre against every sample gives
-    cos psi. The samples with psi <= 2 / radius - rho - _MARGIN are in the
+    _members tests each group's centre against every sample for its angle
+    psi. The samples with psi <= 2 / radius - rho - _MARGIN are in the
     2-ball of every member, so their summed weight is added once; those
     with psi >= 2 / radius + rho + _MARGIN are in none; only the ones in
-    between get exact cosines and _within."""
+    between are tested against each member."""
     K = len(values)
     order, starts, centres, rho = _groups(unit)
     bounds = np.r_[starts, K]
     cols = unit.T.copy()
+    cols32 = cols.astype(np.float32)
     members = unit[order]
     weighted = values * (sphere_area(unit.shape[1], radius) / K)
     reach = rho + _MARGIN
     full_at = _cos_at(2.0 / radius - reach)[:, None]
     ring_at = _cos_at(2.0 / radius + reach)[:, None]
+    t = _threshold(radius, 2.0)
     sums = np.empty(K)
-    buf = np.empty(min(_SWEEP_ROWS, K) * K)
-    psi_buf = np.empty(min(_SWEEP_ROWS, len(starts)) * K)
     for g0 in range(0, len(starts), _SWEEP_ROWS):
         g1 = min(g0 + _SWEEP_ROWS, len(starts))
-        cos_psi = _cosines(centres[g0:g1], cols, psi_buf)
-        full = cos_psi >= full_at[g0:g1]
-        ring = (cos_psi >= ring_at[g0:g1]) & ~full
+        full = _members(centres[g0:g1], cols, cols32, full_at[g0:g1])
+        ring = _members(centres[g0:g1], cols, cols32, ring_at[g0:g1]) & ~full
         sums[bounds[g0]:bounds[g1]] = np.repeat(
             np.einsum("gj,j->g", full, weighted), np.diff(bounds[g0:g1 + 1]))
         for g in range(g0, g1):
             near = np.flatnonzero(ring[g - g0])
-            for r0, cos in _gathered(members, cols, bounds[g], bounds[g + 1],
-                                     near, buf):
-                sums[r0:r0 + len(cos)] += np.einsum(
-                    "ij,j->i", _within(cos, radius, 2.0), weighted[near])
+            if near.size:
+                a, b = bounds[g], bounds[g + 1]
+                inside = _members(members[a:b], cols, cols32, t,
+                                  (radius, 2.0), near)
+                sums[a:b] += np.einsum("ij,j->i", inside, weighted[near])
     ball2 = np.empty(K)
     ball2[order] = sums
     return ball2
-
-
-def _gathered(members, cols, a, b, near, buf):
-    """Yield (r0, cos) for consecutive blocks of the members a..b-1, each as
-    many as buf holds: cos[r, k] is the cosine between members[r0 + r] and
-    the sample near[k]. Nothing when near is empty."""
-    if not near.size:
-        return
-    near_cols = np.take(cols, near, axis=1)
-    step = max(1, len(buf) // near.size)
-    for r0 in range(a, b, step):
-        yield r0, _cosines(members[r0:min(r0 + step, b)], near_cols, buf)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +433,8 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
     unit = points / radius
     ball2 = _sweep(unit, values, radius)
     cols = unit.T.copy()
-    buf = np.empty(len(values))
+    cols32 = cols.astype(np.float32)
+    t = _threshold(radius, 1.0)
     covered = np.zeros(len(values), dtype=bool)
     hot = values > eps
     centers = []
@@ -429,8 +454,8 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
         near = open_idx[energy >= bmax - 1e-12 * max(1.0, abs(bmax))]
         pick = int(near[np.lexsort((near, -values[near]))[0]])
         centers.append(pick)
-        covered |= _within(_cosines(unit[pick:pick + 1], cols, buf),
-                           radius, 1.0)[0]
+        covered |= _members(unit[pick:pick + 1], cols, cols32, t,
+                            (radius, 1.0))[0]
     return np.array(centers, dtype=int), covered
 
 
@@ -443,12 +468,13 @@ def clearing_out_violations(points: np.ndarray, values: np.ndarray,
     ball2 = _sweep(unit, values, radius)
     low = np.flatnonzero(ball2 < mu)
     cols = unit.T.copy()
-    buf = np.empty(min(_SWEEP_ROWS, len(low)) * len(values))
+    cols32 = cols.astype(np.float32)
+    t = _threshold(radius, 1.0)
     out = []
     for start in range(0, len(low), _SWEEP_ROWS):
         rows = low[start:start + _SWEEP_ROWS]
-        cos = _cosines(unit[rows], cols, buf)
-        inner = np.where(_within(cos, radius, 1.0), values, -np.inf).max(axis=1)
+        inside = _members(unit[rows], cols, cols32, t, (radius, 1.0))
+        inner = np.where(inside, values, -np.inf).max(axis=1)
         out += [(int(i), float(ball2[i]), float(v))
                 for i, v in zip(rows, inner) if v > eps]
     return out
@@ -459,10 +485,18 @@ def bad_disc_pipeline(e: ScalarField, R: float, eps: float, alpha: float = 1.0,
     """Full slice analysis at base radius R: pick the good radius in (R, 2R),
     measure the Lipschitz/Holder constant, form the clearing-out threshold
     and run the covering. C4 is at least the grid constant, so the sphere
-    search looks only for pairs whose ratio could exceed it."""
+    search looks only for pairs whose ratio could exceed it.
+
+    The grid constant is kept on e, one per alpha, so further pipelines on
+    the same field (one per radius in bad-discs) do not form it again. It
+    reads e.values as they were at the first call: a field whose values
+    change needs a new ScalarField."""
     n = e.grid.n
     s_r, _ = select_good_radius(e, R, samples=samples, K=K)
-    c4_grid = holder_constant(e, alpha)
+    memo = e.__dict__.setdefault("_holder_constants", {})
+    if alpha not in memo:
+        memo[alpha] = holder_constant(e, alpha)
+    c4_grid = memo[alpha]
     pts, vals = sample_sphere(e, s_r, K)
     c4_sphere = sphere_holder_constant(
         pts, vals, s_r, alpha, _holder_cap(vals, alpha, 1.0, c4_grid))

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import _kernels
-from .field import (Grid, InvariantViolation, ScalarField, VectorField,
-                    centred, gradient_sq, integrate_ball, interpolate,
-                    partial_derivatives, sphere_area, sphere_means,
-                    sphere_points)
+from .field import (Grid, InvariantViolation, VectorField, ball_weights,
+                    centred, gradient_sq, interpolate, partial_derivatives,
+                    sphere_area, sphere_means, sphere_points)
 from .minimizer import _modica, el_residual
 from .potentials import Potential
 
@@ -198,10 +197,15 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     n = g.n
     gsq = gradient_sq(u).values
     w = pot.value_field(u.values)
-    fdens = ScalarField(g, 0.5 * (n - 2) * gsq + n * w)
-    edens = ScalarField(g, _kernels.density(gsq, w))
-    f_vals = [integrate_ball(fdens, r) for r in radii]
-    e_vals = [integrate_ball(edens, r) for r in radii]
+    fdens = 0.5 * (n - 2) * gsq + n * w
+    edens = _kernels.density(gsq, w)
+    # one set of ball weights per radius serves both integrals, each with
+    # the bits of integrate_ball
+    f_vals, e_vals = [], []
+    for r in radii:
+        ball = ball_weights(g, r)
+        f_vals.append(float(np.sum(fdens * ball) * g.cell))
+        e_vals.append(float(np.sum(edens * ball) * g.cell))
     r = np.asarray(radii)
     weak = list(np.asarray(f_vals) * r ** (2 - n))
     strong_f = list(np.asarray(f_vals) * r ** (1 - n))

@@ -485,21 +485,23 @@ def test_blocked_sweep_matches_dense(n, K):
 
 def test_sweep_visits_each_pair_once(monkeypatch):
     # each (member, sample) pair is settled once per 2-ball: by its group's
-    # bound or by one exact cosine, never twice. A pair counted twice in a
-    # 2-ball would add its weight twice, so with unit values every 2-ball
-    # holds the dense count of samples within distance 2. The Holder
-    # search forms each unordered pair of samples at most once
-    gathered = discs._gathered
+    # bound or by one test in a ring block, never twice. A pair counted
+    # twice in a 2-ball would add its weight twice, so with unit values
+    # every 2-ball holds the dense count of samples within distance 2. The
+    # Holder search forms each unordered pair of samples at most once
+    members = discs._members
     offset_cosines = discs._offset_cosines
     pairs = []
     holder_pairs = []
 
-    def recorded(members, cols, a, b, near, buf):
-        for r0, cos in gathered(members, cols, a, b, near, buf):
-            rows = order[r0:r0 + len(cos)]
-            pairs.extend(zip(np.repeat(rows, len(near)).tolist(),
-                             np.tile(near, len(rows)).tolist()))
-            yield r0, cos
+    def recorded(rows, cols, cols32, t, arc=None, near=None):
+        # the ring blocks test a group's members against the samples near;
+        # the group centres' test has no arc
+        if arc is not None:
+            r = [index[row.tobytes()] for row in rows]
+            pairs.extend(zip(np.repeat(r, len(near)).tolist(),
+                             np.tile(near, len(r)).tolist()))
+        return members(rows, cols, cols32, t, arc, near)
 
     def formed(cols, k, buf, term):
         c = [index[col.tobytes()] for col in cols.T]
@@ -509,17 +511,16 @@ def test_sweep_visits_each_pair_once(monkeypatch):
     for n, K in ((2, 1000), (3, 256), (3, 65)):
         R, pts, _ = _random_slice(np.random.default_rng(K), n, K)
         unit = pts / R
-        order = discs._groups(unit)[0]
-        monkeypatch.setattr(discs, "_gathered", recorded)
+        index = {row.tobytes(): i for i, row in enumerate(unit)}
+        monkeypatch.setattr(discs, "_members", recorded)
         pairs.clear()
         ball2 = discs._sweep(unit, np.ones(K), R)
-        monkeypatch.setattr(discs, "_gathered", gathered)
+        monkeypatch.setattr(discs, "_members", members)
         assert pairs
         assert len(set(pairs)) == len(pairs), (n, K)
         count = (geodesic_distances(pts, R) <= 2.0).sum(axis=1)
         np.testing.assert_allclose(ball2 / (sphere_area(n, R) / K), count,
                                    rtol=1e-12, atol=0)
-        index = {row.tobytes(): i for i, row in enumerate(unit)}
         monkeypatch.setattr(discs, "_offset_cosines", formed)
         for max_dist in (1.0, 4.0 * R):
             holder_pairs.clear()
@@ -589,8 +590,8 @@ def test_sweep_is_exact_at_extreme_angles(n):
 
 def test_sweep_prunes_cosines(monkeypatch):
     # the group bound settles most pairs: on a 3D lattice of K = 4096
-    # samples the sweep and the Holder search together form at most 0.7 of
-    # the K (K + 1) / 2 cosines of the upper triangle, group centres
+    # samples the sweep and the Holder search together test at most 0.7 of
+    # the K (K + 1) / 2 pairs of the upper triangle, group centres
     # included, at 2-ball angles either side of pi / 2. The Holder distance
     # is capped as bad_disc_pipeline caps it, with a floor 1e4 times the
     # sphere ratio, as the grid constant is on the analysis-3d benchmark's
@@ -601,12 +602,13 @@ def test_sweep_prunes_cosines(monkeypatch):
     d = rng.standard_normal(3)
     vals = 0.2 + (1.0 + unit @ (d / np.linalg.norm(d))) ** 2
     formed = []
-    cosines = discs._cosines
+    members = discs._members
     offset_cosines = discs._offset_cosines
 
-    def counted(rows, cols, buf):
-        formed.append(len(rows) * cols.shape[1])
-        return cosines(rows, cols, buf)
+    def counted(rows, cols, cols32, t, arc=None, near=None):
+        formed.append(len(rows) * (cols.shape[1] if near is None
+                                   else len(near)))
+        return members(rows, cols, cols32, t, arc, near)
 
     def offset_counted(cols, k, buf, term):
         formed.append(cols.shape[1] - k)
@@ -618,12 +620,12 @@ def test_sweep_prunes_cosines(monkeypatch):
                                                    radius)
         cap = discs._holder_cap(vals, 1.0, 1.0, floor)
         assert 0.0 < cap < 1.0
-        monkeypatch.setattr(discs, "_cosines", counted)
+        monkeypatch.setattr(discs, "_members", counted)
         monkeypatch.setattr(discs, "_offset_cosines", offset_counted)
         formed.clear()
         discs._sweep(unit, vals, radius)
         discs.sphere_holder_constant(unit * radius, vals, radius, 1.0, cap)
-        monkeypatch.setattr(discs, "_cosines", cosines)
+        monkeypatch.setattr(discs, "_members", members)
         monkeypatch.setattr(discs, "_offset_cosines", offset_cosines)
         assert sum(formed) <= 0.7 * K * (K + 1) / 2, (theta, sum(formed))
 
@@ -642,12 +644,13 @@ def _coordinate_sum(rows, cols):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("K", [8, 65, 1000])
 def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
-    # every cosine has the bits of (a0*b0 + a1*b1) + a2*b2, whichever block
-    # forms it: the 2-ball sweep's group centres and gathered columns, the
-    # Holder search's offsets, the covering's rows and the violation scan's
-    # blocks, one-row and one-column blocks included. This fails where
-    # numpy's einsum fuses multiply and add, or if the blocks move to a
-    # BLAS product
+    # every float64 cosine has the bits of (a0*b0 + a1*b1) + a2*b2,
+    # whichever test forms it: the Holder search's offsets, and the pairs
+    # that the float32 filter leaves open in the 2-ball sweep's ring blocks,
+    # the covering's rows and the violation scan's blocks, in blocks of one
+    # row, one column, a few columns and all K. This fails if those
+    # cosines move to an einsum that fuses multiply and add, or to a BLAS
+    # product
     rng = np.random.default_rng(7 * K + n)
     R = float(rng.uniform(1.3, 4.7))
     unit = sphere_points(n, R, K) / R
@@ -659,27 +662,31 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     index = {row.tobytes(): i for i, row in enumerate(unit)}
     shapes = []
     offsets = []
-    cosines = discs._cosines
+    exact = []
+    members = discs._members
+    dots = discs._dots
     offset_cosines = discs._offset_cosines
 
     def offset_checked(cols, k, buf, term):
-        cos = offset_cosines(cols, k, buf, term)
-        c = [index[col.tobytes()] for col in cols.T]
-        assert np.array_equal(_bits(cos), _bits(ref[c[:-k], c[k:]]))
         offsets.append(k)
+        return offset_cosines(cols, k, buf, term)
+
+    def dots_checked(a, b, out=None, term=None):
+        cos = dots(a, b, out, term)
+        r = [index.get(v.tobytes()) for v in a.T]
+        c = [index.get(v.tobytes()) for v in b.T]
+        if None not in r + c:
+            assert np.array_equal(_bits(cos), _bits(ref[r, c]))
+            exact.append(len(cos))
         return cos
 
-    def checked(rows, cols, buf):
-        cos = cosines(rows, cols, buf)
-        assert np.array_equal(_bits(cos), _bits(_coordinate_sum(rows, cols)))
-        r = [index.get(row.tobytes()) for row in rows]
-        if None not in r:
-            c = [index[col.tobytes()] for col in cols.T]
-            assert np.array_equal(_bits(cos), _bits(ref[np.ix_(r, c)]))
-            shapes.append(cos.shape)
-        return cos
+    def members_checked(rows, cols, cols32, t, arc=None, near=None):
+        shapes.append((len(rows), cols.shape[1] if near is None
+                       else len(near)))
+        return members(rows, cols, cols32, t, arc, near)
 
-    monkeypatch.setattr(discs, "_cosines", checked)
+    monkeypatch.setattr(discs, "_members", members_checked)
+    monkeypatch.setattr(discs, "_dots", dots_checked)
     monkeypatch.setattr(discs, "_offset_cosines", offset_checked)
     vals = rng.uniform(0.5, 1.5, K)
     # radii of powers of two keep points / radius bit for bit on unit
@@ -690,16 +697,87 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
             sphere_holder_constant(pts, vals, radius, 1.0, max_dist)
         greedy_bad_discs(pts, vals, radius, 1.0, 1e-9)
         clearing_out_violations(pts, vals, radius, 1.0, np.inf)
-    # the sweep gathers one column when a group's ring holds one sample,
-    # and a few when it holds a few, which on 8 samples it need not do
-    for near in ([0], [0, 2, 5]):
-        discs._cosines(unit[:2], np.take(unit.T, near, axis=1), np.empty(8))
+    # a ring block of one sample and of a few, which on 8 samples the sweep
+    # need not form; each threshold is a cosine of the block, which leaves
+    # that pair to the exact test
+    cols = unit.T.copy()
+    for near in ([1], [1, 2, 5]):
+        t = float(ref[0, near[-1]])
+        mask = discs._members(unit[:2], cols, cols.astype(np.float32), t,
+                              near=np.array(near))
+        assert np.array_equal(mask, ref[:2, near] >= t)
     # beyond pi the Holder search reaches every offset
     assert max(offsets) == K - 1
+    assert exact
     assert any(r == 1 for r, _ in shapes)
     assert any(c == 1 for _, c in shapes)
     assert any(1 < c < K for _, c in shapes)
     assert any(r > 1 and c == K for r, c in shapes)
+
+
+def _near_threshold(rng, row, cosines):
+    """Unit vectors at the given cosines from the unit vector row, each in a
+    random direction from it."""
+    out = []
+    for c in cosines:
+        p = rng.standard_normal(len(row))
+        p -= (p @ row) * row
+        p /= np.linalg.norm(p)
+        out.append(c * row + math.sqrt(max(0.0, 1.0 - c * c)) * p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_members_decide_pairs_at_the_threshold_exactly(monkeypatch, n):
+    # pairs whose float64 cosines lie within 1e-7 of the threshold on both
+    # sides, far inside the float32 error: the masks equal the exact test on
+    # the explicit coordinate sums, for disc angles below pi, at pi and
+    # beyond (antipodes and cosines rounded below -1 included), duplicate
+    # samples, one threshold per row, rings of one sample and a block split
+    # into tiles. With a float32 margin of 1e-8 the filter decides some of
+    # these pairs the wrong way, which the test must see
+    rng = np.random.default_rng(31 * n)
+    base = rng.standard_normal((8, n))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    # 128 rows, each base row 16 times: more than one tile
+    rows = base[np.arange(128) % 8]
+    offsets = np.linspace(-1e-7, 1e-7, 161)
+
+    def cases():
+        for radius, dist in ((1.7, 2.0), (3.0, 1.0), (0.7, 1.0),
+                             (2.0 / math.pi, 2.0), (0.5, 2.0)):
+            t = discs._threshold(radius, dist)
+            cols = np.concatenate(
+                [_near_threshold(rng, b, np.clip(t + offsets, -1.0, 1.0))
+                 for b in base] + [base, -base])
+            yield cols.T.copy(), t, (radius, dist)
+
+    def masks():
+        out = []
+        for cols, t, (radius, dist) in cases():
+            cols32 = cols.astype(np.float32)
+            cos = _coordinate_sum(rows, cols)
+            exact = radius * np.arccos(np.clip(cos, -1.0, 1.0)) <= dist
+            assert rows.shape[0] * cols.size > discs._TILE
+            out.append((discs._members(rows, cols, cols32, t, (radius, dist)),
+                        exact))
+            for near in (np.array([len(base) * len(offsets) // 2]),
+                         np.arange(0, cols.shape[1], 7)):
+                out.append((discs._members(rows, cols, cols32, t,
+                                           (radius, dist), near),
+                            exact[:, near]))
+            # one threshold per row, each within 1e-7 of a cosine of its row
+            pick = rng.integers(cols.shape[1], size=len(rows))
+            t_rows = (cos[np.arange(len(rows)), pick]
+                      + rng.uniform(-1e-7, 1e-7, len(rows)))[:, None]
+            out.append((discs._members(rows, cols, cols32, t_rows),
+                        cos >= t_rows))
+        return out
+
+    for got, want in masks():
+        assert np.array_equal(got, want)
+    monkeypatch.setattr(discs, "_F32", 1e-8)
+    assert not all(np.array_equal(got, want) for got, want in masks())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -718,6 +796,31 @@ def test_sphere_holder_makes_no_einsum_call(monkeypatch, n):
     monkeypatch.setattr(discs.np, "einsum", refused)
     assert [sphere_holder_constant(pts, vals, R, a, d)
             for a, d in cases] == dense
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_covering_decides_no_membership_by_einsum_cosines(monkeypatch, n):
+    # the sweep, the greedy covering and the violation scan form no
+    # einsum cosine matrix, so their masks do not depend on whether a numpy
+    # build's einsum fuses multiply and add; they still match the dense
+    # references
+    einsum = np.einsum
+
+    def guarded(subscripts, *operands, **kwargs):
+        if subscripts.replace(" ", "") == "ik,kj->ij":
+            raise AssertionError("einsum cosines")
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(discs.np, "einsum", guarded)
+    rng = np.random.default_rng(19 * n)
+    centers_seen = violations_seen = 0
+    for K in (65, 1000):
+        for _ in range(2):
+            R, pts, vals = _random_slice(rng, n, K)
+            found = _matches_dense(n, R, pts, vals)
+            centers_seen += found[0]
+            violations_seen += found[1]
+    assert centers_seen > 0 and violations_seen > 0
 
 
 @pytest.mark.parametrize("n, K", [(2, 50), (2, 1000), (3, 65),
@@ -855,6 +958,39 @@ def test_within_decides_at_the_threshold_like_arccos():
     assert np.array_equal(mask, radius * np.arccos(cos) <= dist)
     # a disc wider than half the circumference holds every sample
     assert discs._within(cos, 0.5, 2.0).all()
+
+
+def test_grid_constant_is_formed_once_per_field(monkeypatch):
+    # bad-discs runs one pipeline per radius on one energy density: the
+    # grid constant is formed once per field and alpha, and a new field
+    # forms it again
+    g = Grid(3, 0.2, 4.0)
+    e = ScalarField.from_function(
+        g, lambda x: np.exp(-((x[0] - 1.5) ** 2 + x[1] ** 2 + x[2] ** 2)))
+    calls = []
+    holder = discs.holder_constant
+
+    def counted(e, alpha=1.0):
+        calls.append(alpha)
+        return holder(e, alpha)
+
+    monkeypatch.setattr(discs, "holder_constant", counted)
+
+    def report(field, R=1.2, alpha=1.0):
+        rep = bad_disc_pipeline(field, R, 0.05, alpha=alpha, K=512)
+        return (rep.to_dict(), rep.points.tobytes(), rep.values.tobytes(),
+                rep.covered.tobytes(), rep.centers.tobytes())
+
+    first = report(e)
+    assert calls == [1.0]
+    assert report(e) == first
+    report(e, R=1.0)
+    assert calls == [1.0]
+    report(e, alpha=0.5)
+    assert calls == [1.0, 0.5]
+    assert report(ScalarField(g, e.values.copy())) == first
+    assert calls == [1.0, 0.5, 1.0]
+    assert first[0]["c4"] >= holder(e, 1.0) > 0
 
 
 def test_pipeline_memory_is_blocked():

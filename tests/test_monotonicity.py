@@ -199,6 +199,37 @@ def test_weak_monotone_in_2d_exponential(small_grid):
     assert rep.weak_violations == []
 
 
+def test_monotone_quantities_form_ball_weights_once_per_radius(
+        monkeypatch, small_grid):
+    # one set of ball weights per radius serves the f and the energy
+    # integrals, each with the bits of integrate_ball; the Modica check
+    # still reads W(u), not the weights
+    from vacmin import monotonicity
+    from vacmin.field import ScalarField, gradient_sq, integrate_ball
+    from vacmin.minimizer import _modica
+
+    pot = quadratic([0.0])
+    u = VectorField.from_function(small_grid, lambda x: np.exp(x[0]), m=1)
+    radii = [0.5, 0.8, 1.1, 1.5]
+    calls = []
+    weights = monotonicity.ball_weights
+
+    def counted(grid, R):
+        calls.append(R)
+        return weights(grid, R)
+
+    monkeypatch.setattr(monotonicity, "ball_weights", counted)
+    rep = monotone_quantities(u, pot, radii, resid_tol=1.0)
+    assert calls == radii
+    gsq = gradient_sq(u).values
+    w = pot.value_field(u.values)
+    fdens = ScalarField(small_grid, 0.5 * (2 - 2) * gsq + 2 * w)
+    edens = ScalarField(small_grid, 0.5 * gsq + w)
+    assert rep.f_values == [integrate_ball(fdens, r) for r in radii]
+    assert rep.energies == [integrate_ball(edens, r) for r in radii]
+    assert rep.modica == _modica(gsq, w, small_grid.mask)
+
+
 def test_monotone_3d_radial_solution_with_quad_oracle():
     # n=3 radial solution of lap u = u: u = sinh(r)/r; f(R)/R nondecreasing,
     # f values checked against high-resolution 1-d radial quadrature

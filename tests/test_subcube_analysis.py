@@ -77,6 +77,15 @@ def whole_cube_pohozaev(u, pot, R, K=1024):
     return volume_side, boundary_side, gap
 
 
+def _row_cosines(row, cols):
+    """row . cols[:, j] for every column j, summed coordinate by
+    coordinate as (a0*b0 + a1*b1) + a2*b2."""
+    cos = row[0] * cols[0]
+    for k in range(1, len(row)):
+        cos = cos + row[k] * cols[k]
+    return cos
+
+
 def per_row_holder(points, values, radius, alpha=1.0, max_dist=1.0):
     """The sphere Holder search with one cosine call per row and its
     window, the windows packed into one buffer."""
@@ -91,7 +100,6 @@ def per_row_holder(points, values, radius, alpha=1.0, max_dist=1.0):
         return 0.0
     width = ends[rows] - rows - 1
     cols = unit.T.copy()
-    buf = np.empty(len(z))
     cos = np.empty(discs._SWEEP_ROWS * len(z))
     step = len(cos) // int(width.max())
     near = discs._threshold(radius, max_dist) - discs._BAND
@@ -100,8 +108,7 @@ def per_row_holder(points, values, radius, alpha=1.0, max_dist=1.0):
         block, w = rows[r0:r0 + step], width[r0:r0 + step]
         at = np.r_[0, np.cumsum(w)]
         for p, a, b in zip(block, at[:-1], at[1:]):
-            cos[a:b] = discs._cosines(unit[p:p + 1],
-                                      cols[:, p + 1:ends[p]].copy(), buf)[0]
+            cos[a:b] = _row_cosines(unit[p], cols[:, p + 1:ends[p]])
         idx = np.flatnonzero(cos[:at[-1]] >= near)
         k = np.searchsorted(at, idx, "right") - 1
         diff = np.abs(values[block[k]] - values[block[k] + 1 + idx - at[k]])
