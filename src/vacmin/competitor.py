@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import InteriorOperator, norm2
+from ._kernels import InteriorOperator
 from .field import BOUNDARY, INTERIOR, VectorField
 from .growth import annulus_field
 from .minimizer import SolveReport, discrete_energy
@@ -170,38 +170,6 @@ def build_shell(u: VectorField, zero, r: float) -> VectorField:
     nu = _direction(d, rho)
     nu[0][~(rho > 0.0)] = 1.0
     return u.with_values(a + r * nu)
-
-
-# ---------------------------------------------------------------------------
-# energy decomposition (modulus / direction / potential split)
-
-
-def energy_decomposition(u: VectorField, pot: Potential):
-    """Split the discrete energy about the potential's zero into the
-    modulus-gradient, direction-gradient and potential terms:
-
-        E = 1/2 sum_edges (D rho)^2 + 1/2 sum_edges rho_a rho_b |D nu|^2
-            + sum_interior W
-
-    (volume-scaled), summed over the edges of an ``InteriorOperator`` that
-    pins u's own boundary values, the edges ``discrete_energy`` sums over.
-    With the geometric-mean modulus weight the split is an exact identity
-    per edge; edges touching a rho = 0 node contribute entirely to the
-    modulus term.
-    """
-    op = InteriorOperator(u.grid, u.values, pot)
-    x = op.gather(u.values)
-    _, d, rho = _polar(op.pinned(x), pot.zero)
-    nu = _direction(d, rho)
-    t_rho = 0.0
-    t_nu = 0.0
-    for a, b in op.edges():
-        drho = rho[b] - rho[a]
-        t_rho += 0.5 * float(np.sum(drho * drho)) / op.h2
-        dnu2 = norm2(nu[:, b] - nu[:, a])
-        t_nu += 0.5 * float(np.sum(rho[b] * rho[a] * dnu2)) / op.h2
-    t_w = float(np.sum(pot.value_field(x)))
-    return t_rho * op.cell, t_nu * op.cell, t_w * op.cell
 
 
 # ---------------------------------------------------------------------------

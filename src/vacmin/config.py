@@ -230,10 +230,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
 
-    def to_yaml(self, path: str) -> None:
-        with open(path, "w") as f:
-            yaml.safe_dump(self.to_dict(), f, sort_keys=True)
-
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()

@@ -378,12 +378,10 @@ def load_field(path: str) -> VectorField:
 
 
 def export_sphere_csv(path: str, points: np.ndarray, values: np.ndarray,
-                      covered: np.ndarray | None = None) -> None:
+                      covered: np.ndarray) -> None:
     """Sphere samples as CSV with angles, value and covered flag."""
     n = points.shape[1]
     R = float(np.linalg.norm(points[0]))
-    if covered is None:
-        covered = np.zeros(len(values), dtype=bool)
     with open(path, "w") as f:
         if n == 2:
             f.write("theta,e,covered\n")

@@ -83,15 +83,6 @@ def bootstrap_map(k: float, n: int, q: float) -> float:
     return n - 1 - 2.0 * (n - k) / (q * n + 2.0)
 
 
-def balance_exponent(k: float, n: int, q: float) -> float:
-    """The slice-threshold decay rate beta = q(n - k)/(qn + 2) that equates
-    the two competitor energy contributions n - 1 - 2*beta/q and
-    k - 1 + beta*n."""
-    if q < 2 or n < 2 or not 0 < k <= n:
-        raise ValueError("need q >= 2, n >= 2, k in (0, n]")
-    return q * (n - k) / (q * n + 2.0)
-
-
 def bootstrap_fixed_point(n: int, q: float, tol: float = 1e-14):
     """Iterate k -> gamma(k) from k0 = n - 1 down to its fixed point
     n - 1 - 2/(qn). The map is a contraction with factor 2/(qn + 2).

@@ -1,12 +1,13 @@
-"""Stress-energy tensor analysis: algebraic identities, divergence residual,
-the radial flux balance, and the monotone normalized ball energies.
+"""Stress-energy tensor analysis: algebraic identities, the radial flux
+balance, and the monotone normalized ball energies.
 
 The tensor is T_ij = sum_c d_i(u_c) d_j(u_c) - delta_ij (1/2 |grad u|^2 + W(u)).
-For solutions it is divergence free; two exact pointwise identities hold for
-any field: its trace equals -((n-2)/2 |grad u|^2 + n W), and T + e*I is the
-gradient Gram matrix, hence positive semidefinite. Monotonicity of the
-normalized quantities is verified as discrete nondecrease over sampled radii,
-never via the derivative form.
+For solutions it is divergence free, which the radial flux balance tests in
+integrated form. Two exact pointwise identities hold for any field: its
+trace equals -((n-2)/2 |grad u|^2 + n W), and T + e*I is the gradient Gram
+matrix, hence positive semidefinite. Monotonicity of the normalized
+quantities is verified as discrete nondecrease over sampled radii, never
+via the derivative form.
 """
 
 from __future__ import annotations
@@ -50,25 +51,6 @@ def stress_tensor(u: VectorField, pot: Potential) -> StressTensorField:
     for i in range(n):
         T[i, i] -= e
     return StressTensorField(g, T, e)
-
-
-def stress_divergence(T: StressTensorField) -> VectorField:
-    """Row-wise divergence (div T)_i = sum_j d_j T_ij, centered differences."""
-    g = T.grid
-    out = np.zeros((g.n,) + g.shape)
-    for i in range(g.n):
-        for j in range(g.n):
-            out[i] += np.gradient(T.values[i, j], g.h, axis=j)
-    return VectorField(g, out)
-
-
-def interior_sup(f: VectorField, margin: float = 0.0) -> float:
-    """Sup of |f| (Euclidean over components) on interior nodes with
-    |x| <= r_max - margin."""
-    g = f.grid
-    sel = (g.mask == 1) & (g.radius <= g.r_max - margin)
-    mag = np.sqrt(np.sum(f.values ** 2, axis=0))
-    return float(mag[sel].max())
 
 
 def positivity_check(T: StressTensorField) -> float:

@@ -328,24 +328,3 @@ def verify_assumptions(pot: Potential, samples: int = 256,
         seed=seed,
         box_halfwidth=box_halfwidth,
     )
-
-
-def excursion_bound(pot: Potential, eps: float, box_halfwidth: float = 2.0,
-                    samples: int = 200_000, seed: int = 0) -> float:
-    """sup{|v - zero| : v in the box, W(v) <= eps}, by dense seeded sampling.
-
-    This is the tightest modulus bound that makes 'small energy density
-    implies small excursion from the zero' true on the sampled box.
-    """
-    rng = np.random.default_rng(seed)
-    m = pot.m
-    pts = pot.zero + rng.uniform(-box_halfwidth, box_halfwidth, size=(samples, m))
-    # ray sampling hits the W <= eps sublevel boundary more evenly
-    nus = _directions(m, 512, rng)
-    rs = np.linspace(1e-6, box_halfwidth * np.sqrt(m), 512)
-    ray = (pot.zero[None, None, :] + rs[None, :, None] * nus[:, None, :]).reshape(-1, m)
-    pts = np.concatenate([pts, ray], axis=0)
-    w = pot.value_field(pts.T)
-    dist = np.linalg.norm(pts - pot.zero, axis=1)
-    sel = w <= eps
-    return float(dist[sel].max()) if np.any(sel) else 0.0

@@ -14,6 +14,7 @@ import vacmin
 from vacmin.boundary import angular, initial_field
 from vacmin.field import Grid, VectorField, sample_sphere, sphere_area
 from vacmin.minimizer import minimize
+from vacmin.monotonicity import StressTensorField
 from vacmin.potentials import power, quadratic
 
 STANDARD_H = 0.1
@@ -76,6 +77,26 @@ def sphere_integral(s, R, K):
     samples: the brute-force oracle for the good-radius scan."""
     _, vals = sample_sphere(s, R, K)
     return float(vals.mean() * sphere_area(s.grid.n, R))
+
+
+def stress_divergence(T: StressTensorField) -> VectorField:
+    """Row-wise divergence (div T)_i = sum_j d_j T_ij, centered differences:
+    the oracle for the Noether identity div T = 0 on solutions."""
+    g = T.grid
+    out = np.zeros((g.n,) + g.shape)
+    for i in range(g.n):
+        for j in range(g.n):
+            out[i] += np.gradient(T.values[i, j], g.h, axis=j)
+    return VectorField(g, out)
+
+
+def interior_sup(f: VectorField, margin: float = 0.0) -> float:
+    """Sup of |f| (Euclidean over components) on interior nodes with
+    |x| <= r_max - margin."""
+    g = f.grid
+    sel = (g.mask == 1) & (g.radius <= g.r_max - margin)
+    mag = np.sqrt(np.sum(f.values ** 2, axis=0))
+    return float(mag[sel].max())
 
 
 def vacmin_env(**env):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import STANDARD_H, random_interior_field
+from conftest import (STANDARD_H, interior_sup, random_interior_field,
+                      stress_divergence)
 from vacmin.boundary import angular, initial_field, random_smooth
 from vacmin.cli import main as cli_main
 from vacmin.competitor import max_principle_check, quadrature_slack, standard_suite
@@ -22,13 +23,11 @@ from vacmin.discs import (bad_disc_pipeline, clearing_out_threshold,
                           clearing_out_violations, sphere_holder_constant)
 from vacmin.field import (Grid, VectorField, energy_density, gradient_sq,
                           integrate_ball, sphere_area, sphere_points)
-from vacmin.growth import (balance_exponent, bootstrap_fixed_point,
-                           bootstrap_map, comparison_bound)
+from vacmin.growth import bootstrap_fixed_point, bootstrap_map, comparison_bound
 from vacmin.minimizer import (discrete_energy, discrete_energy_gradient,
                               el_residual, minimize, modica_check)
-from vacmin.monotonicity import (interior_sup, monotone_quantities,
-                                 pohozaev_balance, positivity_check,
-                                 stress_divergence, stress_tensor)
+from vacmin.monotonicity import (monotone_quantities, pohozaev_balance,
+                                 positivity_check, stress_tensor)
 from vacmin.potentials import power, quadratic
 
 
@@ -82,7 +81,9 @@ def test_criterion_01_bootstrap_arithmetic():
                            + (1 - lam) * bootstrap_map(k2_, n, q))
                     assert abs(lhs - rhs) < 1e-12
                 for k in np.linspace(0.1, n - 1, 7):
-                    b = balance_exponent(float(k), n, q)
+                    # the slice-threshold decay rate that balances the
+                    # two competitor energy exponents
+                    b = q * (n - k) / (q * n + 2.0)
                     assert abs((n - 1 - 2 * b / q) - (k - 1 + b * n)) < 1e-12
                     assert abs(bootstrap_map(float(k), n, q)
                                - (n - 1 - 2 * b / q)) < 1e-12

@@ -56,7 +56,7 @@ def run_cli(cmd, cfg_path, out_dir, *extra):
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig.from_dict(json.loads(json.dumps(BASE)))
     p = tmp_path / "c.yaml"
-    cfg.to_yaml(str(p))
+    p.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
     again = ExperimentConfig.from_yaml(str(p))
     assert again.to_dict() == cfg.to_dict()
     assert again.sha256() == cfg.sha256()

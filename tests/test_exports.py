@@ -1,8 +1,11 @@
-"""The package namespace exports only names that exist, and importing the
-CLI loads nothing beyond numpy, yaml and the standard library and runs
-none of the analysis layers."""
+"""The package namespace exports only names that exist, every library
+definition has a caller, and importing the CLI loads nothing beyond numpy,
+yaml and the standard library and runs none of the analysis layers."""
 
+import ast
+import collections
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +16,57 @@ from conftest import vacmin_env
 def test_every_exported_name_resolves():
     missing = [name for name in vacmin.__all__ if not hasattr(vacmin, name)]
     assert missing == []
+
+
+# top-level definitions kept with no caller in src/ or perfbench/, and why
+UNCALLED = {
+    "clearing_out_violations": "the brute-force clearing-out check that the "
+                               "covering tests compare the covering against",
+    "positivity_check": "the stress positivity identity T + eI >= 0 of the "
+                        "paper, checked on solved fields by the tests",
+}
+
+
+def _parsed(directory):
+    trees = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as f:
+                trees.append(ast.parse(f.read()))
+    return trees
+
+
+def _references(tree):
+    """How often each name is read in tree: Name ids, Attribute attrs, and
+    the source name of each ``from ... import`` whose local name is read."""
+    refs = collections.Counter()
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            imports += node.names
+    refs.update(a.name for a in imports if (a.asname or a.name) in refs)
+    return refs
+
+
+def test_every_src_definition_has_a_caller():
+    # code that no subcommand, benchmark workload or other definition reaches
+    # is dead weight: delete it, or move it to tests/ if tests use it
+    src = os.path.dirname(os.path.abspath(vacmin.__file__))
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    trees = _parsed(src)
+    read = sum(map(_references, trees + _parsed(bench)), collections.Counter())
+    # a definition's reads of its own name (recursion) do not count
+    uncalled = [
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in vacmin.__all__
+        and read[node.name] == _references(node)[node.name]]
+    assert sorted(uncalled) == sorted(UNCALLED)
 
 
 def _fresh(statement, expr):

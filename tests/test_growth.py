@@ -7,9 +7,9 @@ import pytest
 
 from vacmin.field import (Grid, ScalarField, VectorField, energy_density,
                           integrate_ball, interpolate)
-from vacmin.growth import (EnergyProfile, annulus_field, balance_exponent,
-                           bootstrap_fixed_point, bootstrap_map,
-                           comparison_bound, energy_profile, growth_diagnostic)
+from vacmin.growth import (EnergyProfile, annulus_field, bootstrap_fixed_point,
+                           bootstrap_map, comparison_bound, energy_profile,
+                           growth_diagnostic)
 from vacmin.potentials import quadratic
 
 
@@ -70,20 +70,6 @@ def test_gamma_affine():
         lhs = bootstrap_map(lam * k1 + (1 - lam) * k2, n, q)
         rhs = lam * bootstrap_map(k1, n, q) + (1 - lam) * bootstrap_map(k2, n, q)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_balance_exponent():
-    assert balance_exponent(1.0, 2, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert balance_exponent(2.0, 2, 2.0) == 0.0  # degenerate top k = n
-    # the two competitor exponents agree at the balancing value
-    for n in (2, 3):
-        for q in (2.0, 4.0):
-            for k in np.linspace(0.2, n - 1, 9):
-                b = balance_exponent(float(k), n, q)
-                e1 = n - 1 - 2.0 * b / q
-                e2 = k - 1 + b * n
-                assert abs(e1 - e2) < 1e-12
-                assert abs(bootstrap_map(float(k), n, q) - e1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

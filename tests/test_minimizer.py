@@ -457,3 +457,41 @@ def test_minimize_converges_to_bessel_solution():
         assert errs[-1] <= 1.1 * measured
     for coarse, fine in zip(errs, errs[1:]):
         assert np.log2(coarse / fine) >= 0.8
+
+
+# sup error against the closed-form power-family solution, measured with
+# the exact values on the ring nodes
+POWER_SUP_ERRORS = {
+    (2, 4): {0.2: 1.391e-3, 0.1: 3.256e-4, 0.05: 8.008e-5},
+    (2, 6): {0.2: 4.481e-4, 0.1: 1.069e-4, 0.05: 2.617e-5},
+    (3, 4): {0.2: 1.091e-3, 0.1: 2.585e-4},
+    (3, 6): {0.2: 3.293e-4, 0.1: 7.769e-5},
+}
+
+
+@pytest.mark.parametrize("n, q", sorted(POWER_SUP_ERRORS))
+def test_minimize_converges_to_power_solution(n, q):
+    # W = |u - a|^q: lap u = q |u - a|^(q-2) (u - a) is solved by
+    # u = a + alpha (x_1 + c)^(-p) v with p = 2/(q - 2), alpha^(q-2) =
+    # p(p + 1)/q and |v| = 1. e is the first axis: a diagonal e would make
+    # x.e + c negative at the cube corners.
+    r_max, c = (4.0, 5.0) if n == 2 else (2.0, 3.0)
+    a = np.array([0.1, -0.2]).reshape((-1,) + (1,) * n)
+    v = np.array([0.6, 0.8]).reshape((-1,) + (1,) * n)
+    p = 2.0 / (q - 2)
+    alpha = (p * (p + 1) / q) ** (1.0 / (q - 2))
+
+    def exact(x):
+        return a + alpha * (x[0] + c) ** (-p) * v
+
+    pot = power([0.1, -0.2], q)
+    errs = []
+    for h, measured in POWER_SUP_ERRORS[n, q].items():
+        g = Grid(n, h, r_max)
+        u, rep = minimize(initial_field(g, pot, exact), pot, tol=1e-9)
+        assert rep.converged
+        err = np.sqrt(np.sum((u.values - exact(g.coords)) ** 2, axis=0))
+        errs.append(float(err[g.mask == INTERIOR].max()))
+        assert errs[-1] <= 1.1 * measured
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.log2(coarse / fine) >= 1.9

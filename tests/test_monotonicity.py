@@ -7,13 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
-from conftest import random_interior_field
+from conftest import interior_sup, random_interior_field, stress_divergence
 from vacmin.field import Grid, VectorField, INTERIOR
 from vacmin.minimizer import el_residual
 from vacmin.monotonicity import (MonotonicityReport, NotASolution,
-                                 interior_sup, monotone_quantities,
-                                 pohozaev_balance, positivity_check,
-                                 stress_divergence, stress_tensor)
+                                 monotone_quantities, pohozaev_balance,
+                                 positivity_check, stress_tensor)
 from vacmin.potentials import power, quadratic
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from vacmin.potentials import (anisotropic, excursion_bound, power,
-                               product_perturbed, quadratic, verify_assumptions)
+from vacmin.potentials import (anisotropic, power, product_perturbed,
+                               quadratic, verify_assumptions)
 
 ALL_FAMILIES = [
     quadratic([0.5, -0.2]),
@@ -160,17 +160,6 @@ def test_report_reproducible_from_seed():
     assert a.to_dict() == b.to_dict()
     c = verify_assumptions(pot, samples=64, seed=12)
     assert c.lower_bound_worst_r != a.lower_bound_worst_r or True  # may differ
-
-
-def test_excursion_bound_quadratic():
-    # W = |u|^2/2 <= eps  <=>  |u| <= sqrt(2 eps)
-    pot = quadratic([0.0, 0.0])
-    for eps in (0.01, 0.1, 0.5):
-        m_eps = excursion_bound(pot, eps, box_halfwidth=2.0, samples=100_000,
-                                seed=5)
-        assert m_eps == pytest.approx(np.sqrt(2 * eps), rel=2e-2)
-    # vanishes as eps -> 0
-    assert excursion_bound(pot, 1e-6, seed=5) < 2e-3
 
 
 def _families(m):
