@@ -24,11 +24,15 @@ on C-ordered operands small enough that OpenBLAS runs each on one thread,
 so its bits do not depend on the thread count, though they may depend on
 the BLAS build.
 
-First derivatives come from one centered-difference pass, ``derivatives``,
-which returns the (n, m, *shape) stack; ``gradient_sq`` reduces it to
-|grad u|^2 and ``density`` forms e = 1/2 |grad u|^2 + W(u). Every energy
-density, stress tensor and Modica bound in the package is built from
-these three, so each analysis call differentiates a field once.
+First derivatives come from one centered-difference pass,
+``differences``, which forms them one at a time, components outer and axes
+inner. ``gradient_sq`` sums their squares in that order into |grad u|^2,
+each difference written into one reused buffer, and ``density`` forms
+e = 1/2 |grad u|^2 + W(u); ``derivatives`` keeps them all, as the
+(n, m, *shape) stack the stress tensor reads. Every energy density, stress
+tensor and Modica bound in the package is built from these, so each
+analysis call differentiates a field once, and only the stress tensor
+holds the whole stack.
 """
 
 from __future__ import annotations
@@ -39,32 +43,52 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def derivatives(vals: np.ndarray, h: float) -> np.ndarray:
-    """All first derivatives, shape (n, m, *shape): np.gradient's centered
-    differences (f[i+1] - f[i-1]) / 2h, and its one-sided (f[1] - f[0]) / h
-    and (f[-1] - f[-2]) / h at the cube faces, written into the stack."""
+def differences(vals: np.ndarray, h: float, out=None):
+    """Yield every first derivative d_ax u_c of the channels-first vals,
+    components outer, axes inner: np.gradient's centered differences
+    (f[i+1] - f[i-1]) / 2h, and its one-sided (f[1] - f[0]) / h and
+    (f[-1] - f[-2]) / h at the cube faces. Each is written into out[ax, c]
+    when the (n, m, *shape) stack out is given, else into one buffer that
+    the next difference overwrites."""
     n = vals.ndim - 1
-    out = np.empty((n,) + vals.shape)
-    for ax in range(n):
-        f = np.moveaxis(vals, ax + 1, 0)
-        d = np.moveaxis(out[ax], ax + 1, 0)
-        np.subtract(f[2:], f[:-2], out=d[1:-1])
-        d[1:-1] /= 2.0 * h
-        np.subtract(f[1], f[0], out=d[0])
-        d[0] /= h
-        np.subtract(f[-1], f[-2], out=d[-1])
-        d[-1] /= h
+    buf = np.empty(vals.shape[1:]) if out is None else None
+    for c in range(vals.shape[0]):
+        for ax in range(n):
+            d = buf if out is None else out[ax, c]
+            f = np.moveaxis(vals[c], ax, 0)
+            dv = np.moveaxis(d, ax, 0)
+            np.subtract(f[2:], f[:-2], out=dv[1:-1])
+            dv[1:-1] /= 2.0 * h
+            np.subtract(f[1], f[0], out=dv[0])
+            dv[0] /= h
+            np.subtract(f[-1], f[-2], out=dv[-1])
+            dv[-1] /= h
+            yield d
+
+
+def derivatives(vals: np.ndarray, h: float) -> np.ndarray:
+    """All first derivatives, shape (n, m, *shape), from ``differences``."""
+    out = np.empty((vals.ndim - 1,) + vals.shape)
+    for _ in differences(vals, h, out):
+        pass
     return out
 
 
-def gradient_sq(P: np.ndarray) -> np.ndarray:
-    """|grad u|^2 from a derivative stack, summed components outer, axes
-    inner."""
-    gsq = np.zeros(P.shape[2:])
-    for c in range(P.shape[1]):
-        for ax in range(P.shape[0]):
-            gsq += P[ax, c] * P[ax, c]
-    return gsq
+def sum_sq(diffs) -> np.ndarray:
+    """The sum of d * d over the arrays diffs yields, in that order."""
+    diffs = iter(diffs)
+    first = next(diffs)
+    total = first * first
+    sq = np.empty_like(total)
+    for d in diffs:
+        total += np.multiply(d, d, out=sq)
+    return total
+
+
+def gradient_sq(vals: np.ndarray, h: float) -> np.ndarray:
+    """|grad u|^2, summed components outer, axes inner, one difference at a
+    time."""
+    return sum_sq(differences(vals, h))
 
 
 def density(gsq: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -74,7 +98,7 @@ def density(gsq: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def energy_density(vals, h, pot) -> np.ndarray:
     """1/2 |grad u|^2 + W(u) on every node."""
-    return density(gradient_sq(derivatives(vals, h)), pot.value_field(vals))
+    return density(gradient_sq(vals, h), pot.value_field(vals))
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -115,8 +139,8 @@ class InteriorOperator:
         self.n_int = N
         self._pinned = np.empty((m, N + ring.size))
         self._pinned[:, N:] = vals.reshape(m, -1)[:, ring]
-        # _apply's buffer and line()'s, allocated on their first call
-        self._tmp = self._zero = self._ag = None
+        # _apply's buffer, line()'s and the edge list, made on first use
+        self._tmp = self._zero = self._ag = self._edges = None
 
     def gather(self, vals: np.ndarray) -> np.ndarray:
         """Interior values of a full-cube array, shape (m, N), C-contiguous."""
@@ -147,29 +171,40 @@ class InteriorOperator:
         self._pinned[:, :self.n_int] = x
         return self._pinned
 
+    def pin(self, ring: np.ndarray) -> None:
+        """Pin other ring values, shape (m, ring size) in ``stencil`` order:
+        a competitor's, whose energy ``energy`` then evaluates."""
+        self._pinned[:, self.n_int:] = ring
+
     def edges(self):
-        """Yield (a, b): buffer positions of the edges of the discrete
-        energy, every edge with an interior endpoint, b one step along +axis
-        from a. Per axis: each interior node's +axis edge, then its -axis
-        edges to ring nodes."""
-        n = len(self.nbr) // 2
-        every = np.arange(self.n_int)
-        for up, down in zip(self.nbr[:n], self.nbr[n:]):
-            yield every, up
-            at_ring = np.flatnonzero(down >= self.n_int)
-            yield down[at_ring], at_ring
+        """(a, b) per edge group: buffer positions of the edges of the
+        discrete energy, every edge with an interior endpoint, b one step
+        along +axis from a. Per axis: each interior node's +axis edge, a the
+        slice of every interior position (the node itself), then its -axis
+        edges to ring nodes. Built on the first call."""
+        if self._edges is None:
+            n = len(self.nbr) // 2
+            every = slice(0, self.n_int)
+            self._edges = []
+            for up, down in zip(self.nbr[:n], self.nbr[n:]):
+                at_ring = np.flatnonzero(down >= self.n_int)
+                self._edges += [(every, up), (down[at_ring], at_ring)]
+        return self._edges
 
     def energy(self, x: np.ndarray) -> float:
         """E at interior values x: 1/2 |u_b - u_a|^2 / h^2 summed over
-        ``edges``, plus W summed over the interior."""
+        ``edges``, plus W summed over the interior. Where a is the slice of
+        every interior position, the values there are read as x itself,
+        with no gather."""
         buf = self.pinned(x)
         e = 0.0
         # overflow to inf is fine: the solver treats non-finite energy as
         # divergence
         with np.errstate(over="ignore"):
             for a, b in self.edges():
-                d = (np.take(buf, b, axis=1, mode="clip")
-                     - np.take(buf, a, axis=1, mode="clip"))
+                d = np.take(buf, b, axis=1, mode="clip")
+                d -= (x if isinstance(a, slice)
+                      else np.take(buf, a, axis=1, mode="clip"))
                 e += 0.5 * float(np.sum(d * d)) / self.h2
             e += float(np.sum(self.pot.value_field(x)))
         return e * self.cell

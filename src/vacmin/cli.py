@@ -287,7 +287,7 @@ def cmd_max_principle(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_competitor(cfg: ExperimentConfig, out: str) -> int:
     # standard_suite puts its annulus competitor at s_r = r_max - 2h, and
-    # build_annulus_competitor needs s_r >= 1 + 2h
+    # needs s_r >= 1 + 2h
     if cfg.r_max - 2 * cfg.h < 1.0 + 2 * cfg.h:
         raise ConfigError("r_max: too small for competitor: "
                           "need r_max - 2h >= 1 + 2h")

@@ -14,6 +14,14 @@ Since a converged discrete minimizer cannot be beaten by any field sharing
 its boundary values, each admissible competitor's energy must come out at
 least E(u) - delta_q; the reports record exactly that comparison. Nothing
 here solves: every check takes a minimizer its caller has solved.
+
+A discrete energy reads only the interior and ring (BOUNDARY) nodes, so
+the suite and the maximum-principle check gather u's values there once
+(``interior_and_ring``) and build every competitor on that (m, K) array:
+the constructions map channels-first values of any shape node by node,
+and the annulus is ``growth.annulus_field`` on a ``NodeList``. One
+``InteriorOperator``, pinned to each competitor's ring in turn, evaluates
+every energy, and boundary deviations read the ring alone.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import InteriorOperator
-from .field import BOUNDARY, INTERIOR, VectorField
+from .field import BOUNDARY, NodeList, VectorField
 from .growth import annulus_field
-from .minimizer import SolveReport, discrete_energy
+from .minimizer import SolveReport
 from .potentials import Potential, verify_assumptions
 
 
@@ -49,18 +57,32 @@ class CompetitorReport:
         return dict(self.__dict__)
 
 
-def _boundary_deviation(u: VectorField, v: VectorField) -> float:
-    sel = u.grid.mask == BOUNDARY
-    d = np.sqrt(np.sum((u.values - v.values) ** 2, axis=0))
-    return float(d[sel].max())
+def interior_and_ring(grid) -> NodeList:
+    """The interior and ring nodes, [interior, ring] in ``stencil`` order:
+    the positions of ``InteriorOperator``'s buffer, so a field's values
+    there are what its energy reads."""
+    interior, ring, _ = grid.stencil
+    return NodeList(grid, np.concatenate([interior, ring]))
 
 
-def compare(u: VectorField, energy_u: float, v: VectorField, pot: Potential,
-            tag: str, params: dict | None = None) -> CompetitorReport:
-    """Compare the competitor v with u, whose discrete energy is
-    energy_u."""
-    ev = discrete_energy(v, pot)
-    dev = _boundary_deviation(u, v)
+def competitor_energy(op: InteriorOperator, v: np.ndarray) -> float:
+    """The discrete energy of the node values v (``interior_and_ring``):
+    op's, with v's ring pinned."""
+    n_int = op.n_int
+    op.pin(v[:, n_int:])
+    return op.energy(v[:, :n_int])
+
+
+def compare(op: InteriorOperator, u: np.ndarray, energy_u: float,
+            v: np.ndarray, tag: str,
+            params: dict | None = None) -> CompetitorReport:
+    """Compare the competitor v with u, both node values
+    (``interior_and_ring``), u's discrete energy being energy_u. The
+    boundary deviation reads the ring alone."""
+    ev = competitor_energy(op, v)
+    n_int = op.n_int
+    dev = float(np.sqrt(np.sum((u[:, n_int:] - v[:, n_int:]) ** 2,
+                               axis=0)).max())
     # the shell construction renormalizes the direction, so allow roundoff
     return CompetitorReport(
         tag=tag,
@@ -87,16 +109,8 @@ def _direction(d: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# constructions
-
-
-def build_annulus_competitor(u: VectorField, pot: Potential,
-                             s_r: float) -> VectorField:
-    """Zero-potential core with a unit linear ramp to u's trace at |x| = s_r;
-    equals u outside B_{s_r}."""
-    if s_r < 1.0 + 2 * u.grid.h:
-        raise ValueError("annulus radius too small: need s_r >= 1 + 2h")
-    return annulus_field(u, pot, s_r)
+# constructions: each maps channels-first values of any trailing shape (the
+# whole cube's, or the interior and ring nodes') node by node
 
 
 def taper(tau, r: float):
@@ -108,31 +122,31 @@ def taper(tau, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def build_truncation(u: VectorField, zero, r: float) -> VectorField:
+def build_truncation(vals: np.ndarray, zero, r: float) -> np.ndarray:
     """Cap the modulus rho = |u - zero| at r and taper to the zero past 2r:
     u~ = zero + min(rho, r) * taper(rho) * direction. Idempotent; nodes with
     rho = 0 map to the zero."""
     if r <= 0:
         raise ValueError("r must be positive")
-    a, d, rho = _polar(u.values, zero)
-    return u.with_values(a + _direction(np.minimum(rho, r) * taper(rho, r),
-                                        rho) * d)
+    a, d, rho = _polar(vals, zero)
+    return a + _direction(np.minimum(rho, r) * taper(rho, r), rho) * d
 
 
-def build_min_truncation(u: VectorField, level: float) -> VectorField:
+def build_min_truncation(vals: np.ndarray, level: float) -> np.ndarray:
     """Pointwise min with a scalar level; scalar fields only."""
-    if u.m != 1:
+    if vals.shape[0] != 1:
         raise ValueError("min-truncation is defined for m = 1 only")
-    return u.with_values(np.minimum(u.values, level))
+    return np.minimum(vals, level)
 
 
-def select_truncation_level(u: VectorField, zero: float, d: float,
+def select_truncation_level(vals: np.ndarray, zero: float, d: float,
                             pot: Potential) -> float:
-    """Leftmost minimizer of W over [zero + d, max u], on a uniform scan."""
-    if u.m != 1:
+    """Leftmost minimizer of W over [zero + d, max vals], on a uniform
+    scan."""
+    if vals.shape[0] != 1:
         raise ValueError("truncation level selection is for m = 1 only")
     zero = float(np.atleast_1d(zero)[0])
-    umax = float(u.values.max())
+    umax = float(vals.max())
     lo = zero + d
     if umax <= lo:
         raise ValueError(f"max u = {umax:.6g} does not exceed zero + d = {lo:.6g}")
@@ -141,35 +155,33 @@ def select_truncation_level(u: VectorField, zero: float, d: float,
     return float(levels[int(np.argmin(w))])
 
 
-def modulus_gradient_ratio(u: VectorField, trunc: VectorField,
-                           pot: Potential) -> float:
-    """max over the energy's edges (``InteriorOperator.edges``) of
-    |D rho~| / |D rho|: the truncation composes the modulus with a
+def modulus_gradient_ratio(op: InteriorOperator, u: np.ndarray,
+                           trunc: np.ndarray, zero) -> float:
+    """max over the energy's edges (``op.edges``) of |D rho~| / |D rho|,
+    rho and rho~ the moduli |u - zero| and |trunc - zero| of node values
+    (``interior_and_ring``): the truncation composes the modulus with a
     1-Lipschitz map, so this stays <= 1 up to roundoff. Reported alongside
     the energy comparison, never asserted."""
-    interior, ring, _ = u.grid.stencil
-    nodes = np.concatenate([interior, ring])  # the positions edges() reads
-    rho, rho_t = (_polar(np.take(f.values.reshape(f.m, -1), nodes, axis=1),
-                         pot.zero)[2] for f in (u, trunc))
+    rho, rho_t = (_polar(v, zero)[2] for v in (u, trunc))
     worst = 0.0
-    for a, b in InteriorOperator(u.grid, u.values, pot).edges():
-        d = np.abs(rho.take(b) - rho.take(a))
-        dt = np.abs(rho_t.take(b) - rho_t.take(a))
+    for a, b in op.edges():
+        d = np.abs(rho[b] - rho[a])
+        dt = np.abs(rho_t[b] - rho_t[a])
         sel = d > 1e-14
         if np.any(sel):
             worst = max(worst, float((dt[sel] / d[sel]).max()))
     return worst
 
 
-def build_shell(u: VectorField, zero, r: float) -> VectorField:
+def build_shell(vals: np.ndarray, zero, r: float) -> np.ndarray:
     """Fixed modulus r, direction from u; nodes at the zero get the first
     coordinate direction."""
     if r <= 0:
         raise ValueError("r must be positive")
-    a, d, rho = _polar(u.values, zero)
+    a, d, rho = _polar(vals, zero)
     nu = _direction(d, rho)
     nu[0][~(rho > 0.0)] = 1.0
-    return u.with_values(a + r * nu)
+    return a + r * nu
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +242,13 @@ def max_principle_check(u: VectorField, pot: Potential, r: float,
     rep = max_principle_assumptions(pot, r, seed)
     grid = u.grid
     boundary_sup = boundary_within(u, pot.zero, r)
-    dist = u.distance_from(pot.zero).values
+    op = InteriorOperator(grid, u.values, pot)
+    uv = interior_and_ring(grid).take(u.values)
     # the solver's reported energy is discrete_energy(u) bit for bit
     eu = solve.energy
-    et = discrete_energy(build_truncation(u, pot.zero, r), pot)
+    et = competitor_energy(op, build_truncation(uv, pot.zero, r))
     dq = quadrature_slack(grid)
-    interior_sup = float(dist[grid.mask == INTERIOR].max())
+    interior_sup = float(_polar(uv[:, :op.n_int], pot.zero)[2].max())
     holds = interior_sup <= r + 2 * grid.h
     note = ("interior excursion within r + 2h" if holds
             else "interior excursion exceeded r + 2h")
@@ -267,18 +280,28 @@ def standard_suite(u: VectorField, pot: Potential,
     boundary. Min-truncation (m = 1) uses the boundary max as the level
     floor, which keeps it admissible; on true minimizers the interior never
     exceeds the boundary so that comparison is typically trivial.
+
+    Every competitor is built on u's values at the interior and ring nodes
+    (``interior_and_ring``), the only ones its discrete energy reads, and
+    every energy is evaluated by one ``InteriorOperator``, pinned to each
+    competitor's ring in turn.
     """
     g = u.grid
-    eu = discrete_energy(u, pot)
     s_r = g.r_max - 2 * g.h
-    reports = [compare(u, eu, build_annulus_competitor(u, pot, s_r), pot,
+    if s_r < 1.0 + 2 * g.h:
+        raise ValueError("annulus radius too small: need s_r >= 1 + 2h")
+    nodes = interior_and_ring(g)
+    op = InteriorOperator(g, u.values, pot)
+    uv = nodes.take(u.values)
+    eu = competitor_energy(op, uv)
+    reports = [compare(op, uv, eu, annulus_field(u, pot, s_r, nodes),
                        "annulus", {"s_r": s_r})]
     mag = float(boundary_magnitude)
-    trunc = build_truncation(u, pot.zero, mag)
-    reports.append(compare(u, eu, trunc, pot, "truncation", {
+    trunc = build_truncation(uv, pot.zero, mag)
+    reports.append(compare(op, uv, eu, trunc, "truncation", {
         "r": mag,
-        "grad_ratio": modulus_gradient_ratio(u, trunc, pot)}))
-    shell = compare(u, eu, build_shell(u, pot.zero, mag), pot,
+        "grad_ratio": modulus_gradient_ratio(op, uv, trunc, pot.zero)}))
+    shell = compare(op, uv, eu, build_shell(uv, pot.zero, mag),
                     "constant-r-shell", {"r": mag})
     if not shell.admissible:
         shell.note = ("boundary modulus is not constant; shell competitor "
@@ -286,11 +309,11 @@ def standard_suite(u: VectorField, pot: Potential,
     reports.append(shell)
     if u.m == 1:
         zero = float(pot.zero[0])
-        bsup = float(u.values[0][g.mask == BOUNDARY].max())
-        umax = float(u.values[0].max())
+        bsup = float(uv[0, op.n_int:].max())
+        umax = float(uv[0].max())
         level = umax if umax <= bsup else select_truncation_level(
-            u, zero, bsup - zero, pot)
-        rep = compare(u, eu, build_min_truncation(u, level), pot,
+            uv, zero, bsup - zero, pot)
+        rep = compare(op, uv, eu, build_min_truncation(uv, level),
                       "min-truncation", {"level": level})
         if level >= umax:
             rep.note = "interior never exceeds boundary; comparison is trivial"

@@ -200,26 +200,12 @@ def energy_density(u: VectorField, pot: Potential) -> ScalarField:
 
 def gradient_sq(u: VectorField) -> ScalarField:
     """|grad u|^2 by centered differences (one-sided at cube faces)."""
-    P = _kernels.derivatives(u.values, u.grid.h)
-    return ScalarField(u.grid, _kernels.gradient_sq(P))
+    return ScalarField(u.grid, _kernels.gradient_sq(u.values, u.grid.h))
 
 
 def partial_derivatives(u: VectorField) -> np.ndarray:
     """All first derivatives, shape (n, m, *grid.shape)."""
     return _kernels.derivatives(u.values, u.grid.h)
-
-
-def ball_weights(grid: Grid, R: float) -> np.ndarray:
-    """Midpoint quadrature weights for the ball |x| <= R: full cells inside,
-    boundary cells by the clipped linear cell fraction."""
-    if not 0 < R <= grid.r_max:
-        raise ValueError(f"R={R} outside (0, r_max={grid.r_max}]")
-    return np.clip((R - grid.radius) / grid.h + 0.5, 0.0, 1.0)
-
-
-def integrate_ball(s: ScalarField, R: float) -> float:
-    w = ball_weights(s.grid, R)
-    return float(np.sum(s.values * w) * s.grid.cell)
 
 
 def centred(grid: Grid, half: int) -> tuple:
@@ -228,6 +214,91 @@ def centred(grid: Grid, half: int) -> tuple:
     top = (grid.axis.size - 1) // 2
     half = min(half, top)
     return (slice(top - half, top + half + 1),) * grid.n
+
+
+def _middle(a: np.ndarray, side: int) -> np.ndarray:
+    """The centred block of the given side of the cube-shaped array a."""
+    lo = (a.shape[-1] - side) // 2
+    return a[(slice(lo, lo + side),) * a.ndim]
+
+
+def ball_weights(grid: Grid, R: float) -> np.ndarray:
+    """Midpoint quadrature weights for the ball |x| <= R: full cells inside,
+    boundary cells by the clipped linear cell fraction. They are formed on
+    the centred sub-cube ``centred(grid, ceil(R/h) + 1)``, which holds
+    every nonzero one (a node of weight > 0 has |x| < R + h/2); the weight
+    of every node past it is 0."""
+    if not 0 < R <= grid.r_max:
+        raise ValueError(f"R={R} outside (0, r_max={grid.r_max}]")
+    rad = grid.radius[centred(grid, math.ceil(R / grid.h) + 1)]
+    return np.clip((R - rad) / grid.h + 0.5, 0.0, 1.0)
+
+
+def ball_integral(grid: Grid, s: np.ndarray, w: np.ndarray,
+                  buf: np.ndarray) -> float:
+    """h^n np.sum(s * W) for the scalar stack s, on the cube or on a
+    centred sub-cube that holds w's, and W the ball weights w
+    (``ball_weights``) extended by zero to the cube. The products are formed
+    on w's sub-cube alone, into buf, a zero array of the cube's shape that
+    is zero again on return; np.sum reads the products in their whole-cube
+    positions and zeros elsewhere, so the sum has the bits of the whole-cube
+    product's (where W is 0 that product holds s * 0, which can change only
+    a zero sum's sign, or make the sum nan where s is not finite)."""
+    block = _middle(buf, w.shape[0])
+    np.multiply(_middle(s, w.shape[0]), w, out=block)
+    total = float(np.sum(buf) * grid.cell)
+    block.fill(0.0)
+    return total
+
+
+def integrate_ball(s: ScalarField, R: float) -> float:
+    g = s.grid
+    return ball_integral(g, s.values, ball_weights(g, R), np.zeros(g.shape))
+
+
+class SubCube:
+    """The lattice of a grid's centred sub-cube of half-width ``half``
+    (``centred``): its n, h, axis, shape and node radii, all that a field
+    on it needs to be differentiated or an annulus built on it. It has no
+    ball mask, whose construction would cost a Grid about as much as the
+    sub-cube saves."""
+
+    def __init__(self, grid: Grid, half: int):
+        self.n, self.h = grid.n, grid.h
+        self.index = centred(grid, half)
+        self.axis = grid.axis[self.index[0]]
+        self.shape = (self.axis.size,) * grid.n
+        self.radius = grid.radius[self.index]
+
+    def take(self, vals: np.ndarray) -> np.ndarray:
+        """A copy of the channels-first whole-cube vals on the sub-cube."""
+        return vals[(slice(None),) + self.index].copy()
+
+    def coordinates(self, sel: np.ndarray) -> np.ndarray:
+        """The (n, K) coordinates of the nodes the mask sel selects, in C
+        order, read from broadcast views of the axis."""
+        n = self.n
+        return np.stack([np.broadcast_to(
+            self.axis.reshape((-1,) + (1,) * (n - 1 - ax)), self.shape)[sel]
+            for ax in range(n)])
+
+
+class NodeList:
+    """Nodes of a grid by their flat cube indices, in the order given: the
+    lattice of the interior and ring values a competitor is built on."""
+
+    def __init__(self, grid: Grid, nodes: np.ndarray):
+        self.grid, self.nodes = grid, nodes
+        self.radius = np.take(grid.radius, nodes)
+
+    def take(self, vals: np.ndarray) -> np.ndarray:
+        """The channels-first whole-cube vals at the nodes, shape (m, K)."""
+        return np.take(vals.reshape(vals.shape[0], -1), self.nodes, axis=1)
+
+    def coordinates(self, sel: np.ndarray) -> np.ndarray:
+        """The (n, K) coordinates of the nodes the mask sel selects."""
+        g = self.grid
+        return g.axis[np.stack(np.unravel_index(self.nodes[sel], g.shape))]
 
 
 def sphere_area(n: int, R: float) -> float:

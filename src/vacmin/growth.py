@@ -3,15 +3,24 @@ and the exponent-improvement (bootstrap) arithmetic with its fixed point.
 
 Asymptotic statements are never asserted at desk scale; the diagnostics
 report normalized-energy trends and fitted exponents instead.
+
+Ball energies go through ``field.ball_integral``, which forms weights and
+products only on the sub-cube that holds B_R's nonzero weights. The
+annulus field is built on the lattice its caller asks for: the comparison
+bound forms it, and its energy density, on the centred sub-cube that
+B_R's weights and their centered differences read; the competitor suite
+forms it on the interior and ring nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .field import ScalarField, VectorField, energy_density, integrate_ball, interpolate
+from .field import (ScalarField, SubCube, VectorField, ball_integral,
+                    ball_weights, energy_density, integrate_ball, interpolate)
 from .potentials import Potential
 
 
@@ -31,13 +40,19 @@ class EnergyProfile:
 
 
 def energy_profile(u: VectorField, pot: Potential, radii) -> EnergyProfile:
-    e = energy_density(u, pot)
-    vals = [integrate_ball(e, float(r)) for r in radii]
+    g = u.grid
+    e = energy_density(u, pot).values
+    buf = np.zeros(g.shape)
+    vals = [ball_integral(g, e, ball_weights(g, float(r)), buf)
+            for r in radii]
     return EnergyProfile(list(map(float, radii)), vals)
 
 
-def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
-    """The comparison field: equal to u outside B_R, identically the
+def annulus_field(u: VectorField, pot: Potential, R: float,
+                  at) -> np.ndarray:
+    """The comparison field at the nodes of the lattice ``at`` (a
+    ``SubCube``, which may be the whole cube, or a ``NodeList``),
+    channels-first in its shape: equal to u outside B_R, identically the
     potential zero inside B_{R-1}, radially linear across the unit-width
     annulus in between using u's trace on the sphere |x| = R."""
     g = u.grid
@@ -48,27 +63,31 @@ def annulus_field(u: VectorField, pot: Potential, R: float) -> VectorField:
     # only the ramp shell R - 1 < |x| <= R reads the trace; R - 1 > 0, so
     # no shell node sits at the origin
     a = pot.zero[:, None]
-    rad = g.radius
-    vals = u.values.copy()
+    rad = at.radius
+    vals = at.take(u.values)
     vals[:, rad <= R - 1.0] = a
     shell = (rad > R - 1.0) & (rad <= R)
     rad_s = rad[shell]
-    # the shell nodes' coordinates, read from broadcast views of the axis
-    xs = np.stack([np.broadcast_to(
-        g.axis.reshape((-1,) + (1,) * (g.n - 1 - ax)), g.shape)[shell]
-        for ax in range(g.n)])
-    pts = (xs / rad_s * R).T
+    pts = (at.coordinates(shell) / rad_s * R).T
     trace = interpolate(g, u.values, pts)
     lam = np.clip(rad_s - (R - 1.0), 0.0, 1.0)
     vals[:, shell] = a + lam * (trace - a)
-    return u.with_values(vals)
+    return vals
 
 
 def comparison_bound(u: VectorField, pot: Potential, R: float) -> float:
     """Energy in B_R of the annulus comparison field; any minimizer with the
-    same trace on |x| = R must have E(u; B_R) at or below this."""
-    v = annulus_field(u, pot, R)
-    return integrate_ball(energy_density(v, pot), R)
+    same trace on |x| = R must have E(u; B_R) at or below this.
+
+    The field and its energy density are formed on the centred sub-cube of
+    half-width ceil(R/h) + 2, as in ``pohozaev_balance``: the nodes of
+    nonzero ball weight (``ball_weights``) and one layer more, so that
+    every weighted node has the centered differences it has on the whole
+    cube, bit for bit."""
+    g = u.grid
+    sub = SubCube(g, math.ceil(R / g.h) + 2)
+    e = energy_density(VectorField(sub, annulus_field(u, pot, R, sub)), pot)
+    return ball_integral(g, e.values, ball_weights(g, R), np.zeros(g.shape))
 
 
 # ---------------------------------------------------------------------------

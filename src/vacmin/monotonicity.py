@@ -18,9 +18,10 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import _kernels
-from .field import (Grid, InvariantViolation, VectorField, ball_weights,
-                    centred, gradient_sq, interpolate, partial_derivatives,
-                    sphere_area, sphere_means, sphere_points)
+from .field import (Grid, InvariantViolation, SubCube, VectorField,
+                    ball_integral, ball_weights, gradient_sq, interpolate,
+                    partial_derivatives, sphere_area, sphere_means,
+                    sphere_points)
 from .minimizer import _modica, el_residual
 from .potentials import Potential
 
@@ -46,7 +47,8 @@ def stress_tensor(u: VectorField, pot: Potential) -> StressTensorField:
     g = u.grid
     n = g.n
     P = partial_derivatives(u)  # (n, m, *shape)
-    e = _kernels.density(_kernels.gradient_sq(P), pot.value_field(u.values))
+    gsq = _kernels.sum_sq(P[ax, c] for c in range(u.m) for ax in range(n))
+    e = _kernels.density(gsq, pot.value_field(u.values))
     T = np.einsum("ic...,jc...->ij...", P, P)
     for i in range(n):
         T[i, i] -= e
@@ -63,19 +65,6 @@ def positivity_check(T: StressTensorField) -> float:
     stack = np.moveaxis(M[..., sel], (0, 1), (-2, -1))  # (N, n, n)
     eigs = np.linalg.eigvalsh(stack)
     return float(eigs.min())
-
-
-class _SubCube:
-    """The lattice of a grid's centred sub-cube (see field.centred): its n,
-    h, axis and shape, all that a field on it needs to be differentiated.
-    It has no ball mask, whose construction would cost a Grid about as
-    much as the sub-cube saves."""
-
-    def __init__(self, grid: Grid, half: int):
-        self.n, self.h = grid.n, grid.h
-        self.index = centred(grid, half)
-        self.axis = grid.axis[self.index[0]]
-        self.shape = (self.axis.size,) * grid.n
 
 
 # Gauss-Legendre radii interpolated in one call
@@ -101,7 +90,7 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     g = u.grid
     if R + g.h > g.r_max:
         raise ValueError("R too close to the grid edge")
-    sub = _SubCube(g, math.ceil(R / g.h) + 2)
+    sub = SubCube(g, math.ceil(R / g.h) + 2)
     T = stress_tensor(VectorField(sub, u.values[(slice(None),) + sub.index]),
                       pot)
     trace = np.einsum("ii...->...", T.values)
@@ -184,10 +173,11 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     # one set of ball weights per radius serves both integrals, each with
     # the bits of integrate_ball
     f_vals, e_vals = [], []
+    buf = np.zeros(g.shape)
     for r in radii:
         ball = ball_weights(g, r)
-        f_vals.append(float(np.sum(fdens * ball) * g.cell))
-        e_vals.append(float(np.sum(edens * ball) * g.cell))
+        f_vals.append(ball_integral(g, fdens, ball, buf))
+        e_vals.append(ball_integral(g, edens, ball, buf))
     r = np.asarray(radii)
     weak = list(np.asarray(f_vals) * r ** (2 - n))
     strong_f = list(np.asarray(f_vals) * r ** (1 - n))

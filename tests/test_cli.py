@@ -15,7 +15,7 @@ from vacmin.boundary import random_smooth
 from vacmin.cli import _COMMANDS, _source_sha256, main
 from vacmin.competitor import boundary_within
 from vacmin.config import ConfigError, ExperimentConfig
-from vacmin.field import VectorField
+from vacmin.field import BOUNDARY, EXTERIOR, VectorField, load_field
 
 BASE = {
     "n": 2,
@@ -432,6 +432,29 @@ def test_competitor_caps_at_the_modulus_of_a_negative_magnitude(tmp_path):
                                            "constant-r-shell"]
     assert all(r["admissible"] for r in reports)
     assert reports[1]["params"]["r"] == 0.6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_min_truncation_reads_no_exterior_node(tmp_path, seed):
+    # the exterior padding holds boundary-function values that no energy
+    # reads; with these data the cube's max exceeds the interior and ring
+    # max, which is the boundary sup, so the level is that sup and the
+    # comparison is trivial
+    cfg = write_cfg(tmp_path, m=1, r_max=2.0, seed=seed,
+                    potential={"family": "quadratic", "zero": [0.0]},
+                    boundary={"tag": "random"})
+    out = tmp_path / "out"
+    assert run_cli("competitor", cfg, out) == 0
+    rep = json.loads((out / "competitors.json").read_text())["reports"][-1]
+    u = load_field(str(out / "field.bin"))
+    mask = u.grid.mask
+    bsup = u.values[0][mask == BOUNDARY].max()
+    assert u.values.max() > u.values[0][mask != EXTERIOR].max() == bsup
+    assert rep["tag"] == "min-truncation"
+    assert rep["params"]["level"] == bsup
+    assert rep["difference"] == 0.0
+    assert rep["note"] == ("interior never exceeds boundary; comparison is "
+                           "trivial")
 
 
 M1 = {"m": 1, "potential": {"family": "power", "zero": [0.0], "q": 4}}

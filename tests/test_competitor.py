@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from vacmin.boundary import angular, initial_field, random_smooth
-from vacmin.competitor import (build_annulus_competitor, build_min_truncation,
-                               build_shell, build_truncation, compare,
-                               max_principle_check,
-                               modulus_gradient_ratio, quadrature_slack, select_truncation_level,
+from vacmin._kernels import InteriorOperator
+from vacmin.competitor import (build_min_truncation, build_shell,
+                               build_truncation, compare, interior_and_ring,
+                               max_principle_check, modulus_gradient_ratio,
+                               quadrature_slack, select_truncation_level,
                                standard_suite, taper)
-from vacmin.field import EXTERIOR, Grid, VectorField
+from vacmin.field import EXTERIOR, Grid, NodeList, VectorField
+from vacmin.growth import annulus_field
 from vacmin.minimizer import discrete_energy, minimize
 from vacmin.potentials import anisotropic, power, quadratic
 
@@ -36,16 +38,16 @@ def test_truncation_identity_regime(small_grid):
     u = VectorField.constant(small_grid, zero + 0.2)
     r = 0.5
     assert np.linalg.norm(u.values[:, 0, 0] - zero) <= r
-    t = build_truncation(u, zero, r)
-    assert np.array_equal(t.values, u.values)
+    t = build_truncation(u.values, zero, r)
+    assert np.array_equal(t, u.values)
 
 
 def test_truncation_far_regime_maps_to_zero(small_grid):
     zero = np.array([0.0, 0.0])
     r = 0.2
     u = VectorField.constant(small_grid, [3 * r, 0.0])  # rho = 3r >= 2r
-    t = build_truncation(u, zero, r)
-    assert np.abs(t.values - zero[:, None, None]).max() == 0.0
+    t = build_truncation(u.values, zero, r)
+    assert np.abs(t - zero[:, None, None]).max() == 0.0
 
 
 def test_truncation_taper_regime(small_grid):
@@ -54,10 +56,10 @@ def test_truncation_taper_regime(small_grid):
     r = 0.4
     nu = np.array([0.6, 0.8])
     u = VectorField.constant(small_grid, 1.5 * r * nu)
-    t = build_truncation(u, zero, r)
-    d = np.sqrt(np.sum(t.values ** 2, axis=0))
+    t = build_truncation(u.values, zero, r)
+    d = np.sqrt(np.sum(t ** 2, axis=0))
     assert np.abs(d - 0.5 * r).max() < 1e-12
-    direction = t.values[:, 0, 0] / d[0, 0]
+    direction = t[:, 0, 0] / d[0, 0]
     assert direction == pytest.approx(nu)
 
 
@@ -65,10 +67,10 @@ def test_truncation_idempotent(small_grid, rng):
     zero = np.zeros(2)
     u = VectorField(small_grid, rng.uniform(-1, 1, (2,) + small_grid.shape))
     r = 0.3
-    t1 = build_truncation(u, zero, r)
+    t1 = build_truncation(u.values, zero, r)
     t2 = build_truncation(t1, zero, r)
-    assert np.array_equal(t1.values, t2.values)
-    assert np.sqrt(np.sum(t1.values ** 2, axis=0)).max() <= r + 1e-15
+    assert np.array_equal(t1, t2)
+    assert np.sqrt(np.sum(t1 ** 2, axis=0)).max() <= r + 1e-15
 
 
 def test_truncation_hypothesis_check():
@@ -77,16 +79,16 @@ def test_truncation_hypothesis_check():
     u = VectorField.constant(g, [0.0])
     for r in (0.0, -0.2):
         with pytest.raises(ValueError):
-            build_truncation(u, [0.0], r)
+            build_truncation(u.values, [0.0], r)
 
 
 def test_truncation_never_increases_potential_term(small_grid, rng):
     # pointwise W comparison under nondecreasing radial sections
     pot = power([0.0, 0.0], 4)
     u = VectorField(small_grid, rng.uniform(-0.4, 0.4, (2,) + small_grid.shape))
-    t = build_truncation(u, pot.zero, 0.2)
+    t = build_truncation(u.values, pot.zero, 0.2)
     w_u = pot.value_field(u.values)
-    w_t = pot.value_field(t.values)
+    w_t = pot.value_field(t)
     assert (w_t <= w_u + 1e-15).all()
 
 
@@ -95,14 +97,19 @@ def test_modulus_gradient_ratio_reads_the_energy_edges(small_grid, rng):
     # modulus reads 2, a truncation at most 1, and a change confined to
     # nodes no such edge reaches reads nothing
     pot = power([0.0, 0.0], 4)
-    u = VectorField(small_grid, rng.standard_normal((2,) + small_grid.shape))
-    assert modulus_gradient_ratio(u, u.with_values(2.0 * u.values),
-                                  pot) == pytest.approx(2.0, rel=1e-14)
-    trunc = build_truncation(u, pot.zero, 0.5)
-    assert modulus_gradient_ratio(u, trunc, pot) <= 1.0 + 1e-12
-    far = u.values.copy()
+    vals = rng.standard_normal((2,) + small_grid.shape)
+    op = InteriorOperator(small_grid, vals, pot)
+    nodes = interior_and_ring(small_grid)
+    u = nodes.take(vals)
+
+    def ratio(v):
+        return modulus_gradient_ratio(op, u, nodes.take(v), pot.zero)
+
+    assert ratio(2.0 * vals) == pytest.approx(2.0, rel=1e-14)
+    assert ratio(build_truncation(vals, pot.zero, 0.5)) <= 1.0 + 1e-12
+    far = vals.copy()
     far[:, small_grid.mask == EXTERIOR] *= 10.0
-    assert modulus_gradient_ratio(u, u.with_values(far), pot) == 1.0
+    assert ratio(far) == 1.0
 
 
 def test_shell_construction(small_grid, rng):
@@ -111,8 +118,8 @@ def test_shell_construction(small_grid, rng):
     vals[:, 5, 5] = zero  # a node exactly at the zero
     u = VectorField(small_grid, vals)
     r = 0.3
-    v = build_shell(u, zero, r)
-    d = v.values - zero[:, None, None]
+    v = build_shell(u.values, zero, r)
+    d = v - zero[:, None, None]
     rho = np.sqrt(np.sum(d * d, axis=0))
     assert np.abs(rho - r).max() < 1e-12
     # direction preserved where defined, first-axis fallback at the zero
@@ -121,7 +128,7 @@ def test_shell_construction(small_grid, rng):
     sel = rho_u > 1e-9
     cross = du[0] * d[1] - du[1] * d[0]
     assert np.abs(cross[sel]).max() < 1e-12
-    assert v.values[0, 5, 5] == pytest.approx(zero[0] + r)
+    assert v[0, 5, 5] == pytest.approx(zero[0] + r)
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +137,29 @@ def test_shell_construction(small_grid, rng):
 
 def test_min_truncation_basics(small_grid):
     u = VectorField.from_function(small_grid, lambda x: x[0], m=1)
-    v = build_min_truncation(u, 0.5)
-    assert (v.values <= 0.5 + 1e-15).all()
-    assert np.array_equal(v.values[u.values <= 0.5], u.values[u.values <= 0.5])
-    below = VectorField.constant(small_grid, [0.2])
-    assert np.array_equal(build_min_truncation(below, 0.5).values, below.values)
+    v = build_min_truncation(u.values, 0.5)
+    assert (v <= 0.5 + 1e-15).all()
+    assert np.array_equal(v[u.values <= 0.5], u.values[u.values <= 0.5])
+    below = VectorField.constant(small_grid, [0.2]).values
+    assert np.array_equal(build_min_truncation(below, 0.5), below)
     with pytest.raises(ValueError):
-        build_min_truncation(VectorField.constant(small_grid, [0., 0.]), 0.5)
+        build_min_truncation(np.zeros((2,) + small_grid.shape), 0.5)
 
 
 def test_select_truncation_level(small_grid):
     u = VectorField.from_function(small_grid, lambda x: x[0], m=1)  # max ~ 2
     # quadratic W increases on [d, max u]: the left endpoint wins
     pot = quadratic([0.0])
-    assert select_truncation_level(u, 0.0, 0.5, pot) == pytest.approx(0.5)
+    assert select_truncation_level(u.values, 0.0, 0.5,
+                                   pot) == pytest.approx(0.5)
     # potential with an interior dip: dense-scan oracle finds the dip
     dip = anisotropic([1.2], [1.0], [2])  # W = (u - 1.2)^2, dip at 1.2
-    lvl = select_truncation_level(u, 0.0, 0.5, dip)
+    lvl = select_truncation_level(u.values, 0.0, 0.5, dip)
     scan = np.linspace(0.5, float(u.values.max()), 10_000)
     oracle = scan[int(np.argmin((scan - 1.2) ** 2))]
     assert lvl == pytest.approx(oracle)
     with pytest.raises(ValueError):
-        select_truncation_level(VectorField.constant(small_grid, [0.1]),
+        select_truncation_level(np.full((1,) + small_grid.shape, 0.1),
                                 0.0, 0.5, pot)
 
 
@@ -166,8 +174,8 @@ def test_min_truncation_lowers_energy_with_dip_potential():
         return 2.0 * np.exp(-3 * r2)
 
     u = VectorField.from_function(g, peak, m=1)
-    level = select_truncation_level(u, 0.0, 0.5, pot)
-    v = build_min_truncation(u, level)
+    level = select_truncation_level(u.values, 0.0, 0.5, pot)
+    v = u.with_values(build_min_truncation(u.values, level))
     assert discrete_energy(v, pot) < discrete_energy(u, pot)
 
 
@@ -191,20 +199,27 @@ def test_competitors_never_beat_minimizers(standard_runs):
 
 
 def test_suite_evaluates_energy_u_once(standard_runs, monkeypatch):
-    # one discrete energy for u plus one per competitor, for m = 1 and 2
-    import vacmin._kernels as kernels
-    real = kernels.energy_only
-    calls = []
+    # one operator, one discrete energy for u plus one per competitor, for
+    # m = 1 and 2
+    real_init, real_energy = InteriorOperator.__init__, InteriorOperator.energy
+    built, calls = [], []
 
-    def counting(*args):
+    def counting_init(self, *args):
+        built.append(1)
+        real_init(self, *args)
+
+    def counting(self, x):
         calls.append(1)
-        return real(*args)
+        return real_energy(self, x)
 
-    monkeypatch.setattr(kernels, "energy_only", counting)
+    monkeypatch.setattr(InteriorOperator, "__init__", counting_init)
+    monkeypatch.setattr(InteriorOperator, "energy", counting)
     for run in (standard_runs[0], standard_runs[4]):
+        built.clear()
         calls.clear()
         reports = standard_suite(run.u, run.pot, run.magnitude)
         assert len(reports) == (4 if run.u.m == 1 else 3)
+        assert len(built) == 1
         assert len(calls) == len(reports) + 1
         eu = discrete_energy(run.u, run.pot)
         assert all(r.energy_u == eu for r in reports)
@@ -213,9 +228,11 @@ def test_suite_evaluates_energy_u_once(standard_runs, monkeypatch):
 def test_annulus_competitor_agrees_on_boundary(standard_runs):
     run = standard_runs[0]
     s_r = run.grid.r_max - 2 * run.grid.h
-    v = build_annulus_competitor(run.u, run.pot, s_r)
-    rep = compare(run.u, discrete_energy(run.u, run.pot), v, run.pot,
-                  "annulus")
+    nodes = interior_and_ring(run.grid)
+    v = annulus_field(run.u, run.pot, s_r, nodes)
+    op = InteriorOperator(run.grid, run.u.values, run.pot)
+    rep = compare(op, nodes.take(run.u.values),
+                  discrete_energy(run.u, run.pot), v, "annulus")
     assert rep.boundary_deviation == 0.0
     assert rep.admissible
 
@@ -226,13 +243,14 @@ def test_annulus_interpolation_bound(standard_runs):
     run = standard_runs[1]
     g = run.grid
     s_r = g.r_max - 2 * g.h
-    v = build_annulus_competitor(run.u, run.pot, s_r)
+    v = annulus_field(run.u, run.pot, s_r, NodeList(g, np.arange(g.mask.size)))
+    v = v.reshape((-1,) + g.shape)
     from vacmin.field import interpolate, sphere_points
     pts = sphere_points(2, s_r, 1024)
     trace = interpolate(g, run.u.values, pts)
     m_trace = np.sqrt(((trace - run.pot.zero[:, None]) ** 2).sum(axis=0)).max()
     ann = (g.radius >= s_r - 1.0) & (g.radius <= s_r)
-    dv = np.sqrt(np.sum((v.values - run.pot.zero[:, None, None]) ** 2, axis=0))
+    dv = np.sqrt(np.sum((v - run.pot.zero[:, None, None]) ** 2, axis=0))
     assert dv[ann].max() <= 2 * m_trace + 1e-9
 
 

@@ -1,5 +1,5 @@
 """Each field analysis differentiates its field in one centered-difference
-pass: one call of _kernels.derivatives, never a second pass."""
+pass: one call of _kernels.differences, never a second pass."""
 
 import numpy as np
 import pytest
@@ -27,17 +27,17 @@ def test_one_derivative_pass_per_call(monkeypatch, n, h, name):
     pot = quadratic([0.0, 0.0])
     u = VectorField.constant(Grid(n, h, 1.6), [0.0, 0.0])
     calls, gradients = [], []
-    derivatives, gradient = _kernels.derivatives, np.gradient
+    differences, gradient = _kernels.differences, np.gradient
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return derivatives(*args, **kwargs)
+        return differences(*args, **kwargs)
 
     def counting_gradient(*args, **kwargs):
         gradients.append(1)
         return gradient(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "derivatives", counting)
+    monkeypatch.setattr(_kernels, "differences", counting)
     # the kernel differences without np.gradient, so any call is a second pass
     monkeypatch.setattr(np, "gradient", counting_gradient)
     CALLS[name](u, pot)
@@ -72,3 +72,19 @@ def test_stress_tensor_keeps_its_density(rng):
     u = VectorField(g, rng.standard_normal((2,) + g.shape))
     T = monotonicity.stress_tensor(u, pot)
     assert np.array_equal(T.density, field.energy_density(u, pot).values)
+
+
+@pytest.mark.parametrize("shape", [(2, 45, 45, 45), (3, 41, 41), (1, 2, 2),
+                                   (2, 3, 4, 5)])
+def test_gradient_sq_matches_the_stack_sum(shape):
+    # one difference at a time, summed in the stack's order: components
+    # outer, axes inner, from zero
+    r = np.random.default_rng(shape[-1])
+    vals = r.standard_normal(shape) * 10.0 ** r.uniform(-3, 3, shape)
+    P = _kernels.derivatives(vals, 0.2)
+    want = np.zeros(shape[1:])
+    for c in range(shape[0]):
+        for ax in range(len(shape) - 1):
+            want += P[ax, c] * P[ax, c]
+    got = _kernels.gradient_sq(vals, 0.2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

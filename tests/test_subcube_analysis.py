@@ -1,20 +1,33 @@
-"""The analysis passes that read only a ball, a sub-cube or a batch give the
-bits of the whole-cube, one-call-per-radius passes they replace.
+"""The analysis passes that read only a ball, a sub-cube, the interior and
+ring nodes or a batch give the bits of the whole-cube, one-call-per-radius
+passes they replace.
 
 Each reference below is the earlier implementation, kept here as the
 oracle: the whole-cube flat-gather interpolation, the whole-cube Pohozaev
-balance and the one-call-per-row sphere Holder search."""
+balance, the one-call-per-row sphere Holder search, whole-cube ball sums,
+the whole-cube comparison bound and the competitor suite built on the
+whole cube."""
+
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_interior_field
 from vacmin import discs
-from vacmin.boundary import angular, initial_field
-from vacmin.field import (Grid, VectorField, centred, energy_density,
+from vacmin._kernels import InteriorOperator
+from vacmin.boundary import angular, initial_field, random_smooth
+from vacmin.competitor import (build_min_truncation, build_shell,
+                               build_truncation, interior_and_ring,
+                               modulus_gradient_ratio,
+                               select_truncation_level, standard_suite)
+from vacmin.field import (BOUNDARY, EXTERIOR, INTERIOR, Grid, ScalarField,
+                          SubCube, VectorField, ball_integral, ball_weights,
+                          centred, energy_density, integrate_ball,
                           interpolate, sample_sphere, sphere_area,
                           sphere_points)
-from vacmin.minimizer import minimize
+from vacmin.growth import annulus_field, comparison_bound
+from vacmin.minimizer import discrete_energy, minimize
 from vacmin.monotonicity import pohozaev_balance, stress_tensor
 from vacmin.potentials import power, quadratic
 
@@ -303,3 +316,172 @@ def test_pohozaev_matches_whole_cube_balance(g):
             got = pohozaev_balance(u, pot, R, K=64)
             ref = whole_cube_pohozaev(u, pot, R, K=64)
             assert np.array_equal(_bits(got), _bits(ref)), R
+
+
+# ---------------------------------------------------------------------------
+# ball integrals on B_R's sub-cube
+
+
+def whole_cube_weights(g, R):
+    """The midpoint ball weights on every cube node."""
+    return np.clip((R - g.radius) / g.h + 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
+def test_ball_integral_matches_whole_cube_sum(g):
+    vals = [_smooth_field(g, 1, 7).values[0] ** 2,
+            random_interior_field(g, 1, 8, scale=2.0).values[0]]
+    small = [0.3 * g.h, 1.5 * g.h]                   # R below 2h
+    ascending = small + [0.5 * g.r_max, g.r_max - g.h, g.r_max]
+    descending = ascending[::-1]
+    repeated = [0.5 * g.r_max, 0.5 * g.r_max, g.r_max, g.r_max, g.h]
+    buf = np.zeros(g.shape)
+    for s in vals:
+        for radii in (ascending, descending, repeated):
+            for R in radii:
+                want = float(np.sum(s * whole_cube_weights(g, R)) * g.cell)
+                got = ball_integral(g, s, ball_weights(g, R), buf)
+                assert _bits(got) == _bits(want), R
+                assert not buf.any()
+                assert _bits(integrate_ball(ScalarField(g, s), R)) \
+                    == _bits(want)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
+def test_ball_weights_hold_every_nonzero_weight(g):
+    for R in _radii(g) + [g.r_max]:
+        w = ball_weights(g, R)
+        full = whole_cube_weights(g, R)
+        inner = np.zeros(g.shape, dtype=bool)
+        inner[centred(g, math.ceil(R / g.h) + 1)] = True
+        assert np.array_equal(w, full[inner].reshape(w.shape))
+        assert not full[~inner].any()
+
+
+# ---------------------------------------------------------------------------
+# the comparison bound on its sub-cube
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
+def test_comparison_bound_matches_whole_cube_bound(g):
+    pot = power([0.0, 0.1], 4)
+    whole = SubCube(g, g.axis.size)
+    for u in (_smooth_field(g, 2, 5),
+              random_interior_field(g, 2, 6, scale=0.5)):
+        for R in (1.0 + g.h, 0.5 * (1.0 + g.h + g.r_max), g.r_max - 2 * g.h,
+                  g.r_max):
+            if R < 1.0 + g.h:
+                continue
+            v = u.with_values(annulus_field(u, pot, R, whole))
+            e = energy_density(v, pot).values
+            want = float(np.sum(e * whole_cube_weights(g, R)) * g.cell)
+            assert _bits(comparison_bound(u, pot, R)) == _bits(want), R
+
+
+# ---------------------------------------------------------------------------
+# the competitor suite on the interior and ring nodes
+
+
+def whole_cube_suite(u, pot, mag):
+    """The suite's reports built on the whole cube: each competitor by the
+    public constructions applied to u.values, its energy by discrete_energy
+    of the whole-cube field, its boundary deviation over the BOUNDARY mask,
+    and the min-truncation level from u's interior and ring nodes."""
+    g = u.grid
+    eu = discrete_energy(u, pot)
+    ring = g.mask == BOUNDARY
+
+    def report(v, tag, params):
+        ev = discrete_energy(u.with_values(v), pot)
+        dev = float(np.sqrt(np.sum((u.values - v) ** 2, axis=0))[ring].max())
+        return {"tag": tag, "energy_u": eu, "energy_competitor": ev,
+                "difference": ev - eu, "boundary_deviation": dev,
+                "admissible": dev <= 1e-12, "params": params}
+
+    s_r = g.r_max - 2 * g.h
+    out = [report(annulus_field(u, pot, s_r, SubCube(g, g.axis.size)),
+                  "annulus", {"s_r": s_r})]
+    trunc = build_truncation(u.values, pot.zero, mag)
+    op = InteriorOperator(g, u.values, pot)
+    nodes = interior_and_ring(g)
+    ratio = modulus_gradient_ratio(op, nodes.take(u.values),
+                                   nodes.take(trunc), pot.zero)
+    out.append(report(trunc, "truncation", {"r": mag, "grad_ratio": ratio}))
+    out.append(report(build_shell(u.values, pot.zero, mag),
+                      "constant-r-shell", {"r": mag}))
+    if u.m == 1:
+        zero = float(pot.zero[0])
+        bsup = float(u.values[0][ring].max())
+        umax = float(u.values[0][g.mask != EXTERIOR].max())
+        level = umax if umax <= bsup else select_truncation_level(
+            u.values[:, g.mask != EXTERIOR], zero, bsup - zero, pot)
+        out.append(report(build_min_truncation(u.values, level),
+                          "min-truncation", {"level": level}))
+    return out
+
+
+def _same(a, b):
+    """Equal, with floats compared by their bits."""
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a).hex() == float(b).hex()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _suite_field(g, pot, case):
+    """A field with the boundary data of the case and the ramp inside it,
+    perturbed for m = 2: angular data (constant boundary modulus, all
+    admissible), random data (the shell is not admissible), and for m = 1
+    a bump above the boundary sup, which makes the level a scanned one."""
+    r = np.random.default_rng(g.axis.size)
+    if case == "angular":
+        u = initial_field(g, pot, angular(pot, 0.6))
+    else:
+        u = initial_field(g, pot, random_smooth(pot, 0.6, seed=2))
+    vals = u.values.copy()
+    inside = g.mask == INTERIOR
+    if pot.m == 2:
+        vals[:, inside] += 0.05 * r.standard_normal((2, int(inside.sum())))
+    if case == "bump":
+        vals[:, inside] += 0.8 * np.exp(-g.radius[inside] ** 2)
+    return u.with_values(vals)
+
+
+SUITE_CASES = [(2, "angular"), (2, "random"), (1, "random"), (1, "bump")]
+
+
+@pytest.mark.parametrize("g", [GRIDS[0], GRIDS[3]], ids=["2d", "3d"])
+@pytest.mark.parametrize("m,case", SUITE_CASES,
+                         ids=[f"m{m}-{c}" for m, c in SUITE_CASES])
+def test_suite_matches_whole_cube_reference(g, m, case):
+    pot = power([0.0] * m, 4)
+    u = _suite_field(g, pot, case)
+    got = [r.to_dict() for r in standard_suite(u, pot, 0.6)]
+    want = whole_cube_suite(u, pot, 0.6)
+    assert [r["tag"] for r in got] == [r["tag"] for r in want]
+    notes = [r.pop("note") for r in got]
+    for r, w in zip(got, want):
+        assert _same(r, w), r["tag"]
+    assert got[2]["admissible"] == (case == "angular")
+    assert bool(notes[2]) != got[2]["admissible"]
+    if m == 1:
+        assert bool(notes[3]) == (case != "bump")
+
+
+def test_suite_and_bound_build_no_whole_cube_field(monkeypatch):
+    g = Grid(3, 0.2, 2.4)
+    pot = power([0.0, 0.0], 4)
+    u = _suite_field(g, pot, "angular")
+    shapes = []
+    init = VectorField.__init__
+
+    def recording(self, grid, values):
+        shapes.append(np.shape(values))
+        init(self, grid, values)
+
+    monkeypatch.setattr(VectorField, "__init__", recording)
+    standard_suite(u, pot, 0.6)
+    comparison_bound(u, pot, g.r_max - 3 * g.h)
+    assert shapes
+    assert (2,) + g.shape not in shapes
