@@ -182,7 +182,7 @@ def cmd_energy_profile(cfg: ExperimentConfig, out: str) -> int:
     tau = cfg.analysis["tau"]
     if tau is None:
         tau = 2.0 / (q * n) * 0.9
-    l2 = [growth.rescaled_l2_smallness(u, pot, r) for r in radii]
+    l2 = growth.rescaled_l2_smallness(u, pot, radii)
     diag = (growth.growth_diagnostic(radii, prof.energies, n, q,
                                      rescaled_l2=l2)
             if len(radii) >= 3 else None)

@@ -17,9 +17,10 @@ here solves: every check takes a minimizer its caller has solved.
 
 A discrete energy reads only the interior and ring (BOUNDARY) nodes, so
 the suite and the maximum-principle check gather u's values there once
-(``interior_and_ring``) and build every competitor on that (m, K) array:
-the constructions map channels-first values of any shape node by node,
-and the annulus is ``growth.annulus_field`` on a ``NodeList``. One
+(``interior_and_ring``, their flat cube indices) and build every
+competitor on that (m, K) array: the constructions map channels-first
+values of any shape node by node, and the annulus is
+``growth.annulus_field`` at those nodes. One
 ``InteriorOperator``, pinned to each competitor's ring in turn, evaluates
 every energy, and boundary deviations read the ring alone.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import InteriorOperator
-from .field import BOUNDARY, NodeList, VectorField
+from .field import BOUNDARY, VectorField, take
 from .growth import annulus_field
 from .minimizer import SolveReport
 from .potentials import Potential, verify_assumptions
@@ -57,12 +58,12 @@ class CompetitorReport:
         return dict(self.__dict__)
 
 
-def interior_and_ring(grid) -> NodeList:
-    """The interior and ring nodes, [interior, ring] in ``stencil`` order:
-    the positions of ``InteriorOperator``'s buffer, so a field's values
-    there are what its energy reads."""
+def interior_and_ring(grid) -> np.ndarray:
+    """The flat cube indices of the interior and ring nodes, [interior,
+    ring] in ``stencil`` order: the positions of ``InteriorOperator``'s
+    buffer, so a field's values there are what its energy reads."""
     interior, ring, _ = grid.stencil
-    return NodeList(grid, np.concatenate([interior, ring]))
+    return np.concatenate([interior, ring])
 
 
 def competitor_energy(op: InteriorOperator, v: np.ndarray) -> float:
@@ -243,7 +244,7 @@ def max_principle_check(u: VectorField, pot: Potential, r: float,
     grid = u.grid
     boundary_sup = boundary_within(u, pot.zero, r)
     op = InteriorOperator(grid, u.values, pot)
-    uv = interior_and_ring(grid).take(u.values)
+    uv = take(u.values, interior_and_ring(grid))
     # the solver's reported energy is discrete_energy(u) bit for bit
     eu = solve.energy
     et = competitor_energy(op, build_truncation(uv, pot.zero, r))
@@ -292,7 +293,7 @@ def standard_suite(u: VectorField, pot: Potential,
         raise ValueError("annulus radius too small: need s_r >= 1 + 2h")
     nodes = interior_and_ring(g)
     op = InteriorOperator(g, u.values, pot)
-    uv = nodes.take(u.values)
+    uv = take(u.values, nodes)
     eu = competitor_energy(op, uv)
     reports = [compare(op, uv, eu, annulus_field(u, pot, s_r, nodes),
                        "annulus", {"s_r": s_r})]

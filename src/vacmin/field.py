@@ -6,6 +6,10 @@ first exterior layer (where Dirichlet data lives), EXTERIOR beyond. Field
 values are stored on the whole cube so that interpolation and one-sided
 stencils near the ball edge stay well defined; solvers only ever update
 interior nodes.
+
+An analysis that reads only some nodes names them by their flat cube
+indices, an array of any shape (``take``, ``Grid.coordinates``); those of
+a centred sub-cube are a ``centred`` block of the cube's.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ class Grid:
         """Node coordinates, shape (n, *shape); built anew on every read."""
         return np.stack(np.meshgrid(*([self.axis] * self.n), indexing="ij"))
 
+    def coordinates(self, nodes: np.ndarray) -> np.ndarray:
+        """The coordinates of the nodes at the flat cube indices nodes,
+        shape (n, *nodes.shape)."""
+        return self.axis[np.stack(np.unravel_index(nodes, self.shape))]
+
     @cached_property
     def stencil(self):
         """Index arrays of the interior-only operator, built once per grid.
@@ -131,6 +140,8 @@ class Grid:
 
 class ScalarField:
     def __init__(self, grid: Grid, values: np.ndarray):
+        if not isinstance(grid, Grid):
+            raise TypeError(f"a field needs a Grid, not {type(grid).__name__}")
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError("values shape does not match grid")
@@ -150,6 +161,8 @@ class VectorField:
     """m-component field on a grid; values pinned outside the interior."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
+        if not isinstance(grid, Grid):
+            raise TypeError(f"a field needs a Grid, not {type(grid).__name__}")
         values = np.asarray(values, dtype=float)
         if values.ndim != grid.n + 1 or values.shape[1:] != grid.shape:
             raise ValueError("values must have shape (m, *grid.shape)")
@@ -208,97 +221,57 @@ def partial_derivatives(u: VectorField) -> np.ndarray:
     return _kernels.derivatives(u.values, u.grid.h)
 
 
-def centred(grid: Grid, half: int) -> tuple:
-    """Index slices of the centred sub-cube with ``half`` nodes on each side
-    of the origin per axis, clamped to the cube."""
-    top = (grid.axis.size - 1) // 2
-    half = min(half, top)
-    return (slice(top - half, top + half + 1),) * grid.n
+def centred(a: np.ndarray, half: int, n: int) -> np.ndarray:
+    """The centred block of a with ``half`` nodes on each side of the
+    middle along each of its last n axes, clamped to a; a view."""
+    mid = (a.shape[-1] - 1) // 2
+    lo = max(mid - half, 0)
+    return a[(Ellipsis,) + (slice(lo, 2 * mid + 1 - lo),) * n]
 
 
-def _middle(a: np.ndarray, side: int) -> np.ndarray:
-    """The centred block of the given side of the cube-shaped array a."""
-    lo = (a.shape[-1] - side) // 2
-    return a[(slice(lo, lo + side),) * a.ndim]
+def take(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The channels-first whole-cube vals at the flat cube indices nodes,
+    shape (m, *nodes.shape)."""
+    return np.take(vals.reshape(vals.shape[0], -1), nodes, axis=1)
 
 
 def ball_weights(grid: Grid, R: float) -> np.ndarray:
     """Midpoint quadrature weights for the ball |x| <= R: full cells inside,
     boundary cells by the clipped linear cell fraction. They are formed on
-    the centred sub-cube ``centred(grid, ceil(R/h) + 1)``, which holds
-    every nonzero one (a node of weight > 0 has |x| < R + h/2); the weight
-    of every node past it is 0."""
+    the centred sub-cube of half-width ceil(R/h) + 1, which holds every
+    nonzero one (a node of weight > 0 has |x| < R + h/2); the weight of
+    every node past it is 0."""
     if not 0 < R <= grid.r_max:
         raise ValueError(f"R={R} outside (0, r_max={grid.r_max}]")
-    rad = grid.radius[centred(grid, math.ceil(R / grid.h) + 1)]
+    rad = centred(grid.radius, math.ceil(R / grid.h) + 1, grid.n)
     return np.clip((R - rad) / grid.h + 0.5, 0.0, 1.0)
 
 
-def ball_integral(grid: Grid, s: np.ndarray, w: np.ndarray,
-                  buf: np.ndarray) -> float:
-    """h^n np.sum(s * W) for the scalar stack s, on the cube or on a
-    centred sub-cube that holds w's, and W the ball weights w
-    (``ball_weights``) extended by zero to the cube. The products are formed
-    on w's sub-cube alone, into buf, a zero array of the cube's shape that
-    is zero again on return; np.sum reads the products in their whole-cube
-    positions and zeros elsewhere, so the sum has the bits of the whole-cube
-    product's (where W is 0 that product holds s * 0, which can change only
-    a zero sum's sign, or make the sum nan where s is not finite)."""
-    block = _middle(buf, w.shape[0])
-    np.multiply(_middle(s, w.shape[0]), w, out=block)
-    total = float(np.sum(buf) * grid.cell)
-    block.fill(0.0)
-    return total
+def ball_integrals(grid: Grid, stack, radii) -> np.ndarray:
+    """h^n np.sum(s * W_r) for each scalar array s of stack and r of radii,
+    shape (len(stack), len(radii)); W_r the ball weights (``ball_weights``,
+    formed once per radius) extended by zero to the cube. Each s covers the
+    cube or a centred sub-cube that holds W_r's nonzero block. The products
+    are formed on that block alone, into a zero array of the cube's shape;
+    np.sum reads them in their whole-cube positions and zeros elsewhere, so
+    each sum has the bits of the whole-cube product's (where W_r is 0 that
+    product holds s * 0, which can change only a zero sum's sign, or make
+    the sum nan where s is not finite)."""
+    buf = np.zeros(grid.shape)
+    out = np.empty((len(stack), len(radii)))
+    for j, r in enumerate(radii):
+        w = ball_weights(grid, r)
+        half = w.shape[0] // 2
+        block = centred(buf, half, grid.n)
+        for i, s in enumerate(stack):
+            np.multiply(centred(s, half, grid.n), w, out=block)
+            out[i, j] = np.sum(buf) * grid.cell
+        block.fill(0.0)
+    return out
 
 
 def integrate_ball(s: ScalarField, R: float) -> float:
-    g = s.grid
-    return ball_integral(g, s.values, ball_weights(g, R), np.zeros(g.shape))
-
-
-class SubCube:
-    """The lattice of a grid's centred sub-cube of half-width ``half``
-    (``centred``): its n, h, axis, shape and node radii, all that a field
-    on it needs to be differentiated or an annulus built on it. It has no
-    ball mask, whose construction would cost a Grid about as much as the
-    sub-cube saves."""
-
-    def __init__(self, grid: Grid, half: int):
-        self.n, self.h = grid.n, grid.h
-        self.index = centred(grid, half)
-        self.axis = grid.axis[self.index[0]]
-        self.shape = (self.axis.size,) * grid.n
-        self.radius = grid.radius[self.index]
-
-    def take(self, vals: np.ndarray) -> np.ndarray:
-        """A copy of the channels-first whole-cube vals on the sub-cube."""
-        return vals[(slice(None),) + self.index].copy()
-
-    def coordinates(self, sel: np.ndarray) -> np.ndarray:
-        """The (n, K) coordinates of the nodes the mask sel selects, in C
-        order, read from broadcast views of the axis."""
-        n = self.n
-        return np.stack([np.broadcast_to(
-            self.axis.reshape((-1,) + (1,) * (n - 1 - ax)), self.shape)[sel]
-            for ax in range(n)])
-
-
-class NodeList:
-    """Nodes of a grid by their flat cube indices, in the order given: the
-    lattice of the interior and ring values a competitor is built on."""
-
-    def __init__(self, grid: Grid, nodes: np.ndarray):
-        self.grid, self.nodes = grid, nodes
-        self.radius = np.take(grid.radius, nodes)
-
-    def take(self, vals: np.ndarray) -> np.ndarray:
-        """The channels-first whole-cube vals at the nodes, shape (m, K)."""
-        return np.take(vals.reshape(vals.shape[0], -1), self.nodes, axis=1)
-
-    def coordinates(self, sel: np.ndarray) -> np.ndarray:
-        """The (n, K) coordinates of the nodes the mask sel selects."""
-        g = self.grid
-        return g.axis[np.stack(np.unravel_index(self.nodes[sel], g.shape))]
+    return float(ball_integrals(s.grid, [s.values], [R])[0, 0])
 
 
 def sphere_area(n: int, R: float) -> float:
@@ -325,28 +298,31 @@ def interpolate(grid: Grid, stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
     returns (..., K).
 
     The stack covers the grid's cube (s = its axis size) or the cube of
-    side s centred in it, which must hold every cell a point falls in.
-    Cell indices and weights are formed in the grid's own frame, so they
-    do not depend on s. The weight of a corner is the product of its axis
-    factors in axis order, partial products shared among corners; each
-    corner is one flat gather from the stack, summed in corner order."""
+    side s centred in it, which must hold every cell a point falls in; a
+    point outside the stack's cells is refused, never extrapolated. Cell
+    fractions do not depend on s. The weight of a corner is the product of
+    its axis factors in axis order, partial products shared among corners;
+    each corner is one flat gather from the stack, summed in corner
+    order."""
     n = grid.n
     size, side = grid.axis.size, stack.shape[-1]
     if (stack.shape[-n:] != (side,) * n or side > size
             or (size - side) % 2):
         raise ValueError(f"stack of shape {stack.shape} is neither the "
                          f"grid's cube nor a cube centred in it")
-    # (n, K), C-ordered, and never a view of pts
+    # (n, K), C-ordered, and never a view of pts; shifting the grid's frame
+    # to the stack's by a whole number of cells is exact
     t = np.subtract(np.asarray(pts, dtype=float).T, grid.axis[0], order="C")
     t /= grid.h
+    t -= (size - side) // 2
+    if t.size and not (t.min() >= 0 and t.max() <= side - 1):
+        raise ValueError("points outside the stack's cube or sub-cube")
     i0 = np.floor(t)
-    np.clip(i0, 0, size - 2, out=i0)
+    # a point on the stack's last face is in its last cell, at fraction 1
+    np.clip(i0, 0, side - 2, out=i0)
     frac = t
     frac -= i0
     idx = i0.astype(np.intp)
-    idx -= (size - side) // 2
-    if side != size and (idx.min() < 0 or idx.max() > side - 2):
-        raise ValueError("points outside the stack's sub-cube")
     strides = [side ** (n - 1 - ax) for ax in range(n)]
     base = idx[0] * strides[0]
     for ax in range(1, n):

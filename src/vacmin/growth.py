@@ -4,12 +4,12 @@ and the exponent-improvement (bootstrap) arithmetic with its fixed point.
 Asymptotic statements are never asserted at desk scale; the diagnostics
 report normalized-energy trends and fitted exponents instead.
 
-Ball energies go through ``field.ball_integral``, which forms weights and
+Ball energies go through ``field.ball_integrals``, which forms weights and
 products only on the sub-cube that holds B_R's nonzero weights. The
-annulus field is built on the lattice its caller asks for: the comparison
-bound forms it, and its energy density, on the centred sub-cube that
-B_R's weights and their centered differences read; the competitor suite
-forms it on the interior and ring nodes.
+annulus field is built at the flat cube indices its caller passes: the
+comparison bound forms it, and its energy density, on the centred sub-cube
+that B_R's weights and their centered differences read; the competitor
+suite forms it on the interior and ring nodes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .field import (ScalarField, SubCube, VectorField, ball_integral,
-                    ball_weights, energy_density, integrate_ball, interpolate)
+from . import _kernels
+from .field import (VectorField, ball_integrals, centred, energy_density,
+                    interpolate, take)
 from .potentials import Potential
 
 
@@ -40,21 +41,17 @@ class EnergyProfile:
 
 
 def energy_profile(u: VectorField, pot: Potential, radii) -> EnergyProfile:
-    g = u.grid
     e = energy_density(u, pot).values
-    buf = np.zeros(g.shape)
-    vals = [ball_integral(g, e, ball_weights(g, float(r)), buf)
-            for r in radii]
-    return EnergyProfile(list(map(float, radii)), vals)
+    return EnergyProfile(list(map(float, radii)),
+                         ball_integrals(u.grid, [e], radii)[0].tolist())
 
 
 def annulus_field(u: VectorField, pot: Potential, R: float,
-                  at) -> np.ndarray:
-    """The comparison field at the nodes of the lattice ``at`` (a
-    ``SubCube``, which may be the whole cube, or a ``NodeList``),
-    channels-first in its shape: equal to u outside B_R, identically the
-    potential zero inside B_{R-1}, radially linear across the unit-width
-    annulus in between using u's trace on the sphere |x| = R."""
+                  nodes: np.ndarray) -> np.ndarray:
+    """The comparison field at the flat cube indices nodes, shape
+    (m, *nodes.shape): equal to u outside B_R, identically the potential
+    zero inside B_{R-1}, radially linear across the unit-width annulus in
+    between using u's trace on the sphere |x| = R."""
     g = u.grid
     # R = r_max is fine: the cube carries two padding layers past the ball,
     # so interpolation at radius R <= r_max never leaves the value array
@@ -63,12 +60,12 @@ def annulus_field(u: VectorField, pot: Potential, R: float,
     # only the ramp shell R - 1 < |x| <= R reads the trace; R - 1 > 0, so
     # no shell node sits at the origin
     a = pot.zero[:, None]
-    rad = at.radius
-    vals = at.take(u.values)
+    rad = np.take(g.radius, nodes)
+    vals = take(u.values, nodes)
     vals[:, rad <= R - 1.0] = a
     shell = (rad > R - 1.0) & (rad <= R)
     rad_s = rad[shell]
-    pts = (at.coordinates(shell) / rad_s * R).T
+    pts = (g.coordinates(nodes[shell]) / rad_s * R).T
     trace = interpolate(g, u.values, pts)
     lam = np.clip(rad_s - (R - 1.0), 0.0, 1.0)
     vals[:, shell] = a + lam * (trace - a)
@@ -85,9 +82,10 @@ def comparison_bound(u: VectorField, pot: Potential, R: float) -> float:
     every weighted node has the centered differences it has on the whole
     cube, bit for bit."""
     g = u.grid
-    sub = SubCube(g, math.ceil(R / g.h) + 2)
-    e = energy_density(VectorField(sub, annulus_field(u, pot, R, sub)), pot)
-    return ball_integral(g, e.values, ball_weights(g, R), np.zeros(g.shape))
+    nodes = centred(np.arange(g.mask.size).reshape(g.shape),
+                    math.ceil(R / g.h) + 2, g.n)
+    e = _kernels.energy_density(annulus_field(u, pot, R, nodes), g.h, pot)
+    return float(ball_integrals(g, [e], [R])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +167,15 @@ def growth_diagnostic(radii, energies, n: int, q: float,
     )
 
 
-def rescaled_l2_smallness(u: VectorField, pot: Potential, R: float) -> float:
-    """Blow-down bookkeeping: with eps = 1/R and u_eps(y) = u(y/eps), this is
+def rescaled_l2_smallness(u: VectorField, pot: Potential, radii) -> list:
+    """Blow-down bookkeeping at each R of radii: with eps = 1/R and
+    u_eps(y) = u(y/eps), this is
     (1/eps) * int_{B_2} |u_eps - zero|^2 dy = eps^{n-1} int_{B_{2R}} |u - zero|^2.
     The field ends at r_max, so the ball is clipped to B_{min(2R, r_max)}:
     from R = r_max / 2 on, the integral is over B_{r_max} (for the last 4
-    of energy-profile's 8 default radii r_max * k / 8)."""
+    of energy-profile's 8 default radii r_max * k / 8). |u - zero|^2 is
+    formed once for all radii."""
     g = u.grid
-    r2 = min(2.0 * R, g.r_max)
-    dist2 = ScalarField(g, u.distance_from(pot.zero).values ** 2)
-    return (1.0 / R) ** (g.n - 1) * integrate_ball(dist2, r2)
+    dist2 = u.distance_from(pot.zero).values ** 2
+    balls = ball_integrals(g, [dist2], [min(2.0 * R, g.r_max) for R in radii])
+    return [(1.0 / R) ** (g.n - 1) * float(b) for R, b in zip(radii, balls[0])]

@@ -7,7 +7,9 @@ integrated form. Two exact pointwise identities hold for any field: its
 trace equals -((n-2)/2 |grad u|^2 + n W), and T + e*I is the gradient Gram
 matrix, hence positive semidefinite. Monotonicity of the normalized
 quantities is verified as discrete nondecrease over sampled radii, never
-via the derivative form.
+via the derivative form. The Pohozaev balance forms T on a centred slice
+of u's values, with no field object; it and ``stress_tensor`` form T
+through one helper.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import _kernels
-from .field import (Grid, InvariantViolation, SubCube, VectorField,
-                    ball_integral, ball_weights, gradient_sq, interpolate,
-                    partial_derivatives, sphere_area, sphere_means,
-                    sphere_points)
+from .field import (Grid, InvariantViolation, VectorField, ball_integrals,
+                    centred, gradient_sq, interpolate, partial_derivatives,
+                    sphere_area, sphere_means, sphere_points)
 from .minimizer import _modica, el_residual
 from .potentials import Potential
 
@@ -43,16 +44,21 @@ class StressTensorField:
         self.density = density
 
 
-def stress_tensor(u: VectorField, pot: Potential) -> StressTensorField:
-    g = u.grid
-    n = g.n
-    P = partial_derivatives(u)  # (n, m, *shape)
-    gsq = _kernels.sum_sq(P[ax, c] for c in range(u.m) for ax in range(n))
-    e = _kernels.density(gsq, pot.value_field(u.values))
+def _tensor(P: np.ndarray, w: np.ndarray):
+    """(T, e) from the derivative stack P, shape (n, m, *shape), and the
+    potential's values w."""
+    n, m = P.shape[:2]
+    gsq = _kernels.sum_sq(P[ax, c] for c in range(m) for ax in range(n))
+    e = _kernels.density(gsq, w)
     T = np.einsum("ic...,jc...->ij...", P, P)
     for i in range(n):
         T[i, i] -= e
-    return StressTensorField(g, T, e)
+    return T, e
+
+
+def stress_tensor(u: VectorField, pot: Potential) -> StressTensorField:
+    T, e = _tensor(partial_derivatives(u), pot.value_field(u.values))
+    return StressTensorField(u.grid, T, e)
 
 
 def positivity_check(T: StressTensorField) -> float:
@@ -82,18 +88,17 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     (nonnegative up to discretization since the normal-normal component
     dominates -e).
 
-    T is formed only on the centred sub-cube of half-width ceil(R/h) + 2:
-    the cells that interpolation at radii <= R reads, and one node more,
-    so that every node read has the centered differences it has on the
-    whole cube, bit for bit.
+    T and e are formed only on u's centred sub-cube of half-width
+    ceil(R/h) + 2: the cells that interpolation at radii <= R reads, and
+    one node more, so that every node read has the centered differences it
+    has on the whole cube, bit for bit.
     """
     g = u.grid
     if R + g.h > g.r_max:
         raise ValueError("R too close to the grid edge")
-    sub = SubCube(g, math.ceil(R / g.h) + 2)
-    T = stress_tensor(VectorField(sub, u.values[(slice(None),) + sub.index]),
-                      pot)
-    trace = np.einsum("ii...->...", T.values)
+    v = centred(u.values, math.ceil(R / g.h) + 2, g.n)
+    T, e = _tensor(_kernels.derivatives(v, g.h), pot.value_field(v))
+    trace = np.einsum("ii...->...", T)
     nq = min(256, max(48, int(16 * R)))
     nodes, weights = np.polynomial.legendre.leggauss(nq)
     unit = sphere_points(g.n, 1.0, K)
@@ -107,12 +112,12 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
 
     pts = R * unit
     nu = pts / R
-    tvals = interpolate(g, T.values, pts)  # (n, n, K)
+    tvals = interpolate(g, T, pts)  # (n, n, K)
     nn = np.einsum("ki,ijk,kj->k", nu, tvals, nu)
     area = sphere_area(g.n, R)
     boundary_side = R * float(nn.mean()) * area
 
-    evals = interpolate(g, T.density, pts)
+    evals = interpolate(g, e, pts)
     gap = boundary_side + R * float(evals.mean()) * area
     return volume_side, boundary_side, gap
 
@@ -172,25 +177,20 @@ def monotone_quantities(u: VectorField, pot: Potential, radii,
     edens = _kernels.density(gsq, w)
     # one set of ball weights per radius serves both integrals, each with
     # the bits of integrate_ball
-    f_vals, e_vals = [], []
-    buf = np.zeros(g.shape)
-    for r in radii:
-        ball = ball_weights(g, r)
-        f_vals.append(ball_integral(g, fdens, ball, buf))
-        e_vals.append(ball_integral(g, edens, ball, buf))
+    f_vals, e_vals = ball_integrals(g, [fdens, edens], radii)
     r = np.asarray(radii)
-    weak = list(np.asarray(f_vals) * r ** (2 - n))
-    strong_f = list(np.asarray(f_vals) * r ** (1 - n))
-    strong_e = list(np.asarray(e_vals) * r ** (1 - n))
+    weak = (f_vals * r ** (2 - n)).tolist()
+    strong_f = (f_vals * r ** (1 - n)).tolist()
+    strong_e = (e_vals * r ** (1 - n)).tolist()
     tol = c_m * g.h
     mod = _modica(gsq, w, g.mask)
     return MonotonicityReport(
         radii=radii,
-        f_values=[float(x) for x in f_vals],
-        energies=[float(x) for x in e_vals],
-        weak=[float(x) for x in weak],
-        strong_f=[float(x) for x in strong_f],
-        strong_e=[float(x) for x in strong_e],
+        f_values=f_vals.tolist(),
+        energies=e_vals.tolist(),
+        weak=weak,
+        strong_f=strong_f,
+        strong_e=strong_e,
         weak_violations=_violations(weak, tol),
         strong_f_violations=_violations(strong_f, tol),
         strong_e_violations=_violations(strong_e, tol),

@@ -128,9 +128,11 @@ class Potential:
         d = vals - self.zero.reshape((self.m,) + (1,) * (vals.ndim - 1))
         rho2 = norm2(d)
         if self.family == "quadratic":
-            return 0.5 * rho2
+            rho2 *= 0.5
+            return rho2
         if self.family == "power":
-            return rho2 ** (self.exponent / 2.0)
+            rho2 **= self.exponent / 2.0
+            return rho2
         if self.family == "anisotropic":
             shape = (self.m,) + (1,) * (vals.ndim - 1)
             terms = self.coeffs.reshape(shape) * np.abs(d) ** self.powers.reshape(shape)

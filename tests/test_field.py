@@ -253,14 +253,40 @@ def test_interpolate_matches_fancy_index_oracle(n, lead):
     r = np.random.default_rng(7 + n)
     lead_shape = {"scalar": (), "vector": (3,), "tensor": (n, n)}[lead]
     stack = r.standard_normal(lead_shape + g.shape)
-    # points past the cube faces (|x| up to 1.4 L) exercise the i0 clip
     L = -g.axis[0]
-    pts = r.uniform(-1.4 * L, 1.4 * L, (500, n))
+    pts = r.uniform(-L, L, (500, n))
     pts[:8] = g.axis[0]           # exactly on the low faces
     pts[8:16] = g.axis[-1]        # exactly on the high faces
     out = interpolate(g, stack, pts)
     assert out.shape == lead_shape + (500,)
     assert np.array_equal(out, fancy_index_interpolate(g, stack, pts))
+
+
+def test_interpolate_refuses_points_outside_the_cube():
+    # the cube of this grid ends at +-2.2: a point past it lies in no cell
+    # and is refused, not extrapolated from the edge cell
+    g = Grid(2, 0.1, 2.0)
+    for p in [(10.0, 0.0), (-5.0, 0.0), (0.0, g.axis[-1] + 1e-9),
+              (g.axis[0] - 1e-9, 0.0), (np.nan, 0.0)]:
+        with pytest.raises(ValueError, match="outside"):
+            interpolate(g, g.radius, np.array([p]))
+    # a point on the cube's faces is in its edge cell
+    pts = np.array([[g.axis[-1], 0.0], [g.axis[0], g.axis[-1]]])
+    mid = g.axis.size // 2
+    assert interpolate(g, g.radius, pts).tolist() == [g.radius[-1, mid],
+                                                      g.radius[0, -1]]
+
+
+def test_fields_live_on_a_grid(small_grid):
+    class Lattice:
+        """A grid's n, h, axis and shape, without its mask or stencil."""
+        n, h, axis, shape = (small_grid.n, small_grid.h, small_grid.axis,
+                             small_grid.shape)
+
+    with pytest.raises(TypeError):
+        ScalarField(Lattice(), np.zeros(small_grid.shape))
+    with pytest.raises(TypeError):
+        VectorField(Lattice(), np.zeros((1,) + small_grid.shape))
 
 
 def test_field_io_roundtrip(tmp_path, small_grid, rng):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vacmin.field import (Grid, ScalarField, SubCube, VectorField,
-                          energy_density, integrate_ball, interpolate)
+from vacmin.field import (Grid, ScalarField, VectorField, energy_density,
+                          integrate_ball, interpolate)
 from vacmin.growth import (EnergyProfile, annulus_field, bootstrap_fixed_point,
                            bootstrap_map, comparison_bound, energy_profile,
                            growth_diagnostic)
@@ -141,13 +141,18 @@ def test_comparison_bound_perimeter_scaling():
         assert comparison_bound(u, pot, R) <= c * R
 
 
+def cube_nodes(g):
+    """The flat indices of every cube node, in the cube's shape."""
+    return np.arange(g.mask.size).reshape(g.shape)
+
+
 def test_annulus_field_structure(small_grid):
     pot = quadratic([0.3, -0.1])
     rng = np.random.default_rng(1)
     vals = 0.5 * rng.standard_normal((2,) + small_grid.shape)
     u = VectorField(small_grid, vals + pot.zero[:, None, None])
     R = 1.6
-    v = annulus_field(u, pot, R, SubCube(small_grid, small_grid.axis.size))
+    v = annulus_field(u, pot, R, cube_nodes(small_grid))
     rad = small_grid.radius
     inner = rad <= R - 1.0 - 1e-9
     outer = rad > R + 1e-9
@@ -182,7 +187,7 @@ def test_annulus_field_matches_full_cube_oracle(n, h, r_max):
     u = VectorField(g, rng.standard_normal((2,) + g.shape))
     # the smallest radius, the competitor suite's r_max - 2h, and r_max
     for R in (1.0 + h, r_max - 2 * h, r_max):
-        v = annulus_field(u, pot, R, SubCube(g, g.axis.size))
+        v = annulus_field(u, pot, R, cube_nodes(g))
         assert np.array_equal(v, full_cube_annulus_field(u, pot, R))
 
 
@@ -206,13 +211,37 @@ def test_rescaled_l2_values(small_grid):
     from vacmin.growth import rescaled_l2_smallness
     pot = quadratic([0.0])
     u = VectorField.constant(small_grid, [0.0])
-    assert rescaled_l2_smallness(u, pot, 1.0) == 0.0
+    assert rescaled_l2_smallness(u, pot, [1.0]) == [0.0]
     # constant offset c: (1/R) * |c|^2 * area(B_2R) = 4 pi |c|^2 R for n=2
     c = 0.3
     uc = VectorField.constant(small_grid, [c])
     R = 0.8
-    val = rescaled_l2_smallness(uc, pot, R)
+    val, = rescaled_l2_smallness(uc, pot, [R])
     assert val == pytest.approx(4 * np.pi * c ** 2 * R, rel=2e-2)
+
+
+def per_radius_l2(u, pot, R):
+    """The rescaled L2 value at one radius, with |u - zero|^2 formed for it
+    alone: the reference the list form must match bit for bit."""
+    g = u.grid
+    dist2 = ScalarField(g, u.distance_from(pot.zero).values ** 2)
+    return (1.0 / R) ** (g.n - 1) * integrate_ball(dist2, min(2.0 * R,
+                                                              g.r_max))
+
+
+@pytest.mark.parametrize("n,h,r_max", [(2, 0.1, 2.0), (3, 0.25, 2.5)])
+def test_rescaled_l2_list_matches_per_radius_values(n, h, r_max):
+    from vacmin.growth import rescaled_l2_smallness
+    g = Grid(n, h, r_max)
+    pot = quadratic([0.3, -0.1])
+    rng = np.random.default_rng(n)
+    u = VectorField(g, rng.standard_normal((2,) + g.shape))
+    # energy-profile's default radii r_max k / 8, the last four clipped,
+    # a repeat, and R below 2h
+    radii = [r_max * k / 8 for k in range(1, 9)] + [0.5 * r_max, 0.7 * h]
+    got = rescaled_l2_smallness(u, pot, radii)
+    want = [per_radius_l2(u, pot, R) for R in radii]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_rescaled_l2_clips_its_ball_to_r_max(small_grid):
@@ -225,7 +254,7 @@ def test_rescaled_l2_clips_its_ball_to_r_max(small_grid):
     uc = VectorField.constant(g, [c])
     R = 0.75 * g.r_max
     dist2 = ScalarField(g, uc.distance_from(pot.zero).values ** 2)
-    val = rescaled_l2_smallness(uc, pot, R)
+    val, = rescaled_l2_smallness(uc, pot, [R])
     assert val == (1.0 / R) * integrate_ball(dist2, g.r_max)
     # |c|^2 pi r_max^2 / R, not the 4 pi |c|^2 R of the unclipped B_{2R}
     assert val == pytest.approx(math.pi * c ** 2 * g.r_max ** 2 / R,

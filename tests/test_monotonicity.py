@@ -203,7 +203,7 @@ def test_monotone_quantities_form_ball_weights_once_per_radius(
     # one set of ball weights per radius serves the f and the energy
     # integrals, each with the bits of integrate_ball; the Modica check
     # still reads W(u), not the weights
-    from vacmin import monotonicity
+    from vacmin import field
     from vacmin.field import ScalarField, gradient_sq, integrate_ball
     from vacmin.minimizer import _modica
 
@@ -211,13 +211,13 @@ def test_monotone_quantities_form_ball_weights_once_per_radius(
     u = VectorField.from_function(small_grid, lambda x: np.exp(x[0]), m=1)
     radii = [0.5, 0.8, 1.1, 1.5]
     calls = []
-    weights = monotonicity.ball_weights
+    weights = field.ball_weights
 
     def counted(grid, R):
         calls.append(R)
         return weights(grid, R)
 
-    monkeypatch.setattr(monotonicity, "ball_weights", counted)
+    monkeypatch.setattr(field, "ball_weights", counted)
     rep = monotone_quantities(u, pot, radii, resid_tol=1.0)
     assert calls == radii
     gsq = gradient_sq(u).values

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_interior_field
-from vacmin import discs
+from vacmin import competitor, discs, growth
 from vacmin._kernels import InteriorOperator
 from vacmin.boundary import angular, initial_field, random_smooth
 from vacmin.competitor import (build_min_truncation, build_shell,
@@ -22,10 +22,9 @@ from vacmin.competitor import (build_min_truncation, build_shell,
                                modulus_gradient_ratio,
                                select_truncation_level, standard_suite)
 from vacmin.field import (BOUNDARY, EXTERIOR, INTERIOR, Grid, ScalarField,
-                          SubCube, VectorField, ball_integral, ball_weights,
-                          centred, energy_density, integrate_ball,
-                          interpolate, sample_sphere, sphere_area,
-                          sphere_points)
+                          VectorField, ball_integrals, ball_weights, centred,
+                          energy_density, integrate_ball, interpolate,
+                          sample_sphere, sphere_area, sphere_points, take)
 from vacmin.growth import annulus_field, comparison_bound
 from vacmin.minimizer import discrete_energy, minimize
 from vacmin.monotonicity import pohozaev_balance, stress_tensor
@@ -34,6 +33,11 @@ from vacmin.potentials import power, quadratic
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def cube_nodes(g):
+    """The flat indices of every cube node, in the cube's shape."""
+    return np.arange(g.mask.size).reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def test_interpolate_reads_a_centred_sub_cube(g, lead):
     stack = r.standard_normal(lead + g.shape)
     top = (g.axis.size - 1) // 2
     for half in (1, 3, top - 1, top):
-        part = stack[(Ellipsis,) + centred(g, half)]
+        part = centred(stack, half, g.n)
         # points anywhere in the sub-cube's cells, up to its faces: only
         # the sub-cube's edge cells reach its outer nodes
         edge = g.axis[top + half] - 1e-9 * g.h
@@ -188,7 +192,7 @@ def test_interpolate_reads_a_centred_sub_cube(g, lead):
         assert np.array_equal(_bits(got),
                               _bits(whole_cube_interpolate(g, stack, pts)))
     # a point past the sub-cube's cells is refused, not read from elsewhere
-    part = stack[(Ellipsis,) + centred(g, 1)]
+    part = centred(stack, 1, g.n)
     for x in (g.axis[top + 1] + 0.5 * g.h, g.axis[top - 1] - 0.5 * g.h):
         with pytest.raises(ValueError, match="sub-cube"):
             interpolate(g, part, np.full((1, g.n), x))
@@ -335,16 +339,32 @@ def test_ball_integral_matches_whole_cube_sum(g):
     ascending = small + [0.5 * g.r_max, g.r_max - g.h, g.r_max]
     descending = ascending[::-1]
     repeated = [0.5 * g.r_max, 0.5 * g.r_max, g.r_max, g.r_max, g.h]
-    buf = np.zeros(g.shape)
-    for s in vals:
-        for radii in (ascending, descending, repeated):
-            for R in radii:
+    for radii in (ascending, descending, repeated):
+        got = ball_integrals(g, vals, radii)
+        assert got.shape == (len(vals), len(radii))
+        for s, row in zip(vals, got):
+            for R, x in zip(radii, row):
                 want = float(np.sum(s * whole_cube_weights(g, R)) * g.cell)
-                got = ball_integral(g, s, ball_weights(g, R), buf)
-                assert _bits(got) == _bits(want), R
-                assert not buf.any()
+                assert _bits(x) == _bits(want), R
                 assert _bits(integrate_ball(ScalarField(g, s), R)) \
                     == _bits(want)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
+def test_ball_integrals_read_a_sub_cube_stack(g):
+    # a stack that holds only the block of the largest radius's weights
+    # gives the bits of its whole-cube arrays, with repeated radii and R
+    # below 2h
+    vals = [_smooth_field(g, 1, 9).values[0],
+            random_interior_field(g, 1, 10, scale=2.0).values[0]]
+    top = 0.5 * g.r_max
+    radii = [top, 0.3 * g.h, top, 1.5 * g.h, 0.25 * g.r_max]
+    part = [centred(s, math.ceil(top / g.h) + 1, g.n).copy() for s in vals]
+    got = ball_integrals(g, part, radii)
+    want = ball_integrals(g, vals, radii)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert [_bits(integrate_ball(ScalarField(g, s), R)) for s in vals
+            for R in radii] == list(_bits(want.ravel()))
 
 
 @pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
@@ -353,7 +373,7 @@ def test_ball_weights_hold_every_nonzero_weight(g):
         w = ball_weights(g, R)
         full = whole_cube_weights(g, R)
         inner = np.zeros(g.shape, dtype=bool)
-        inner[centred(g, math.ceil(R / g.h) + 1)] = True
+        centred(inner, math.ceil(R / g.h) + 1, g.n)[...] = True
         assert np.array_equal(w, full[inner].reshape(w.shape))
         assert not full[~inner].any()
 
@@ -365,7 +385,7 @@ def test_ball_weights_hold_every_nonzero_weight(g):
 @pytest.mark.parametrize("g", GRIDS, ids=GRID_IDS)
 def test_comparison_bound_matches_whole_cube_bound(g):
     pot = power([0.0, 0.1], 4)
-    whole = SubCube(g, g.axis.size)
+    whole = cube_nodes(g)
     for u in (_smooth_field(g, 2, 5),
               random_interior_field(g, 2, 6, scale=0.5)):
         for R in (1.0 + g.h, 0.5 * (1.0 + g.h + g.r_max), g.r_max - 2 * g.h,
@@ -399,13 +419,13 @@ def whole_cube_suite(u, pot, mag):
                 "admissible": dev <= 1e-12, "params": params}
 
     s_r = g.r_max - 2 * g.h
-    out = [report(annulus_field(u, pot, s_r, SubCube(g, g.axis.size)),
+    out = [report(annulus_field(u, pot, s_r, cube_nodes(g)),
                   "annulus", {"s_r": s_r})]
     trunc = build_truncation(u.values, pot.zero, mag)
     op = InteriorOperator(g, u.values, pot)
     nodes = interior_and_ring(g)
-    ratio = modulus_gradient_ratio(op, nodes.take(u.values),
-                                   nodes.take(trunc), pot.zero)
+    ratio = modulus_gradient_ratio(op, take(u.values, nodes),
+                                   take(trunc, nodes), pot.zero)
     out.append(report(trunc, "truncation", {"r": mag, "grad_ratio": ratio}))
     out.append(report(build_shell(u.values, pot.zero, mag),
                       "constant-r-shell", {"r": mag}))
@@ -470,18 +490,31 @@ def test_suite_matches_whole_cube_reference(g, m, case):
 
 
 def test_suite_and_bound_build_no_whole_cube_field(monkeypatch):
+    # the suite builds its annulus on the interior and ring nodes, the
+    # bound on a sub-cube, and neither builds a field object at all
     g = Grid(3, 0.2, 2.4)
     pot = power([0.0, 0.0], 4)
     u = _suite_field(g, pot, "angular")
-    shapes = []
-    init = VectorField.__init__
+    fields, annuli = [], []
+    init, real = VectorField.__init__, growth.annulus_field
 
     def recording(self, grid, values):
-        shapes.append(np.shape(values))
+        fields.append(np.shape(values))
         init(self, grid, values)
 
+    def annulus(*args):
+        v = real(*args)
+        annuli.append(v.shape)
+        return v
+
     monkeypatch.setattr(VectorField, "__init__", recording)
+    monkeypatch.setattr(competitor, "annulus_field", annulus)
     standard_suite(u, pot, 0.6)
-    comparison_bound(u, pot, g.r_max - 3 * g.h)
-    assert shapes
-    assert (2,) + g.shape not in shapes
+    assert annuli == [(2, interior_and_ring(g).size)]
+    R = g.r_max - 3 * g.h
+    side = 2 * (math.ceil(R / g.h) + 2) + 1
+    monkeypatch.setattr(growth, "annulus_field", annulus)
+    comparison_bound(u, pot, R)
+    assert annuli[1] == (2,) + (side,) * g.n
+    assert side < g.axis.size
+    assert fields == []
