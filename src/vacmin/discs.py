@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .field import (InvariantViolation, ScalarField, sample_sphere,
                     sphere_area, sphere_means, sphere_points)
 
@@ -43,11 +44,9 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 #
 # Every geodesic test on the sphere samples reads cosines
 # cos[i, j] = unit_i . unit_j, never a K x K matrix of them. Membership
-# dist <= L, with dist = radius * arccos(cos), is decided by the threshold
-# cos(L / radius); only cosines within _BAND of it go through arccos
-# (clipped to [-1, 1]), where the exact test decides. Outside the band the
-# angle differs from L / radius by more than 1e-9, far beyond rounding, so
-# the masks equal those of the exact test.
+# dist <= L, with dist = radius * arccos(cos), is the exact test (_arc, with
+# cos clipped to [-1, 1]); a cheap test on cos against the threshold
+# cos(L / radius) only settles the pairs far from it.
 #
 # The 2-ball sweep, the covering and the violation scan decide their pairs
 # in _members. A float32 BLAS product of the unit vectors only filters: it
@@ -59,10 +58,11 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 # is over 20 times the error and the filter never settles a pair the exact
 # test would decide the other way. Only the pairs it leaves open get
 # float64 cosines, the explicit sum (a0*b0 + a1*b1) + a2*b2 with one numpy
-# multiply and one add per coordinate, and the exact test. So the masks do
-# not depend on the BLAS build or its thread count, nor on whether numpy's
-# einsum fuses multiply and add. The Holder search forms the same explicit
-# sum one offset at a time (_offset_cosines), with no float32 filter.
+# multiply and one add per coordinate (_dots), and the exact test. So the
+# masks do not depend on the BLAS build or its thread count, nor on
+# whether numpy's einsum fuses multiply and add. The Holder search forms
+# the same explicit sum one offset at a time, with no float32 filter, and
+# sends only cosines within _BAND of its threshold or past it to arccos.
 #
 # Each test forms exact cosines only where a cheap bound leaves it open.
 # A few ulps of cosine rounding move an angle by at most about 3e-8 (near
@@ -85,38 +85,39 @@ def clearing_out_threshold(eps: float, c4: float, alpha: float, n: int) -> float
 #
 # _SWEEP_ROWS group centres (or violation-scan rows) are tested against
 # the K samples at a time: at K = 4096 that is one float32 product of
-# 16 * 4096 * 3 multiply-adds, within _TILE. _members splits larger
-# products by rows into tiles of at most _TILE = 64^3 multiply-adds, the
-# size up to which OpenBLAS's gemm runs on one thread (4 * 65536); waking
-# its threads costs more than a product this small. With _BOX = 0.4 the
-# K = 4096 lattice on S^2 falls into 115 groups of angular radius about
-# 0.26, which forms a fifth fewer cosines than 0.5 in the same time; the
-# saving grows as K^2, the cost per group as K. BENCH_20.json and
-# BENCH_28.json have the measurements.
+# 16 * 4096 * 3 multiply-adds, within _kernels._GEMM_MACS. _members splits
+# larger products by rows into tiles of at most that many multiply-adds,
+# the size up to which OpenBLAS's gemm runs on one thread (4 * 65536);
+# waking its threads costs more than a product this small. With
+# _BOX = 0.4 the K = 4096 lattice on S^2 falls into 115 groups of angular
+# radius about 0.26, which forms a fifth fewer cosines than 0.5 in the
+# same time; the saving grows as K^2, the cost per group as K.
+# BENCH_20.json and BENCH_28.json have the measurements.
 _SWEEP_ROWS = 16
 _BOX = 0.4
 _BAND = 1e-9
 _MARGIN = 1e-6
 _F32 = 1e-5
-_TILE = 64 ** 3
 
 
 def _members(rows: np.ndarray, cols: np.ndarray, cols32: np.ndarray,
-             t, arc=None, near=None) -> np.ndarray:
+             t=None, arc=None, near=None) -> np.ndarray:
     """Mask (r, c) of the pairs of r unit row vectors (r, n) and c unit
     columns of cols (n, K), the columns near (all K when None), whose cosine
-    passes a test: with arc = (radius, dist), radius * arccos(cos) <= dist
-    as _within decides it (t = _threshold(radius, dist)); without, cos >= t
-    for a float t or an (r, 1) column of one threshold per row. cols32 is
-    cols in float32.
+    passes a test: with arc = (radius, dist), radius * arccos(cos) <= dist,
+    whose threshold is t = _threshold(radius, dist); without, cos >= t for
+    a float t or an (r, 1) column of one threshold per row. cols32 is cols
+    in float32.
 
     The float32 product of the rows and the columns settles each pair whose
     cosine lies more than _F32 from t (see the comment above _SWEEP_ROWS),
-    in tiles of at most _TILE multiply-adds (or one row). The comparisons
-    stay in float32: a Python float t is rounded to float32 (NEP 50), a
-    column is cast. The open pairs get the explicit float64 sum and the
-    exact test, so the mask equals that test on float64 cosines bit for
-    bit."""
+    in tiles of at most _kernels._GEMM_MACS multiply-adds (or one row). The
+    comparisons stay in float32: a Python float t is rounded to float32
+    (NEP 50), a column is cast. The open pairs get the explicit float64 sum
+    and the exact test, so the mask equals that test on float64 cosines bit
+    for bit."""
+    if arc:
+        t = _threshold(*arc)
     if near is not None:
         cols32 = np.take(cols32, near, axis=1)
     n, c = cols32.shape
@@ -127,7 +128,7 @@ def _members(rows: np.ndarray, cols: np.ndarray, cols32: np.ndarray,
         hi, lo = (t + _F32).astype(np.float32), (t - _F32).astype(np.float32)
     else:
         hi, lo = float(t) + _F32, float(t) - _F32
-    step = max(1, _TILE // (n * c))
+    step = max(1, _kernels._GEMM_MACS // (n * c))
     for r0 in range(0, len(rows), step):
         r1 = min(r0 + step, len(rows))
         cos32 = np.matmul(rows32[r0:r1], cols32)
@@ -139,7 +140,7 @@ def _members(rows: np.ndarray, cols: np.ndarray, cols32: np.ndarray,
             i, j = np.divmod(open_, c)
             i += r0
             cos = _dots(rows[i].T, cols[:, j if near is None else near[j]])
-            inside.ravel()[open_] = (_within(cos, *arc) if arc else
+            inside.ravel()[open_] = (_arc(cos, arc[0]) <= arc[1] if arc else
                                      cos >= (t[i, 0] if per_row else t))
     return out
 
@@ -155,31 +156,13 @@ def _dots(a: np.ndarray, b: np.ndarray, out=None, term=None) -> np.ndarray:
     return cos
 
 
-def _offset_cosines(cols: np.ndarray, k: int, buf: np.ndarray,
-                    term: np.ndarray) -> np.ndarray:
-    """cos[i] = cols[:, i] . cols[:, i + k] for the columns i < c - k of an
-    (n, c) matrix, by _dots into the front of buf and term."""
-    m = cols.shape[1] - k
-    return _dots(cols[:, :m], cols[:, k:], buf[:m], term[:m])
-
-
 def _threshold(radius: float, dist: float) -> float:
     return math.cos(min(dist / radius, math.pi))
 
 
-def _arc(cos: np.ndarray, idx: np.ndarray, radius: float) -> np.ndarray:
-    """Geodesic distances radius * arccos(cos) at the flat indices idx."""
-    return radius * np.arccos(np.clip(cos.ravel().take(idx), -1.0, 1.0))
-
-
-def _within(cos: np.ndarray, radius: float, dist: float) -> np.ndarray:
-    """Mask of radius * arccos(cos) <= dist."""
-    t = _threshold(radius, dist)
-    inside = cos >= t + _BAND
-    edge = np.flatnonzero((cos > t - _BAND) ^ inside)
-    if edge.size:
-        inside.ravel()[edge] = _arc(cos, edge, radius) <= dist
-    return inside
+def _arc(cos: np.ndarray, radius: float) -> np.ndarray:
+    """Geodesic distances radius * arccos(cos)."""
+    return radius * np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def _holder_cap(values: np.ndarray, alpha: float, max_dist: float,
@@ -249,7 +232,6 @@ def _sweep(unit: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
     reach = rho + _MARGIN
     full_at = _cos_at(2.0 / radius - reach)[:, None]
     ring_at = _cos_at(2.0 / radius + reach)[:, None]
-    t = _threshold(radius, 2.0)
     sums = np.empty(K)
     for g0 in range(0, len(starts), _SWEEP_ROWS):
         g1 = min(g0 + _SWEEP_ROWS, len(starts))
@@ -261,8 +243,8 @@ def _sweep(unit: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
             near = np.flatnonzero(ring[g - g0])
             if near.size:
                 a, b = bounds[g], bounds[g + 1]
-                inside = _members(members[a:b], cols, cols32, t,
-                                  (radius, 2.0), near)
+                inside = _members(members[a:b], cols, cols32,
+                                  arc=(radius, 2.0), near=near)
                 sums[a:b] += np.einsum("ij,j->i", inside, weighted[near])
     ball2 = np.empty(K)
     ball2[order] = sums
@@ -300,16 +282,9 @@ def holder_constant(e: ScalarField, alpha: float = 1.0) -> float:
         dist = h * math.sqrt(sum(o * o for o in off))
         if dist > 1.0 + 1e-12:
             continue
-        src = [slice(None)] * g.n
-        dst = [slice(None)] * g.n
-        for ax, o in enumerate(off):
-            if o > 0:
-                src[ax] = slice(o, None)
-                dst[ax] = slice(None, -o)
-            elif o < 0:
-                src[ax] = slice(None, o)
-                dst[ax] = slice(-o, None)
-        diff = np.abs(e.values[tuple(src)] - e.values[tuple(dst)])
+        src = tuple(slice(max(o, 0), min(o, 0) or None) for o in off)
+        dst = tuple(slice(max(-o, 0), min(-o, 0) or None) for o in off)
+        diff = np.abs(e.values[src] - e.values[dst])
         best = max(best, float(diff.max()) / dist ** alpha)
     return best
 
@@ -342,11 +317,12 @@ def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
     near = _threshold(radius, max_dist) - _BAND
     best = 0.0
     for k in range(1, widest + 1):
-        cos = _offset_cosines(cols, k, buf, term)
-        i = np.flatnonzero((width[:K - k] >= k) & (cos >= near))
+        m = K - k
+        cos = _dots(cols[:, :m], cols[:, k:], buf[:m], term[:m])
+        i = np.flatnonzero((width[:m] >= k) & (cos >= near))
         diff = np.abs(values[i] - values[i + k])
         moved = diff != 0.0
-        dist = _arc(cos, i[moved], radius)
+        dist = _arc(cos[i[moved]], radius)
         sel = (dist > 1e-12) & (dist <= max_dist)
         if sel.any():
             best = max(best, float((diff[moved][sel] / dist[sel] ** alpha)
@@ -357,28 +333,21 @@ def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 # good radius selection
 
-# radii interpolated in one call: fewer calls, and the (radii * K, n)
-# points of a batch stay small
-_SCAN_RADII = 4
-
-
 def select_good_radius(e: ScalarField, R: float, samples: int = 32,
                        K: int = 512):
     """Scan radii in (R, 2R) and return (S_R, slice energy) minimizing the
     sphere-slice integral of e. By the mean-value property the minimum is
     bounded by the shell average (1/R) * int_{B_2R - B_R} e."""
     g = e.grid
-    if 2.0 * R + g.h > g.r_max:
-        raise ValueError(f"R={R} out of range: need 2R + h <= r_max")
+    if not R > 0 or 2.0 * R + g.h > g.r_max:
+        raise ValueError(f"R={R} out of range: need 0 < R, 2R + h <= r_max")
     radii = R + (np.arange(samples) + 0.5) / samples * R
-    unit = sphere_points(g.n, 1.0, K)
+    means = sphere_means(g, e.values, radii, sphere_points(g.n, 1.0, K))
     best_r, best_val = radii[0], math.inf
-    for b in range(0, samples, _SCAN_RADII):
-        batch = radii[b:b + _SCAN_RADII]
-        for r, mean in zip(batch, sphere_means(g, e.values, batch, unit)):
-            v = float(mean * sphere_area(g.n, float(r)))
-            if v < best_val:
-                best_r, best_val = float(r), v
+    for r, mean in zip(radii, means):
+        v = float(mean * sphere_area(g.n, float(r)))
+        if v < best_val:
+            best_r, best_val = float(r), v
     return best_r, best_val
 
 
@@ -434,7 +403,6 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
     ball2 = _sweep(unit, values, radius)
     cols = unit.T.copy()
     cols32 = cols.astype(np.float32)
-    t = _threshold(radius, 1.0)
     covered = np.zeros(len(values), dtype=bool)
     hot = values > eps
     centers = []
@@ -454,8 +422,8 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
         near = open_idx[energy >= bmax - 1e-12 * max(1.0, abs(bmax))]
         pick = int(near[np.lexsort((near, -values[near]))[0]])
         centers.append(pick)
-        covered |= _members(unit[pick:pick + 1], cols, cols32, t,
-                            (radius, 1.0))[0]
+        covered |= _members(unit[pick:pick + 1], cols, cols32,
+                            arc=(radius, 1.0))[0]
     return np.array(centers, dtype=int), covered
 
 
@@ -469,11 +437,10 @@ def clearing_out_violations(points: np.ndarray, values: np.ndarray,
     low = np.flatnonzero(ball2 < mu)
     cols = unit.T.copy()
     cols32 = cols.astype(np.float32)
-    t = _threshold(radius, 1.0)
     out = []
     for start in range(0, len(low), _SWEEP_ROWS):
         rows = low[start:start + _SWEEP_ROWS]
-        inside = _members(unit[rows], cols, cols32, t, (radius, 1.0))
+        inside = _members(unit[rows], cols, cols32, arc=(radius, 1.0))
         inner = np.where(inside, values, -np.inf).max(axis=1)
         out += [(int(i), float(ball2[i]), float(v))
                 for i, v in zip(rows, inner) if v > eps]

@@ -344,23 +344,35 @@ def interpolate(grid: Grid, stack: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+# sphere points interpolated in one call (4 radii at K = 4096): fewer
+# calls, and the (points, n) arrays of a call stay small
+_SPHERE_BATCH = 4 * 4096
+
+
 def sphere_means(grid: Grid, stack: np.ndarray, radii: np.ndarray,
                  unit: np.ndarray) -> np.ndarray:
     """The mean of a scalar stack over the points r * unit for each r in
-    radii, from one interpolation. For unit = sphere_points(n, 1, K),
-    r * unit is the radius-r lattice bit for bit, and each row mean of the
-    (radii, K) block has the bits of that radius's own mean."""
-    pts = (radii[:, None, None] * unit).reshape(-1, grid.n)
-    vals = interpolate(grid, stack, pts)
-    return vals.reshape(len(radii), len(unit)).mean(axis=1)
+    radii, from one interpolation per batch of radii that holds at most
+    _SPHERE_BATCH points (or one radius). For unit = sphere_points(n, 1, K),
+    r * unit is the radius-r lattice bit for bit, and each row mean of a
+    (batch, K) block has the bits of that radius's own mean."""
+    step = max(1, _SPHERE_BATCH // len(unit))
+    out = np.empty(len(radii))
+    for b in range(0, len(radii), step):
+        batch = radii[b:b + step]
+        pts = (batch[:, None, None] * unit).reshape(-1, grid.n)
+        vals = interpolate(grid, stack, pts)
+        out[b:b + step] = vals.reshape(len(batch), len(unit)).mean(axis=1)
+    return out
 
 
 def sample_sphere(s: ScalarField, R: float, K: int):
     """Values of s at K sphere points of radius R by multilinear interpolation.
     Returns (points (K, n), values (K,))."""
     g = s.grid
-    if R + g.h > g.r_max:
-        raise ValueError(f"R={R} too close to the grid edge (r_max={g.r_max})")
+    if not R > 0 or R + g.h > g.r_max:
+        raise ValueError(f"R={R} not positive or too close to the grid edge "
+                         f"(r_max={g.r_max})")
     pts = sphere_points(g.n, R, K)
     return pts, interpolate(g, s.values, pts)
 
@@ -430,14 +442,9 @@ def export_sphere_csv(path: str, points: np.ndarray, values: np.ndarray,
     n = points.shape[1]
     R = float(np.linalg.norm(points[0]))
     with open(path, "w") as f:
-        if n == 2:
-            f.write("theta,e,covered\n")
-            for p, v, c in zip(points, values, covered):
-                th = math.atan2(p[1], p[0])
-                f.write(f"{th:.17e},{v:.17e},{int(c)}\n")
-        else:
-            f.write("theta,phi,e,covered\n")
-            for p, v, c in zip(points, values, covered):
-                th = math.atan2(p[1], p[0])
-                ph = math.acos(max(-1.0, min(1.0, p[2] / R)))
-                f.write(f"{th:.17e},{ph:.17e},{v:.17e},{int(c)}\n")
+        f.write("theta," + "phi," * (n - 2) + "e,covered\n")
+        for p, v, c in zip(points, values, covered):
+            row = [math.atan2(p[1], p[0])]
+            if n == 3:
+                row.append(math.acos(max(-1.0, min(1.0, p[2] / R))))
+            f.write("".join(f"{x:.17e}," for x in row + [v]) + f"{int(c)}\n")

@@ -73,10 +73,6 @@ def positivity_check(T: StressTensorField) -> float:
     return float(eigs.min())
 
 
-# Gauss-Legendre radii interpolated in one call
-_QUAD_RADII = 8
-
-
 def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     """Radial flux balance over B_R.
 
@@ -94,21 +90,19 @@ def pohozaev_balance(u: VectorField, pot: Potential, R: float, K: int = 1024):
     has on the whole cube, bit for bit.
     """
     g = u.grid
-    if R + g.h > g.r_max:
-        raise ValueError("R too close to the grid edge")
+    if not R > 0 or R + g.h > g.r_max:
+        raise ValueError(f"R={R} not positive or too close to the grid edge")
     v = centred(u.values, math.ceil(R / g.h) + 2, g.n)
     T, e = _tensor(_kernels.derivatives(v, g.h), pot.value_field(v))
     trace = np.einsum("ii...->...", T)
     nq = min(256, max(48, int(16 * R)))
     nodes, weights = np.polynomial.legendre.leggauss(nq)
     unit = sphere_points(g.n, 1.0, K)
+    radii = 0.5 * R * (nodes + 1.0)
     volume_side = 0.0
-    for b in range(0, nq, _QUAD_RADII):
-        radii = 0.5 * R * (nodes[b:b + _QUAD_RADII] + 1.0)
-        means = sphere_means(g, trace, radii, unit)
-        for r_i, w, mean in zip(radii, weights[b:b + _QUAD_RADII], means):
-            volume_side += (0.5 * R * w * float(mean)
-                            * sphere_area(g.n, r_i))
+    for r_i, w, mean in zip(radii, weights,
+                            sphere_means(g, trace, radii, unit)):
+        volume_side += 0.5 * R * w * float(mean) * sphere_area(g.n, r_i)
 
     pts = R * unit
     nu = pts / R

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import sphere_integral
-from vacmin import discs
+from vacmin import _kernels, discs
 from vacmin.discs import (ClearingOutViolated, bad_disc_pipeline,
                           clearing_out_threshold, clearing_out_violations,
                           greedy_bad_discs, holder_constant,
@@ -150,8 +150,9 @@ def test_good_radius_scan_scales_one_lattice(n):
     rng = np.random.default_rng(n)
     e = ScalarField(g, rng.random(g.shape))
     R, K = 1.2, 1024
-    # the scan interpolates a few radii per call; 7 leaves a short batch
-    for samples in (16, 7):
+    # the scan interpolates 16 radii per call at K = 1024; 17 leaves a
+    # short batch
+    for samples in (32, 17, 7):
         radii = R + (np.arange(samples) + 0.5) / samples * R
         slices = [float(sample_sphere(e, float(r), K)[1].mean()
                         * sphere_area(n, float(r))) for r in radii]
@@ -164,6 +165,27 @@ def test_good_radius_range_check():
     g = Grid(2, 0.1, 2.0)
     with pytest.raises(ValueError):
         select_good_radius(ScalarField.constant(g, 1.0), 1.5)
+
+
+def _bump_field():
+    g = Grid(3, 0.2, 4.0)
+    return ScalarField.from_function(
+        g, lambda x: np.exp(-((x[0] - 1.5) ** 2 + x[1] ** 2 + x[2] ** 2)))
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, -0.0, math.nan])
+def test_good_radius_refuses_a_radius_that_is_not_positive(R):
+    # a negative R would scan (2R, R) and return a negative good radius
+    with pytest.raises(ValueError, match="0 < R"):
+        select_good_radius(_bump_field(), R, K=64)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan])
+def test_pipeline_refuses_a_radius_that_is_not_positive(R):
+    # refused as bad input, not as a clearing-out violation (the CLI's
+    # exit 4) or a division by zero
+    with pytest.raises(ValueError, match="0 < R"):
+        bad_disc_pipeline(_bump_field(), R, 0.05, K=64)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +512,11 @@ def test_sweep_visits_each_pair_once(monkeypatch):
     # every 2-ball holds the dense count of samples within distance 2. The
     # Holder search forms each unordered pair of samples at most once
     members = discs._members
-    offset_cosines = discs._offset_cosines
+    dots = discs._dots
     pairs = []
     holder_pairs = []
 
-    def recorded(rows, cols, cols32, t, arc=None, near=None):
+    def recorded(rows, cols, cols32, t=None, arc=None, near=None):
         # the ring blocks test a group's members against the samples near;
         # the group centres' test has no arc
         if arc is not None:
@@ -503,10 +525,12 @@ def test_sweep_visits_each_pair_once(monkeypatch):
                              np.tile(near, len(r)).tolist()))
         return members(rows, cols, cols32, t, arc, near)
 
-    def formed(cols, k, buf, term):
-        c = [index[col.tobytes()] for col in cols.T]
-        holder_pairs.extend(tuple(sorted(p)) for p in zip(c[:-k], c[k:]))
-        return offset_cosines(cols, k, buf, term)
+    def formed(a, b, out=None, term=None):
+        # the Holder search pairs column i of a with column i of b
+        r = [index[col.tobytes()] for col in a.T]
+        c = [index[col.tobytes()] for col in b.T]
+        holder_pairs.extend(tuple(sorted(p)) for p in zip(r, c))
+        return dots(a, b, out, term)
 
     for n, K in ((2, 1000), (3, 256), (3, 65)):
         R, pts, _ = _random_slice(np.random.default_rng(K), n, K)
@@ -521,7 +545,7 @@ def test_sweep_visits_each_pair_once(monkeypatch):
         count = (geodesic_distances(pts, R) <= 2.0).sum(axis=1)
         np.testing.assert_allclose(ball2 / (sphere_area(n, R) / K), count,
                                    rtol=1e-12, atol=0)
-        monkeypatch.setattr(discs, "_offset_cosines", formed)
+        monkeypatch.setattr(discs, "_dots", formed)
         for max_dist in (1.0, 4.0 * R):
             holder_pairs.clear()
             sphere_holder_constant(pts, np.ones(K), R, 1.0, max_dist)
@@ -530,7 +554,7 @@ def test_sweep_visits_each_pair_once(monkeypatch):
             assert all(i != j for i, j in holder_pairs)
         # beyond pi every pair is in reach: each one is formed exactly once
         assert len(holder_pairs) == K * (K - 1) // 2
-        monkeypatch.setattr(discs, "_offset_cosines", offset_cosines)
+        monkeypatch.setattr(discs, "_dots", dots)
 
 
 def _unit_lattice_with_straddlers(n, K):
@@ -603,16 +627,16 @@ def test_sweep_prunes_cosines(monkeypatch):
     vals = 0.2 + (1.0 + unit @ (d / np.linalg.norm(d))) ** 2
     formed = []
     members = discs._members
-    offset_cosines = discs._offset_cosines
+    dots = discs._dots
 
-    def counted(rows, cols, cols32, t, arc=None, near=None):
+    def counted(rows, cols, cols32, t=None, arc=None, near=None):
         formed.append(len(rows) * (cols.shape[1] if near is None
                                    else len(near)))
         return members(rows, cols, cols32, t, arc, near)
 
-    def offset_counted(cols, k, buf, term):
-        formed.append(cols.shape[1] - k)
-        return offset_cosines(cols, k, buf, term)
+    def offset_counted(a, b, out=None, term=None):
+        formed.append(a.shape[1])
+        return dots(a, b, out, term)
 
     for theta in (1.1, 1.4, 2.0):
         radius = 2.0 / theta
@@ -620,13 +644,13 @@ def test_sweep_prunes_cosines(monkeypatch):
                                                    radius)
         cap = discs._holder_cap(vals, 1.0, 1.0, floor)
         assert 0.0 < cap < 1.0
-        monkeypatch.setattr(discs, "_members", counted)
-        monkeypatch.setattr(discs, "_offset_cosines", offset_counted)
         formed.clear()
+        monkeypatch.setattr(discs, "_members", counted)
         discs._sweep(unit, vals, radius)
-        discs.sphere_holder_constant(unit * radius, vals, radius, 1.0, cap)
         monkeypatch.setattr(discs, "_members", members)
-        monkeypatch.setattr(discs, "_offset_cosines", offset_cosines)
+        monkeypatch.setattr(discs, "_dots", offset_counted)
+        discs.sphere_holder_constant(unit * radius, vals, radius, 1.0, cap)
+        monkeypatch.setattr(discs, "_dots", dots)
         assert sum(formed) <= 0.7 * K * (K + 1) / 2, (theta, sum(formed))
 
 
@@ -665,13 +689,13 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
     exact = []
     members = discs._members
     dots = discs._dots
-    offset_cosines = discs._offset_cosines
-
-    def offset_checked(cols, k, buf, term):
-        offsets.append(k)
-        return offset_cosines(cols, k, buf, term)
 
     def dots_checked(a, b, out=None, term=None):
+        # the Holder search's offset k pairs two views of one sorted copy
+        # of the samples (far offsets share no element, only its buffer);
+        # the other tests pair gathered copies of rows and columns
+        if np.may_share_memory(a, b):
+            offsets.append(K - a.shape[1])
         cos = dots(a, b, out, term)
         r = [index.get(v.tobytes()) for v in a.T]
         c = [index.get(v.tobytes()) for v in b.T]
@@ -680,14 +704,13 @@ def test_cosine_blocks_sum_coordinates_in_order(monkeypatch, n, K):
             exact.append(len(cos))
         return cos
 
-    def members_checked(rows, cols, cols32, t, arc=None, near=None):
+    def members_checked(rows, cols, cols32, t=None, arc=None, near=None):
         shapes.append((len(rows), cols.shape[1] if near is None
                        else len(near)))
         return members(rows, cols, cols32, t, arc, near)
 
     monkeypatch.setattr(discs, "_members", members_checked)
     monkeypatch.setattr(discs, "_dots", dots_checked)
-    monkeypatch.setattr(discs, "_offset_cosines", offset_checked)
     vals = rng.uniform(0.5, 1.5, K)
     # radii of powers of two keep points / radius bit for bit on unit
     for radius in (2.0, 4.0):
@@ -758,13 +781,13 @@ def test_members_decide_pairs_at_the_threshold_exactly(monkeypatch, n):
             cols32 = cols.astype(np.float32)
             cos = _coordinate_sum(rows, cols)
             exact = radius * np.arccos(np.clip(cos, -1.0, 1.0)) <= dist
-            assert rows.shape[0] * cols.size > discs._TILE
-            out.append((discs._members(rows, cols, cols32, t, (radius, dist)),
-                        exact))
+            assert rows.shape[0] * cols.size > _kernels._GEMM_MACS
+            out.append((discs._members(rows, cols, cols32,
+                                       arc=(radius, dist)), exact))
             for near in (np.array([len(base) * len(offsets) // 2]),
                          np.arange(0, cols.shape[1], 7)):
-                out.append((discs._members(rows, cols, cols32, t,
-                                           (radius, dist), near),
+                out.append((discs._members(rows, cols, cols32,
+                                           arc=(radius, dist), near=near),
                             exact[:, near]))
             # one threshold per row, each within 1e-7 of a cosine of its row
             pick = rng.integers(cols.shape[1], size=len(rows))
@@ -946,18 +969,24 @@ def test_blocked_sweep_matches_dense_on_disc_edges(K):
         assert centers.tolist() == ref_centers.tolist()
         assert np.array_equal(covered, ref_covered)
 
-def test_within_decides_at_the_threshold_like_arccos():
-    # cosines packed within a few ulps and within the band of the
-    # threshold: the mask must equal the exact test radius*arccos <= dist
+def test_members_decide_at_the_threshold_like_arccos():
+    # cosines packed within a few ulps and within 3e-9 of the threshold,
+    # each the cosine of a unit column with the row e_0: the arc-mode mask
+    # must equal the exact test radius*arccos <= dist on them
     radius, dist = 3.0, 2.0
     t = math.cos(dist / radius)
     ulps = t + np.arange(-40, 41) * np.spacing(t)
     band = t + np.linspace(-3e-9, 3e-9, 121)
-    cos = np.concatenate([ulps, band, [-1.0, 1.0]]).reshape(1, -1)
-    mask = discs._within(cos, radius, dist)
-    assert np.array_equal(mask, radius * np.arccos(cos) <= dist)
+    cos = np.concatenate([ulps, band, [-1.0, 1.0]])
+    cols = np.stack([cos, np.sqrt(1.0 - cos * cos), np.zeros_like(cos)])
+    row = np.array([[1.0, 0.0, 0.0]])
+    assert np.array_equal(_coordinate_sum(row, cols)[0], cos)
+    cols32 = cols.astype(np.float32)
+    mask = discs._members(row, cols, cols32, arc=(radius, dist))
+    assert np.array_equal(mask[0], radius * np.arccos(cos) <= dist)
+    assert mask.any() and not mask.all()
     # a disc wider than half the circumference holds every sample
-    assert discs._within(cos, 0.5, 2.0).all()
+    assert discs._members(row, cols, cols32, arc=(0.5, 2.0)).all()
 
 
 def test_grid_constant_is_formed_once_per_field(monkeypatch):

@@ -1,5 +1,6 @@
 """Grid construction, stencils, quadrature, sampling and serialization."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import sphere_integral
+from vacmin import field
 from vacmin._kernels import InteriorOperator
 from vacmin.boundary import angular, initial_field
 from vacmin.field import (BOUNDARY, INTERIOR, Grid, GridError,
                           ScalarField, VectorField, energy_density,
                           export_sphere_csv, integrate_ball, interpolate,
                           load_field, sample_sphere, save_field,
-                          sphere_points)
+                          sphere_means, sphere_points)
 from vacmin.potentials import power, quadratic
 
 
@@ -206,6 +208,46 @@ def test_sample_sphere_nonnegative_and_edge(small_grid, rng):
         sphere_points(2, 1.0, 4)
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.0, -0.0, math.nan])
+def test_sample_sphere_refuses_a_radius_that_is_not_positive(small_grid, R):
+    # a negative radius would sample the reflected sphere
+    s = ScalarField.from_function(small_grid, lambda x: x[0])
+    with pytest.raises(ValueError, match="not positive"):
+        sample_sphere(s, R, 32)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", [1024, 4096])
+def test_sphere_means_match_each_radius_own_mean(monkeypatch, n, K):
+    # radii batched into interpolation calls of at most _SPHERE_BATCH
+    # points, several calls and a short last one, give each radius the
+    # bits of its own interpolated mean
+    g = Grid(n, 0.25, 2.0)
+    stack = np.random.default_rng(n).standard_normal(g.shape)
+    unit = sphere_points(n, 1.0, K)
+    sizes = []
+
+    def counted(grid, s, pts):
+        sizes.append(len(pts))
+        return interpolate(grid, s, pts)
+
+    monkeypatch.setattr(field, "interpolate", counted)
+    short = False
+    for count in (1, 4, 5, 17, 48):
+        radii = np.linspace(0.05, g.r_max - g.h, count)
+        sizes.clear()
+        got = sphere_means(g, stack, radii, unit)
+        want = [interpolate(g, stack, r * unit).mean() for r in radii]
+        assert got.dtype == float and got.tolist() == want
+        assert sum(sizes) == count * K
+        assert max(sizes) <= field._SPHERE_BATCH
+        assert sizes[:-1] == [sizes[0]] * (len(sizes) - 1)
+        short |= sizes[-1] < sizes[0]
+    assert short and len(sizes) > 2
+    empty = sphere_means(g, stack, np.empty(0), unit)
+    assert empty.dtype == float and empty.shape == (0,)
+
+
 def test_fibonacci_sphere_3d():
     g = Grid(3, 0.25, 1.5)
     s = ScalarField.from_function(g, lambda x: x[2] ** 2)
@@ -309,6 +351,21 @@ def test_sphere_csv(tmp_path, small_grid):
     # >= 15 significant digits on emitted numbers
     mantissa = lines[1].split(",")[1].split("e")[0].replace(".", "").lstrip("-")
     assert len(mantissa) >= 15
+
+
+@pytest.mark.parametrize("n, head, digest", [
+    (2, "0.00000000000000000e+00,3.96208503490152075e-01,0",
+     "299f68874a997e66425859d3bc881f226b2e094b6b3488b98aaa68a06c9bfddc"),
+    (3, "0.00000000000000000e+00,1.77007686288030930e-01,"
+        "2.18606339000962624e+00,1",
+     "3a500cd94e1cbc594d6b7504602bb02151a49abe5a46acd2ccea59c929ea22ea")])
+def test_sphere_csv_bytes_are_pinned(tmp_path, n, head, digest):
+    pts = sphere_points(n, 1.7, 64)
+    vals = np.exp(np.sin(3.0 * pts[:, 0]))
+    p = tmp_path / "s.csv"
+    export_sphere_csv(str(p), pts, vals, vals > 1.0)
+    assert p.read_text().splitlines()[1] == head
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
 
 def test_vector_field_validation(small_grid):

@@ -152,6 +152,14 @@ def test_pohozaev_zero_field(small_grid):
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.0, float("nan")])
+def test_pohozaev_refuses_a_radius_that_is_not_positive(small_grid, R):
+    # R = 0 gave (0, nan, nan) and R = -1 an IndexError
+    u = random_interior_field(small_grid, 1, 9)
+    with pytest.raises(ValueError, match="not positive"):
+        pohozaev_balance(u, quadratic([0.0]), R)
+
+
 def test_pohozaev_closed_form_exponential():
     # u = exp(-x1): both sides equal -2 pi int_0^R I0(2r) r dr; quad oracle
     pot = quadratic([0.0])
