@@ -16,13 +16,11 @@ and evaluates E, its gradient and the solver's line search on the
 interior values alone. ``energy_only`` and
 ``energy_and_grad`` apply it to a full-cube field with that field's own
 boundary values. Every inner product is a single-threaded ``np.einsum``
-reduction and makes no BLAS call. ``DirichletInverse``, the solver's
-preconditioner, inverts h^n (-lap_h + shift) on the cube's inner box, the
-shift a constant >= 0 standing in for W's curvature; it is the one BLAS
-user: it transforms each box axis where it lies, with float32 GEMMs
-on C-ordered operands small enough that OpenBLAS runs each on one thread,
-so its bits do not depend on the thread count, though they may depend on
-the BLAS build.
+reduction and makes no BLAS call. ``Multigrid``, the solver's
+preconditioner, is one V-cycle for h^n (-lap_0 + shift) on the ball's
+interior, the shift a constant >= 0 standing in for W's curvature: gathers
+over index rows, slices, ufuncs and one einsum, with no BLAS call either,
+so no iterate depends on the BLAS build or thread count.
 
 First derivatives come from one centered-difference pass,
 ``differences``, which forms them one at a time, components outer and axes
@@ -131,6 +129,7 @@ class InteriorOperator:
     """
 
     def __init__(self, grid, vals: np.ndarray, pot):
+        self.grid = grid
         self.interior, ring, self.nbr = grid.stencil
         self.pot = pot
         self.h2 = grid.h * grid.h
@@ -151,6 +150,19 @@ class InteriorOperator:
         out = vals.copy()
         out.reshape(out.shape[0], -1)[:, self.interior] = x
         return out
+
+    def work(self):
+        """(zero, tmp, ag): the buffer [values, zero ring] that ``line``
+        applies A in, the (m, N) scratch of the Laplacian's gathers and the
+        (m, N) array ``line`` returns A g in, made on first use. They are
+        free between the operator's calls, and the preconditioner works in
+        them then."""
+        if self._zero is None:
+            self._zero = np.zeros_like(self._pinned)
+            self._ag = np.empty((self._pinned.shape[0], self.n_int))
+        if self._tmp is None:
+            self._tmp = np.empty_like(self._ag)
+        return self._zero, self._tmp, self._ag
 
     def _apply(self, buf: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """-h^n lap(x), the neighbours of x read from buf."""
@@ -220,12 +232,11 @@ class InteriorOperator:
         """(t -> (E(x - t g) - E(x), x - t g, W(x - t g)), A g), given the
         Dirichlet gradient and W at x. The Dirichlet change is the exact
         quadratic -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is
-        re-evaluated. A g lives in a buffer the next call overwrites."""
+        re-evaluated. A g lives in a buffer that the next call, or the
+        preconditioner's (``work``), overwrites."""
         lin = dot(grad_d, g)
-        if self._ag is None:
-            self._zero = np.zeros_like(self._pinned)
-            self._ag = np.empty(g.shape)
-        ag = self._apply(self._zero, g, out=self._ag)  # A g = -h^n lap_0(g)
+        zero, _, ag = self.work()
+        ag = self._apply(zero, g, out=ag)  # A g = -h^n lap_0(g)
         quad = dot(g, ag)
         cell, value_field = self.cell, self.pot.value_field
 
@@ -245,19 +256,11 @@ class InteriorOperator:
 _GEMM_MACS = 64 ** 3
 
 
-def sine_matrix(size: int) -> np.ndarray:
-    """The orthonormal DST-I matrix S[j, k] = sqrt(2/(size+1))
-    sin(pi (j+1)(k+1)/(size+1)): symmetric, and S S = I."""
-    k = np.arange(1, size + 1)
-    return (np.sqrt(2.0 / (size + 1))
-            * np.sin(np.pi * np.outer(k, k) / (size + 1)))
-
-
 def lowest_mode(grid) -> np.ndarray:
     """The lowest eigenvector of -lap_h on the cube's inner box, the product
     over the axes of sin(pi i / (side - 1)) at cube index i, unnormalized,
-    at the interior nodes in ``InteriorOperator.gather`` order: the mode on
-    which ``DirichletInverse`` is largest."""
+    at the interior nodes in ``InteriorOperator.gather`` order: positive,
+    largest at the centre and small at the ball's edge."""
     side = grid.axis.size
     sines = np.sin(np.pi / (side - 1) * np.arange(side))
     interior = grid.stencil[0]
@@ -267,99 +270,288 @@ def lowest_mode(grid) -> np.ndarray:
     return phi
 
 
-def _spans(total: int, width: int) -> list:
-    """Slices cutting range(total) into ceil(total/width) near-equal parts."""
-    parts = -(-total // width)
-    cuts = [i * total // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+# the coarsest level holds at most this many nodes; coarser still, the
+# ball is too poorly resolved for its correction to serve the finer levels
+_COARSEST = 350
 
 
-class DirichletInverse:
-    """C = (h^n (-lap_h + shift))^-1 on the cube's inner box, zero on the
-    cube faces, applied to interior (m, N) arrays: extend by zero to the
-    box, sine-transform, divide by h^n (eigenvalue + shift), transform
-    back, restrict. It is symmetric positive definite on the interior for
-    any shift >= 0. With shift 0 it is close to the inverse of the interior
-    operator's Hessian A = -h^n lap_0 away from the ball's edge; a shift
-    stands in for the potential's curvature, the D^2W part of the energy's
-    Hessian h^n (-lap_0 + D^2W), which the sine basis cannot hold unless it
-    is constant. One code path serves n=2 and n=3.
+def red_first(inside: np.ndarray):
+    """(nodes, n_red): the flat indices of the True entries of inside, a
+    boolean n-cube of odd side 2 half + 1, red ones (an even sum of offsets
+    from the centre node) first and black ones after, each class in cube
+    order, and the number of red ones. Every power of an odd side is odd,
+    so a flat index has the parity of its cube indices' sum, and the centre
+    node's is that of n half."""
+    flat = inside.ravel()
+    p = inside.ndim * (inside.shape[0] // 2) % 2
+    red = 2 * np.flatnonzero(flat[p::2]) + p
+    black = 2 * np.flatnonzero(flat[1 - p::2]) + (1 - p)
+    return np.concatenate([red, black]), red.size
 
-    The sine matrix S is symmetric and S S = I, so one transform, S along
-    every box axis, serves both directions. Each axis is transformed where
-    it lies, so every product reads C-ordered operands and no transposed
-    view reaches BLAS: for an axis with axes after it, the box is viewed
-    as (lead, size, trail) and rows of S multiply it from the left,
-    batched over lead; for the last axis it is viewed as (lead, size) and
-    multiplied by columns of S from the right. The products are float32
-    GEMMs cut into blocks of at most ``_GEMM_MACS`` multiply-adds and at
-    least two rows and two columns (a one-column product would be a GEMV,
-    which OpenBLAS threads from a smaller size), so the result does not
-    depend on the BLAS thread count; it may depend on the BLAS build. A
-    block takes width = max(8, 64^3 // size^2) columns of the box and
-    height = max(2, 64^3 // (size width)) rows of S; on the last axis,
-    where the box is the left operand, width of its rows and height of
-    the columns of S. Two box buffers are reused across calls.
+
+def _strides(n: int, side: int) -> list:
+    return [side ** (n - 1 - ax) for ax in range(n)]
+
+
+def _exact_inverse(nodes: np.ndarray, nbr: np.ndarray,
+                   diag: float) -> np.ndarray:
+    """The inverse of L = diag I - (sum over the rows of nbr; positions past
+    the last node read zero), dense and exactly symmetric, in the order of
+    nodes. L is factored as L L^T by Cholesky in cube order, where it is
+    banded, and inverted one row at a time against the band: numpy loops
+    and einsum only, so its bits do not depend on a BLAS build or thread
+    count."""
+    size = nodes.size
+    rank = np.empty(size, dtype=np.intp)
+    rank[np.argsort(nodes)] = np.arange(size)
+    a = np.zeros((size, size))
+    a.flat[::size + 1] = diag
+    band = 0
+    for row in nbr:
+        inner = np.flatnonzero(row < size)
+        i, j = rank[inner], rank[row[inner]]
+        a[i, j] = -1.0
+        band = max(band, int(np.abs(i - j).max(initial=0)))
+    for k in range(size):
+        end = min(size, k + band + 1)
+        a[k, k] = np.sqrt(a[k, k])
+        col = a[k + 1:end, k]
+        col /= a[k, k]
+        a[k + 1:end, k + 1:end] -= np.multiply.outer(col, col)
+    low = np.tril(a)
+    # L z = I row by row, then L^T x = z from the last row up
+    z = a
+    z.fill(0.0)
+    for j in range(size):
+        s = max(0, j - band)
+        np.einsum("k,kc->c", low[j, s:j], z[s:j], out=z[j])
+        z[j] *= -1.0
+        z[j, j] += 1.0
+        z[j] /= low[j, j]
+    x = np.empty_like(z)
+    for j in range(size - 1, -1, -1):
+        end = min(size, j + band + 1)
+        np.einsum("k,kc->c", low[j + 1:end, j], x[j + 1:end], out=x[j])
+        np.subtract(z[j], x[j], out=x[j])
+        x[j] /= low[j, j]
+    x += x.T
+    x *= 0.5
+    return x[np.ix_(rank, rank)]
+
+
+class _Level:
+    """One level of the V-cycle: the ball's interior nodes at spacing H,
+    red first, and L = (2n + shift H^2) I - (the sum of the 2n neighbours,
+    zero off the interior), which is H^2 (-lap_H + shift). nbr[d] holds the
+    neighbours' positions in a buffer whose first ``size`` columns are the
+    node values and whose last ones are zero. ``down`` and ``up`` are the
+    transfers to the next level (``_transfers``); the last level has
+    ``exact``, the dense inverse of L, instead."""
+
+    def __init__(self, nodes, n_red, nbr, diag):
+        self.size, self.n_red = nodes.size, n_red
+        self.red_rows = [row[:n_red] for row in nbr]
+        self.black_rows = [row[n_red:] for row in nbr]
+        self.inv_diag = 1.0 / diag
+        self.exact = self.down = self.up = self.buf = None
+
+    def bind(self, buf, acc, tmp, coarse_size: int) -> None:
+        """Work in buf, shape (m, more than size), zero past the values,
+        with the scratch arrays acc and tmp, each of at least m times the
+        larger class's size entries; views of them are made again only when
+        they are other arrays."""
+        if buf is self.buf and acc is self._acc and tmp is self._tmp:
+            return
+        self.buf, self._acc, self._tmp = buf, acc, tmp
+        m, size, nr = buf.shape[0], self.size, self.n_red
+        self.x = buf[:, :size]
+        self.red, self.black = self.x[:, :nr], self.x[:, nr:]
+        acc, tmp = acc.reshape(-1), tmp.reshape(-1)
+        self.acc = {k: acc[:m * k].reshape(m, k)
+                    for k in (nr, size - nr, coarse_size)}
+        self.tmp = {k: tmp[:m * k].reshape(m, k) for k in (nr, size - nr)}
+
+
+def _gather_sum(src, rows, acc, tmp, out=None):
+    """The sum of src's columns at each of rows, formed in acc (out, when
+    given, receives it instead)."""
+    np.take(src, rows[0], axis=1, out=acc, mode="clip")
+    for row in rows[1:-1]:
+        acc += np.take(src, row, axis=1, out=tmp, mode="clip")
+    return np.add(acc, np.take(src, rows[-1], axis=1, out=tmp, mode="clip"),
+                  out=acc if out is None else out)
+
+
+def _transfers(n: int, fine, fine_side: int, coarse, coarse_side: int):
+    """(down, up), int32, between a level and the next, each listed red
+    first in a cube lattice of odd side centred on the origin. down[j]
+    holds, for each coarse node, the position among the fine values of its
+    child at the j-th step, red since a coarse node is: itself first, then
+    the 2 n (n - 1) steps of +-1 along two axes; a child off the fine
+    interior reads the first zero, at the fine size. up[j] holds, for each
+    fine red node, the position among the coarse values of its j-th
+    n-linear parent, the coarse size (a zero) for one off the coarse
+    interior: the coarse node itself, four times, or the four corners of
+    the face whose centre it is."""
+    (f_nodes, f_red), c_nodes = fine, coarse
+    f_half, c_half = fine_side // 2, coarse_side // 2
+    f_str, c_str = _strides(n, fine_side), _strides(n, coarse_side)
+    pos = np.full(fine_side ** n, f_nodes.size, dtype=np.int32)
+    pos[f_nodes[:f_red]] = np.arange(f_red)
+    at = sum((2 * (i - c_half) + f_half) * s
+             for i, s in zip(np.unravel_index(c_nodes, (coarse_side,) * n),
+                             f_str))
+    steps = [0] + [sa * da + sb * db
+                   for a, sa in enumerate(f_str) for sb in f_str[a + 1:]
+                   for da in (1, -1) for db in (1, -1)]
+    down = np.stack([pos[at + s] for s in steps])
+    del pos, at
+    # the first odd axis of a face centre takes the corner bit j >> 1, the
+    # second takes j & 1
+    up = np.zeros((4, f_red), dtype=np.intp)
+    seen = np.zeros(f_red, dtype=bool)
+    for o, s in zip(np.unravel_index(f_nodes[:f_red], (fine_side,) * n),
+                    c_str):
+        o = o - f_half
+        odd = (o & 1).astype(bool)
+        first = odd & ~seen
+        seen |= odd
+        low = ((o >> 1) + c_half) * s
+        for j in range(4):
+            up[j] += low + s * (odd & np.where(first, j >> 1, j & 1))
+    pos = np.full(coarse_side ** n, c_nodes.size, dtype=np.int32)
+    pos[c_nodes] = np.arange(c_nodes.size)
+    return down, pos[up]
+
+
+class Multigrid:
+    """C, the solver's preconditioner: one V-cycle from zero for
+    h^n (-lap_0 + shift) x = g on the ball's interior, zero on the ring,
+    applied to the interior (m, N) arrays of the ``InteriorOperator`` op;
+    with shift 0 it approximates the inverse of op's Dirichlet Hessian
+    A = -h^n lap_0, and a shift stands in for the potential's curvature
+    D^2W. One code path serves n = 2 and n = 3.
+
+    Level 0 is the grid's stencil, whose interior is listed red first, so
+    that each half sweep writes one contiguous slice and reads its
+    neighbour rows as views of the stencil's own. Level k + 1 keeps the
+    interior nodes of level k at even offsets from the centre, in a lattice
+    one layer wider than they need, listed red first again, until a level
+    holds at most ``_COARSEST`` nodes; that one is solved with a dense
+    inverse (``_exact_inverse``). Every level is the ball at its own
+    spacing H with the shift on its diagonal (``_Level``).
+
+    A cycle on a level starts from zero. It smooths by red-black
+    Gauss-Seidel, red then black: from zero the red sweep is f/diag and
+    leaves the residual zero on the black nodes, so only the red residual
+    is restricted, by full weighting R = P^T / 2^n with P n-linear, times
+    4 for the coarse level's (2H)^2. The residual is formed in the red
+    values' place and the red values f/diag formed again after the coarse
+    solve; the coarse solution is prolonged to the red nodes only, since
+    the black sweep that follows overwrites the black ones; then the cycle
+    smooths black then red. The post-smoother is the adjoint of the
+    pre-smoother and the coarse correction is P times a symmetric operator
+    times P^T, so C is symmetric positive definite, to rounding, and BB2's
+    secant pair stays exact. An application is ``np.take`` over index
+    rows, slices and elementwise ufuncs, and the coarsest level's einsum:
+    it makes no BLAS call, so its bits do not depend on the thread count.
+    Level 0 works in op's buffers (``InteriorOperator.work``); the other
+    levels keep theirs from one application to the next.
     """
 
-    def __init__(self, grid, shift: float = 0.0):
-        n, size = grid.n, grid.axis.size - 2
-        self._sine = sine_matrix(size).astype(np.float32)
-        # eigenvalues of -lap_h on the box: a sum of one per axis
-        theta = 0.5 * np.pi * np.arange(1, size + 1) / (size + 1)
-        lam = 4.0 / (grid.h * grid.h) * np.sin(theta) ** 2
-        eig = sum(lam.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
-        self._inv_eig = (1.0 / (grid.cell * (eig + shift))).astype(np.float32)
-        cube = np.unravel_index(grid.stencil[0], grid.shape)
-        self._pos = np.ravel_multi_index(tuple(i - 1 for i in cube),
-                                         (size,) * n)
-        self._a = np.empty((size,) * n, dtype=np.float32)
-        self._b = np.empty_like(self._a)
-        width = max(8, _GEMM_MACS // (size * size))
-        height = max(2, _GEMM_MACS // (size * width))
-        # (rows, columns) of each product's output, per axis but the last
-        # and then for the last; the block of S is the outer loop, so that
-        # it stays in cache while the box streams past
-        self._blocks = [[(r, c) for r in _spans(size, height)
-                         for c in _spans(size ** (n - 1 - ax), width)]
-                        for ax in range(n - 1)]
-        self._last = [(r, c) for c in _spans(size, height)
-                      for r in _spans(size ** (n - 1), width)]
+    def __init__(self, op, shift: float = 0.0):
+        grid = op.grid
+        interior, ring, nbr = grid.stencil
+        n, side, size = grid.n, grid.axis.size, interior.size
+        self.op = op
+        self.scale = grid.h ** (2 - n)
+        inside = np.zeros(side ** n, dtype=bool)
+        inside[interior] = True
+        inside = inside.reshape((side,) * n)
+        n_red = int(np.count_nonzero((interior & 1) == n * (side // 2) % 2))
+        spacing = grid.h
+        level = _Level(interior, n_red, nbr, 2 * n + shift * spacing ** 2)
+        self._levels = [level]
+        nodes = interior
+        while size > _COARSEST:
+            half = side // 2
+            inside = np.pad(inside[(slice(half % 2, None, 2),) * n], 1)
+            c_side = inside.shape[0]
+            c_nodes, c_red = red_first(inside)
+            level.down, level.up = _transfers(n, (nodes, n_red), side,
+                                              c_nodes, c_side)
+            pos = np.full(c_side ** n, c_nodes.size, dtype=np.int32)
+            pos[c_nodes] = np.arange(c_nodes.size)
+            strides = _strides(n, c_side)
+            nbr = np.stack([pos[c_nodes + s]
+                            for s in strides + [-s for s in strides]])
+            del pos
+            spacing *= 2.0
+            nodes, n_red, side, size = c_nodes, c_red, c_side, c_nodes.size
+            level = _Level(nodes, n_red, nbr, 2 * n + shift * spacing ** 2)
+            self._levels.append(level)
+        level.exact = _exact_inverse(nodes, nbr, 2 * n + shift * spacing ** 2)
+        # the restriction's weight, with the 1/4 of P's face corners moved
+        # onto the coarse right side: 2^(2 - n) (r_c + sum r_face / 4) / 4
+        self._restrict = 2.0 ** (-n - 2)
+        self._m = 0
 
-    def _transform(self, src: np.ndarray, dst: np.ndarray):
-        """S along every box axis of src, one axis per pass between the two
-        buffers; returns (the buffer holding the result, the other one)."""
-        sine = self._sine
-        size = sine.shape[0]
-        for ax, blocks in enumerate(self._blocks):
-            a = src.reshape(size ** ax, size, -1)
-            b = dst.reshape(a.shape)
-            for r, c in blocks:
-                np.matmul(sine[r], a[:, :, c], out=b[:, r, c])
-            src, dst = dst, src
-        a = src.reshape(-1, size)
-        b = dst.reshape(a.shape)
-        for r, c in self._last:
-            np.matmul(a[r], sine[:, c], out=b[r, c])
-        return dst, src
+    def _buffers(self, m: int) -> None:
+        """Bind level 0 to op's work buffers, and the other levels to their
+        own, made again only when m changes: the values with a zero after
+        them, the right side, and two scratch arrays."""
+        levels = self._levels
+        zero, tmp, ag = self.op.work()
+        coarse = [lv.size for lv in levels[1:]] + [0]
+        levels[0].bind(zero, tmp, ag, coarse[0])
+        if m == self._m:
+            return
+        self._m = m
+        for lv, c_size in zip(levels[1:], coarse[1:]):
+            lv.rhs = np.empty((m, lv.size))
+            half = m * max(lv.n_red, lv.size - lv.n_red)
+            lv.bind(np.zeros((m, lv.size + 1)), np.empty(half),
+                    np.empty(half), c_size)
+
+    def _cycle(self, k: int, f: np.ndarray) -> None:
+        """One V-cycle from zero for L x = f on level k; x is left in the
+        level's buffer."""
+        lv = self._levels[k]
+        if lv.exact is not None:
+            np.einsum("ij,mj->mi", lv.exact, f, out=lv.x)
+            return
+        nr, nb, buf = lv.n_red, lv.size - lv.n_red, lv.buf
+        coarse = self._levels[k + 1]
+        np.multiply(f[:, :nr], lv.inv_diag, out=lv.red)
+        self._sweep(lv, lv.black, f[:, nr:], lv.black_rows, nb)
+        # the red residual, in the red values' place
+        _gather_sum(buf, lv.red_rows, lv.acc[nr], lv.tmp[nr], out=lv.red)
+        fc = coarse.rhs
+        np.take(buf, lv.down[0], axis=1, out=fc, mode="clip")
+        fc *= 4.0
+        acc = lv.acc[coarse.size]
+        for row in lv.down[1:]:
+            fc += np.take(buf, row, axis=1, out=acc, mode="clip")
+        fc *= self._restrict
+        self._cycle(k + 1, fc)
+        np.multiply(f[:, :nr], lv.inv_diag, out=lv.red)
+        lv.red += _gather_sum(coarse.buf, lv.up, lv.acc[nr], lv.tmp[nr])
+        self._sweep(lv, lv.black, f[:, nr:], lv.black_rows, nb)
+        self._sweep(lv, lv.red, f[:, :nr], lv.red_rows, nr)
+
+    @staticmethod
+    def _sweep(lv, out, f, rows, width) -> None:
+        """One half sweep: out = (f + the neighbours' sum) / diag."""
+        total = _gather_sum(lv.buf, rows, lv.acc[width], lv.tmp[width])
+        total += f
+        np.multiply(total, lv.inv_diag, out=out)
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
-        """C g for interior values g, shape (m, N); a new float64 array."""
-        # a power of two brings g into float32's range without rounding it
-        scale = 2.0 ** np.frexp(np.abs(g).max())[1]
-        # divided in float64, then rounded once to float32
-        g32 = np.divide(g, scale, out=np.empty(g.shape, np.float32),
-                        casting="same_kind")
-        out = np.empty_like(g)
-        for c in range(g.shape[0]):
-            self._a.fill(0.0)
-            self._a.reshape(-1)[self._pos] = g32[c]
-            box, spare = self._transform(self._a, self._b)
-            box *= self._inv_eig
-            box, _ = self._transform(box, spare)
-            out[c] = box.reshape(-1)[self._pos]
-        out *= scale
-        return out
+        """C g for interior values g, shape (m, N); a new C-contiguous
+        array."""
+        self._buffers(g.shape[0])
+        self._cycle(0, g)
+        return np.multiply(self._levels[0].x, self.scale)
 
 
 def energy_only(grid, vals: np.ndarray, pot) -> float:

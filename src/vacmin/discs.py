@@ -289,6 +289,12 @@ def holder_constant(e: ScalarField, alpha: float = 1.0) -> float:
     return best
 
 
+def _positive_radius(radius: float) -> None:
+    """Refuse a sphere radius that is not positive, NaN included."""
+    if not radius > 0:
+        raise ValueError(f"radius={radius} must be positive")
+
+
 def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
                            radius: float, alpha: float = 1.0,
                            max_dist: float = 1.0) -> float:
@@ -301,6 +307,7 @@ def sphere_holder_constant(points: np.ndarray, values: np.ndarray,
     with i + k and keeps the pairs with k <= width[i], so each unordered
     pair is formed at most once. Only cosines near or past the threshold of
     pairs that differ in value go to arccos (the others have ratio 0)."""
+    _positive_radius(radius)
     unit = points / radius
     order = np.argsort(unit[:, -1], kind="stable")
     unit, values = unit[order], values[order]
@@ -399,6 +406,7 @@ def greedy_bad_discs(points: np.ndarray, values: np.ndarray, radius: float,
     never change, so neither do the 2-ball energies: one sweep forms them
     all, and each pick then forms only its own unit-ball row.
     """
+    _positive_radius(radius)
     unit = points / radius
     ball2 = _sweep(unit, values, radius)
     cols = unit.T.copy()
@@ -432,6 +440,7 @@ def clearing_out_violations(points: np.ndarray, values: np.ndarray,
     """Exhaustive soundness check of the threshold on explicit samples:
     every geodesic 2-ball with slice energy < mu must have values <= eps
     throughout its concentric 1-ball. Returns the list of violations."""
+    _positive_radius(radius)
     unit = points / radius
     ball2 = _sweep(unit, values, radius)
     low = np.flatnonzero(ball2 < mu)

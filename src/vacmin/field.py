@@ -105,12 +105,15 @@ class Grid:
         """Index arrays of the interior-only operator, built once per grid.
 
         Returns (interior, ring, nbr): the flat cube indices of the INTERIOR
-        and of the BOUNDARY nodes, and for interior node i its neighbour
-        along +axis d (d < n) or -axis d-n (d >= n) as nbr[d, i], a position
-        in the buffer [interior values, ring values].
+        nodes, red first (``_kernels.red_first``), and of the BOUNDARY nodes
+        in cube order, and for interior node i its neighbour along +axis d
+        (d < n) or -axis d-n (d >= n) as nbr[d, i], a position in the buffer
+        [interior values, ring values]. Every neighbour of a red node is
+        black or on the ring, and the other way round, so the columns of
+        nbr split into the rows of the preconditioner's two half sweeps.
         """
         flat = self.mask.ravel()
-        interior = np.flatnonzero(flat == INTERIOR)
+        interior = _kernels.red_first(self.mask == INTERIOR)[0]
         ring = np.flatnonzero(flat == BOUNDARY)
         pos = np.full(flat.size, -1, dtype=np.intp)
         pos[interior] = np.arange(interior.size)

@@ -1,9 +1,10 @@
 """Energy minimization under pinned Dirichlet data.
 
-Preconditioned steepest descent: the direction is C g, C the exact
-inverse of h^n (-lap_h + sigma) on the cube's inner box (a sine-transform
-solve), sigma >= 0 a constant stand-in for the potential's curvature taken
-once from the starting field, with the preconditioned second
+Preconditioned steepest descent: the direction is C g, C one multigrid
+V-cycle for h^n (-lap_0 + sigma) on the ball's interior
+(``_kernels.Multigrid``), sigma >= 0 a constant stand-in for the
+potential's curvature taken once from the starting field, with the
+preconditioned second
 Barzilai-Borwein step size
 (BB2, t = <s, y>/<y, C y>; Molina and Raydan 1996) and an Armijo
 backtracking safeguard (Raydan 1997), so the energy is nonincreasing
@@ -13,9 +14,8 @@ directly before any claim is made on it. Convergence is declared on the
 sup-norm of the directly evaluated discrete Euler-Lagrange residual
 lap(u) - gradW(u), not on energy stall: the residual is the checkable
 certificate that the output solves the system, and C enters only the
-direction, never the residual. Inner products and the residual make no
-BLAS call; the transforms in C are BLAS calls small enough to run on one
-thread, so iterates do not depend on the thread count. Global minimality
+direction, never the residual. Inner products, the residual and C make
+no BLAS call, so iterates do not depend on the thread count. Global minimality
 over all perturbations is not certifiable numerically; reports state that
 limitation and the competitor module tries to defeat it.
 """
@@ -113,9 +113,10 @@ def _bb2(t: float, d_prev: np.ndarray, g_prev: np.ndarray,
 def _curvature_shift(pot: Potential, grid, x: np.ndarray) -> float:
     """max(0, <phi, k phi>/<phi, phi>) for the interior values x, shape
     (m, N): k is tr D^2W(x) / m per node, from central second differences
-    of W with step 2^-10, and phi is the lowest mode of C's box
-    (``_kernels.lowest_mode``), on which C is largest. So the shift is the
-    curvature that mode sees, and C and the Hessian agree on it. phi is
+    of W with step 2^-10, and phi is the lowest mode of the cube's box
+    (``_kernels.lowest_mode``), a smooth mode, positive, largest at the
+    centre. So the shift is the curvature such a mode sees, where C acts
+    most like the inverse of the Hessian h^n (-lap_0 + D^2W). phi is
     small at the ball's edge, where u0 carries its data and where the
     curvature of a degenerate W (power q > 2) is far above what the
     minimizer's interior keeps, so that layer cannot set the shift. It is
@@ -147,10 +148,11 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     residual drops below tol. Returns (VectorField, SolveReport).
 
     The iteration runs on interior values only. The search direction is
-    d = C g, C the exact inverse of h^n (-lap_h + sigma) on the cube's
-    inner box (``_kernels.DirichletInverse``). The shift sigma stands in
-    for the D^2W part of the Hessian h^n (-lap_0 + D^2W), which a sine
-    basis can hold only as a constant: it is the mean of tr D^2W(u0) / m
+    d = C g, C one multigrid V-cycle for h^n (-lap_0 + sigma) on the
+    ball's interior (``_kernels.Multigrid``), symmetric positive definite.
+    The shift sigma stands in for the D^2W part of the Hessian
+    h^n (-lap_0 + D^2W), which C holds only as a constant on every
+    level's diagonal: it is the mean of tr D^2W(u0) / m
     over the interior, from central second differences of W, weighted by
     the square of C's lowest mode and clamped at 0 (``_curvature_shift``;
     1 up to rounding for the quadratic family), computed once and
@@ -184,13 +186,13 @@ def minimize(u0: VectorField, pot: Potential, tol: float = 1e-6,
     if not np.isfinite(energy):
         raise SolverDivergence("initial energy is not finite")
     shift = _curvature_shift(pot, grid, x)
-    precondition = _kernels.DirichletInverse(grid, shift)
+    precondition = _kernels.Multigrid(op, shift)
     grad, grad_d = op.gradient(x)
     direct = True
     w = pot.value_field(x)
 
-    # C inverts the Dirichlet Hessian on the box, so t = 1 is the Newton
-    # step of the quadratic part
+    # C approximates the inverse of the shifted Dirichlet Hessian, so t = 1
+    # is close to the Newton step of the quadratic part
     t = 1.0
     g_prev = d_prev = None
     steps = []

@@ -630,8 +630,7 @@ def test_minimize_independent_of_blas_threads(tmp_path):
 
 
 def test_minimize_3d_independent_of_blas_threads(tmp_path):
-    # the preconditioner's sine transforms are float32 GEMMs cut into
-    # blocks below OpenBLAS's threading threshold, so the thread count
+    # the multigrid preconditioner makes no BLAS call, so the thread count
     # cannot change an iterate
     cfg = write_cfg(tmp_path, n=3, h=0.2, r_max=4.0,
                     solver={"tol": 1.0e-6})

@@ -1035,3 +1035,24 @@ def test_pipeline_memory_is_blocked():
         tracemalloc.stop()
     assert rep.count > 0
     assert peak < 96 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("radius", [-1.2, 0.0, float("nan")])
+def test_greedy_bad_discs_refuses_a_radius_not_positive(radius):
+    pts = sphere_points(3, 1.0, 64)
+    with pytest.raises(ValueError, match="must be positive"):
+        greedy_bad_discs(pts, np.ones(64), radius, 0.01, 1e-9)
+
+
+@pytest.mark.parametrize("radius", [-1.2, 0.0, float("nan")])
+def test_sphere_holder_constant_refuses_a_radius_not_positive(radius):
+    pts = sphere_points(3, 1.0, 64)
+    with pytest.raises(ValueError, match="must be positive"):
+        discs.sphere_holder_constant(pts, np.arange(64.0), radius)
+
+
+@pytest.mark.parametrize("radius", [-1.2, 0.0, float("nan")])
+def test_clearing_out_violations_refuses_a_radius_not_positive(radius):
+    pts = sphere_points(3, 1.0, 64)
+    with pytest.raises(ValueError, match="must be positive"):
+        discs.clearing_out_violations(pts, np.ones(64), radius, 0.01, 1e-9)

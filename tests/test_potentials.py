@@ -214,3 +214,14 @@ def test_power_grad_field_matches_case_split_formula(q, zero):
     assert (got[:, 0, :3] == 0.0).all()
     if zero[0] == 0.0:
         assert np.signbit(got[:, 1, :3]).all()
+
+
+def test_power_four_squares_with_the_bits_of_the_power_loop():
+    # value_field squares |d|^2 for q = 4; np.square gives the bits of the
+    # generic power loop rho2 ** 2.0 it replaces
+    pot = power([0.1, -0.2], 4)
+    vals = np.random.default_rng(9).standard_normal((2, 33401)) * 3.0
+    d = vals - np.array([0.1, -0.2])[:, None]
+    rho2 = d[0] * d[0] + d[1] * d[1]
+    want = rho2 ** 2.0
+    assert pot.value_field(vals).tobytes() == want.tobytes()
