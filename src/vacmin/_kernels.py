@@ -35,6 +35,8 @@ holds the whole stack.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # there is no compiled path; the benchmark's environment record reads this name
@@ -152,17 +154,15 @@ class InteriorOperator:
         return out
 
     def work(self):
-        """(zero, tmp, ag): the buffer [values, zero ring] that ``line``
-        applies A in, the (m, N) scratch of the Laplacian's gathers and the
-        (m, N) array ``line`` returns A g in, made on first use. They are
-        free between the operator's calls, and the preconditioner works in
-        them then."""
+        """(zero, tmp): the buffer [values, zero ring] that ``line``
+        applies A in and the (m, N) scratch of the Laplacian's gathers,
+        made on first use. Neither holds a result between the operator's
+        calls, so the preconditioner works in them then."""
         if self._zero is None:
             self._zero = np.zeros_like(self._pinned)
-            self._ag = np.empty((self._pinned.shape[0], self.n_int))
         if self._tmp is None:
-            self._tmp = np.empty_like(self._ag)
-        return self._zero, self._tmp, self._ag
+            self._tmp = np.empty((self._pinned.shape[0], self.n_int))
+        return self._zero, self._tmp
 
     def _apply(self, buf: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """-h^n lap(x), the neighbours of x read from buf."""
@@ -232,11 +232,13 @@ class InteriorOperator:
         """(t -> (E(x - t g) - E(x), x - t g, W(x - t g)), A g), given the
         Dirichlet gradient and W at x. The Dirichlet change is the exact
         quadratic -t <grad_d, g> + t^2/2 <g, A g>; only the W-sum is
-        re-evaluated. A g lives in a buffer that the next call, or the
-        preconditioner's (``work``), overwrites."""
+        re-evaluated. A g lives in a buffer that the next call
+        overwrites."""
         lin = dot(grad_d, g)
-        zero, _, ag = self.work()
-        ag = self._apply(zero, g, out=ag)  # A g = -h^n lap_0(g)
+        if self._ag is None:
+            self._ag = np.empty_like(g)
+        # A g = -h^n lap_0(g)
+        ag = self._apply(self.work()[0], g, out=self._ag)
         quad = dot(g, ag)
         cell, value_field = self.cell, self.pot.value_field
 
@@ -293,49 +295,55 @@ def _strides(n: int, side: int) -> list:
     return [side ** (n - 1 - ax) for ax in range(n)]
 
 
-def _exact_inverse(nodes: np.ndarray, nbr: np.ndarray,
+def _black_inverse(nodes: np.ndarray, n_red: int, nbr: np.ndarray,
                    diag: float) -> np.ndarray:
-    """The inverse of L = diag I - (sum over the rows of nbr; positions past
-    the last node read zero), dense and exactly symmetric, in the order of
-    nodes. L is factored as L L^T by Cholesky in cube order, where it is
-    banded, and inverted one row at a time against the band: numpy loops
-    and einsum only, so its bits do not depend on a BLAS build or thread
-    count."""
-    size = nodes.size
-    rank = np.empty(size, dtype=np.intp)
-    rank[np.argsort(nodes)] = np.arange(size)
-    a = np.zeros((size, size))
-    a.flat[::size + 1] = diag
+    """The inverse of the black nodes' Schur complement of
+    L = diag I - (sum over the rows of nbr; positions past the last node
+    read zero), for nodes listed red first: S = diag I - B^T B / diag, B
+    the red-black block of L's neighbour sum, dense and exactly symmetric,
+    in the order of the black nodes. Red nodes neighbour only black ones,
+    so L's red block is diag I, and S couples two black nodes through each
+    red node next to both. S = F F^T is factored by Cholesky in cube
+    order, where F is banded, and inverted one row at a time against the
+    band: numpy loops and einsum only, so its bits do not depend on a BLAS
+    build or thread count."""
+    size, nb = nodes.size, nodes.size - n_red
+    rank = np.empty(nb, dtype=np.intp)
+    rank[np.argsort(nodes[n_red:])] = np.arange(nb)
+    a = np.zeros((nb, nb))
+    a.flat[::nb + 1] = diag
+    reds = [row[:n_red] for row in nbr]
     band = 0
-    for row in nbr:
-        inner = np.flatnonzero(row < size)
-        i, j = rank[inner], rank[row[inner]]
-        a[i, j] = -1.0
-        band = max(band, int(np.abs(i - j).max(initial=0)))
-    for k in range(size):
-        end = min(size, k + band + 1)
-        a[k, k] = np.sqrt(a[k, k])
+    for ra in reds:
+        for rb in reds:
+            both = (ra < size) & (rb < size)
+            i, j = rank[ra[both] - n_red], rank[rb[both] - n_red]
+            np.add.at(a, (i, j), -1.0 / diag)
+            band = max(band, int(np.abs(i - j).max(initial=0)))
+    inv = np.empty(nb)
+    for k in range(nb):
+        end = min(nb, k + band + 1)
+        inv[k] = d = 1.0 / math.sqrt(a[k, k])
         col = a[k + 1:end, k]
-        col /= a[k, k]
+        col *= d
         a[k + 1:end, k + 1:end] -= np.multiply.outer(col, col)
-    low = np.tril(a)
-    # L z = I row by row, then L^T x = z from the last row up
-    z = a
-    z.fill(0.0)
-    for j in range(size):
+    # F z = I row by row, then F^T x = z from the last row up, in z's
+    # place; both are formed on and below the diagonal only, where row j
+    # reads the rows of the band after it there
+    z = np.zeros_like(a)
+    for j in range(nb):
         s = max(0, j - band)
-        np.einsum("k,kc->c", low[j, s:j], z[s:j], out=z[j])
-        z[j] *= -1.0
-        z[j, j] += 1.0
-        z[j] /= low[j, j]
-    x = np.empty_like(z)
-    for j in range(size - 1, -1, -1):
-        end = min(size, j + band + 1)
-        np.einsum("k,kc->c", low[j + 1:end, j], x[j + 1:end], out=x[j])
-        np.subtract(z[j], x[j], out=x[j])
-        x[j] /= low[j, j]
-    x += x.T
-    x *= 0.5
+        zj = z[j, :j + 1]
+        np.einsum("k,kc->c", a[j, s:j], z[s:j, :j + 1], out=zj)
+        zj *= -inv[j]
+        zj[j] += inv[j]
+    for j in range(nb - 1, -1, -1):
+        end = min(nb, j + band + 1)
+        zj = z[j, :j + 1]
+        zj -= np.einsum("k,kc->c", a[j + 1:end, j], z[j + 1:end, :j + 1])
+        zj *= inv[j]
+    x = np.tril(z)
+    x += np.tril(x, -1).T
     return x[np.ix_(rank, rank)]
 
 
@@ -346,7 +354,8 @@ class _Level:
     neighbours' positions in a buffer whose first ``size`` columns are the
     node values and whose last ones are zero. ``down`` and ``up`` are the
     transfers to the next level (``_transfers``); the last level has
-    ``exact``, the dense inverse of L, instead."""
+    ``exact``, the dense inverse of its black nodes' Schur complement
+    (``_black_inverse``), instead."""
 
     def __init__(self, nodes, n_red, nbr, diag):
         self.size, self.n_red = nodes.size, n_red
@@ -406,19 +415,18 @@ def _transfers(n: int, fine, fine_side: int, coarse, coarse_side: int):
                    for da in (1, -1) for db in (1, -1)]
     down = np.stack([pos[at + s] for s in steps])
     del pos, at
-    # the first odd axis of a face centre takes the corner bit j >> 1, the
-    # second takes j & 1
+    # a red node has no odd offset or two; the first odd axis takes the
+    # corner bit j >> 1, the second takes j & 1
     up = np.zeros((4, f_red), dtype=np.intp)
     seen = np.zeros(f_red, dtype=bool)
     for o, s in zip(np.unravel_index(f_nodes[:f_red], (fine_side,) * n),
                     c_str):
         o = o - f_half
         odd = (o & 1).astype(bool)
-        first = odd & ~seen
+        up += ((o >> 1) + c_half) * s
+        up[2:] += s * (odd & ~seen)
+        up[1::2] += s * (odd & seen)
         seen |= odd
-        low = ((o >> 1) + c_half) * s
-        for j in range(4):
-            up[j] += low + s * (odd & np.where(first, j >> 1, j & 1))
     pos = np.full(coarse_side ** n, c_nodes.size, dtype=np.int32)
     pos[c_nodes] = np.arange(c_nodes.size)
     return down, pos[up]
@@ -437,9 +445,10 @@ class Multigrid:
     neighbour rows as views of the stencil's own. Level k + 1 keeps the
     interior nodes of level k at even offsets from the centre, in a lattice
     one layer wider than they need, listed red first again, until a level
-    holds at most ``_COARSEST`` nodes; that one is solved with a dense
-    inverse (``_exact_inverse``). Every level is the ball at its own
-    spacing H with the shift on its diagonal (``_Level``).
+    holds at most ``_COARSEST`` nodes; that one is solved exactly, its red
+    nodes eliminated and its black ones solved with the dense inverse of
+    their Schur complement (``_black_inverse``). Every level is the ball at
+    its own spacing H with the shift on its diagonal (``_Level``).
 
     A cycle on a level starts from zero. It smooths by red-black
     Gauss-Seidel, red then black: from zero the red sweep is f/diag and
@@ -455,8 +464,9 @@ class Multigrid:
     secant pair stays exact. An application is ``np.take`` over index
     rows, slices and elementwise ufuncs, and the coarsest level's einsum:
     it makes no BLAS call, so its bits do not depend on the thread count.
-    Level 0 works in op's buffers (``InteriorOperator.work``); the other
-    levels keep theirs from one application to the next.
+    Level 0 works in op's scratch buffers (``InteriorOperator.work``), so
+    C leaves the A g of op's last ``line`` as it was; the other levels keep
+    their buffers from one application to the next.
     """
 
     def __init__(self, op, shift: float = 0.0):
@@ -468,7 +478,7 @@ class Multigrid:
         inside = np.zeros(side ** n, dtype=bool)
         inside[interior] = True
         inside = inside.reshape((side,) * n)
-        n_red = int(np.count_nonzero((interior & 1) == n * (side // 2) % 2))
+        n_red = red_first(inside)[1]
         spacing = grid.h
         level = _Level(interior, n_red, nbr, 2 * n + shift * spacing ** 2)
         self._levels = [level]
@@ -490,37 +500,45 @@ class Multigrid:
             nodes, n_red, side, size = c_nodes, c_red, c_side, c_nodes.size
             level = _Level(nodes, n_red, nbr, 2 * n + shift * spacing ** 2)
             self._levels.append(level)
-        level.exact = _exact_inverse(nodes, nbr, 2 * n + shift * spacing ** 2)
+        level.exact = _black_inverse(nodes, n_red, nbr,
+                                     2 * n + shift * spacing ** 2)
         # the restriction's weight, with the 1/4 of P's face corners moved
         # onto the coarse right side: 2^(2 - n) (r_c + sum r_face / 4) / 4
         self._restrict = 2.0 ** (-n - 2)
         self._m = 0
 
     def _buffers(self, m: int) -> None:
-        """Bind level 0 to op's work buffers, and the other levels to their
-        own, made again only when m changes: the values with a zero after
-        them, the right side, and two scratch arrays."""
+        """Bind level 0 to op's work buffers and a scratch array of its own,
+        and the other levels to their own, made again only when m changes:
+        the values with a zero after them, the right side, and two scratch
+        arrays."""
         levels = self._levels
-        zero, tmp, ag = self.op.work()
         coarse = [lv.size for lv in levels[1:]] + [0]
-        levels[0].bind(zero, tmp, ag, coarse[0])
-        if m == self._m:
-            return
-        self._m = m
-        for lv, c_size in zip(levels[1:], coarse[1:]):
-            lv.rhs = np.empty((m, lv.size))
-            half = m * max(lv.n_red, lv.size - lv.n_red)
-            lv.bind(np.zeros((m, lv.size + 1)), np.empty(half),
-                    np.empty(half), c_size)
+        if m != self._m:
+            self._m = m
+            halves = [m * max(lv.n_red, lv.size - lv.n_red) for lv in levels]
+            self._scratch = np.empty(halves[0])
+            for lv, c_size, half in zip(levels[1:], coarse[1:], halves[1:]):
+                lv.rhs = np.empty((m, lv.size))
+                lv.bind(np.zeros((m, lv.size + 1)), np.empty(half),
+                        np.empty(half), c_size)
+        levels[0].bind(*self.op.work(), self._scratch, coarse[0])
 
     def _cycle(self, k: int, f: np.ndarray) -> None:
         """One V-cycle from zero for L x = f on level k; x is left in the
         level's buffer."""
         lv = self._levels[k]
-        if lv.exact is not None:
-            np.einsum("ij,mj->mi", lv.exact, f, out=lv.x)
-            return
         nr, nb, buf = lv.n_red, lv.size - lv.n_red, lv.buf
+        if lv.exact is not None:
+            # eliminate the red nodes: their values from zero are f/diag,
+            # the black ones then solve the Schur complement, and the red
+            # ones follow from the black
+            np.multiply(f[:, :nr], lv.inv_diag, out=lv.red)
+            total = _gather_sum(buf, lv.black_rows, lv.acc[nb], lv.tmp[nb])
+            total += f[:, nr:]
+            np.einsum("ij,mj->mi", lv.exact, total, out=lv.black)
+            self._sweep(lv, lv.red, f[:, :nr], lv.red_rows, nr)
+            return
         coarse = self._levels[k + 1]
         np.multiply(f[:, :nr], lv.inv_diag, out=lv.red)
         self._sweep(lv, lv.black, f[:, nr:], lv.black_rows, nb)

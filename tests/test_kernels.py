@@ -260,6 +260,22 @@ def test_one_v_cycle_contracts_the_error_in_the_a_norm(n, h, r):
         assert ratio < 0.5, ratio
 
 
+def test_multigrid_leaves_the_line_product_alone():
+    # the minimizer reads line()'s A g after applying C, so C works in the
+    # operator's scratch buffers but never in the one that holds A g
+    g, op, C = multigrid(3, 0.2, 4.0, 0.3)
+    rng = np.random.default_rng(3)
+    x, d, y = rng.standard_normal((3, 2, op.n_int))
+    grad, grad_d = op.gradient(x)
+    ag = op.line(x, d, grad_d, op.pot.value_field(x))[1]
+    want = ag.copy()
+    C(y)
+    op.gradient(y)
+    C(grad)
+    assert np.array_equal(ag, want)
+    assert not any(np.shares_memory(ag, b) for b in op.work())
+
+
 def test_multigrid_makes_no_blas_call(monkeypatch):
     # an application is np.take, slices, ufuncs and one einsum: matmul,
     # dot and every np.linalg routine raise if it reaches them
@@ -282,7 +298,8 @@ def test_multigrid_builds_and_runs_lean():
     # the levels, their transfers and the coarsest inverse stay below the
     # box transform's 1.2 MB once built, and an application allocates
     # little beyond the C g it returns: level 0 works in the operator's
-    # buffers, made before the measurement
+    # scratch buffers, made before the measurement, and in a half-size
+    # scratch array of C's own, counted as live
     g = Grid(3, 0.2, 4.0)
     op = K.InteriorOperator(g, np.zeros((2,) + g.shape), quadratic([0.0] * 2))
     op.work()
